@@ -15,13 +15,15 @@ the iteration but never enters the readout, since the measured output contains
 no shift contribution.
 """
 
+import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import RESET_FREE, RESET_PER_BATCH, is_settled
+from .plant import RESET_FREE, RESET_PER_BATCH, relative_batch_change
 from .spectral import time_reverse
 
 __all__ = [
@@ -60,16 +62,24 @@ class PowerIterationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_update", "max_updates"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"batch length must be at least 1, got {self.n}")
         if self.n_update < 1:
             raise ValueError(f"n_update must be at least 1, got {self.n_update}")
+        if self.shift is not None and not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
         if self.shift is not None and self.shift == 0.0:
             raise ValueError("shift must be nonzero (or None to auto-select)")
         if self.max_updates < 1:
             raise ValueError(f"max_updates must be at least 1, got {self.max_updates}")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < math.inf:
+            raise ValueError(
+                f"convergence_tol must be positive and finite, got {self.convergence_tol!r}"
+            )
 
 
 @dataclass
@@ -221,18 +231,27 @@ def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000)
 
     Applies a random unit-power batch (held until settled on a reset-free
     plant) and returns the observed gain ||y|| / ||u||, floored at 1e-6. A
-    zero probe output falls back to 1.0 with a warning.
+    zero probe output falls back to 1.0 with a warning. A probe still
+    unsettled after ``max_probe_batches`` warns and returns the gain of its
+    last batch.
     """
     n = int(n)
     u = init_input(n, rng_seed)
     record = plant.apply_batch(u)
     if getattr(plant, "mode", RESET_FREE) == RESET_FREE:
         prev = record.y
+        change = math.inf
         for _ in range(max_probe_batches):
             record = plant.apply_batch(u)
-            if is_settled(prev, record.y, settle_tol):
+            change = relative_batch_change(prev, record.y)
+            if change < settle_tol:
                 break
             prev = record.y
+        else:
+            warnings.warn(
+                f"shift probe did not settle within {max_probe_batches} batches "
+                f"(last relative_batch_change {change:.3g}); using the unsettled gain"
+            )
     gain = float(np.linalg.norm(record.y) / np.linalg.norm(u))
     if gain == 0.0:
         warnings.warn("probe batch produced zero output; falling back to shift 1.0")

@@ -198,6 +198,10 @@ def simulate(ss, x0, u):
     Returns ``(y, x_final)`` so consecutive runs can be chained without any
     reset: feeding the returned state into the next call reproduces one long
     run bit for bit, because the per-sample operation order is fixed.
+
+    This per-sample loop is the sample-exact reference. Plant sessions apply
+    whole batches through the lifted matrices instead, and the tests compare
+    them against chained ``simulate`` calls within a rounding tolerance.
     """
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape != (ss.n,):

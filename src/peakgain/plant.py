@@ -5,6 +5,14 @@ batches. The simulated plant behind a session hides its state-space model
 entirely; in reset-free mode the internal state carries over from batch to
 batch exactly as it would on continuously operated hardware, while the
 reset-per-batch mode zeroes the state before every batch.
+
+A session applies each batch in one step through the lifted matrices
+(F, G, H, J) of ``lifting.lift``, built once when the session opens: a
+reset-free batch is y = H x + J u followed by x = F x + G u, and a
+reset-per-batch batch is y = J u. It therefore holds about N^2 + 2 N n
+doubles for an n-state plant (J alone is N x N, 32 MB at N = 2048).
+``lti.simulate`` stays the sample-exact reference; the tests compare the
+session against it within a rounding tolerance.
 """
 
 from dataclasses import dataclass
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import lift, periodic_response_matrix
-from .lti import StateSpace, simulate
+from .lti import StateSpace
 
 __all__ = [
     "RESET_FREE",
@@ -38,6 +46,16 @@ class BatchRecord:
     j: int
     u: np.ndarray
     y: np.ndarray
+
+
+def _input_batch(u, N):
+    """Validate one input batch: N finite samples, returned as a flat float array."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != N:
+        raise ValueError(f"input batch must have length {N}, got {u.shape[0]}")
+    if not np.isfinite(u).all():
+        raise ValueError("input batch must be finite (NaN or inf sample)")
+    return u
 
 
 class PlantSession:
@@ -70,7 +88,8 @@ class PlantSession:
         if mode == RESET_PER_BATCH and np.any(x != 0.0):
             raise ValueError("reset-per-batch sessions start every batch at rest; "
                              "a nonzero initial state is rejected")
-        self._ss = ss
+        lb = lift(ss, N)
+        self._F, self._G, self._H, self._J = lb.F, lb.G, lb.H, lb.J
         self._x = x
         self._noise = noise
         self.N = N
@@ -79,13 +98,12 @@ class PlantSession:
 
     def apply_batch(self, u):
         """Apply one length-N input batch and return the measured record."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape[0] != self.N:
-            raise ValueError(f"input batch must have length {self.N}, got {u.shape[0]}")
+        u = _input_batch(u, self.N)
         if self.mode == RESET_PER_BATCH:
-            y, _ = simulate(self._ss, np.zeros(self._ss.n), u)
+            y = self._J @ u
         else:
-            y, self._x = simulate(self._ss, self._x, u)
+            y = self._H @ self._x + self._J @ u
+            self._x = self._F @ self._x + self._G @ u
         if self._noise is not None:
             y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)
         record = BatchRecord(j=self.batch_counter, u=u.copy(), y=y)
@@ -108,9 +126,7 @@ class SteadyStatePlant:
         self.batch_counter = 0
 
     def apply_batch(self, u):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape[0] != self.N:
-            raise ValueError(f"input batch must have length {self.N}, got {u.shape[0]}")
+        u = _input_batch(u, self.N)
         record = BatchRecord(j=self.batch_counter, u=u.copy(), y=self._M @ u)
         self.batch_counter += 1
         return record

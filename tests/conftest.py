@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from peakgain import RationalTransferFunction, StateSpace
+from peakgain import (
+    RESET_FREE,
+    RESET_PER_BATCH,
+    BatchRecord,
+    RationalTransferFunction,
+    StateSpace,
+    simulate,
+    tf_to_ss,
+)
 
 # Bundled demo plant: a lightly damped two-pole resonance behind 50 samples of
 # dead time. Reference values computed from the closed-form magnitude
@@ -16,6 +24,35 @@ DEMO_PEAK_OMEGA = 1.2077304677574847
 
 def delayed_resonator():
     return RationalTransferFunction(DEMO_NUM, DEMO_DEN, delay=DEMO_DELAY)
+
+
+def slow_pole():
+    """One real pole at 0.9999 with unit DC gain: a 10,000-sample time constant."""
+    return tf_to_ss(RationalTransferFunction((1e-4,), (1.0, -0.9999)))
+
+
+class SampleExactSession:
+    """Reference plant session: every batch runs sample by sample through simulate.
+
+    Chained simulate calls reproduce one long run bit for bit, so this session
+    is the exact reference the lifted production session is compared against.
+    """
+
+    def __init__(self, ss, N, mode=RESET_FREE, x0=None):
+        self._ss = ss
+        self._x = np.zeros(ss.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        self.N = int(N)
+        self.mode = mode
+        self.batch_counter = 0
+
+    def apply_batch(self, u):
+        u = np.asarray(u, dtype=float).reshape(-1)
+        if self.mode == RESET_PER_BATCH:
+            self._x = np.zeros(self._ss.n)
+        y, self._x = simulate(self._ss, self._x, u)
+        record = BatchRecord(j=self.batch_counter, u=u.copy(), y=y)
+        self.batch_counter += 1
+        return record
 
 
 def random_stable_statespace(rng, n_max=6):

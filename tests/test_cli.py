@@ -130,6 +130,15 @@ class TestEstimate:
         last = int(rows[-1][0])
         assert (out / f"u_update_{last:05d}.csv").exists()
 
+    def test_non_finite_tolerance_exits_1(self, low_pass_file, tmp_path, capsys):
+        out = tmp_path / "est"
+        code = main([
+            "estimate", "--system", low_pass_file, "--n", "8", "--tol", "nan",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "convergence_tol" in capsys.readouterr().err
+
     def test_transient_demo_run(self, demo_file, tmp_path, capsys):
         out = tmp_path / "est"
         code = main([

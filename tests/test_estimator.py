@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import delayed_resonator, random_stable_statespace
+from conftest import delayed_resonator, random_stable_statespace, slow_pole
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
@@ -85,6 +85,27 @@ class TestConfigValidation:
             PowerIterationConfig(n=4, convergence_tol=0.0)
         with pytest.raises(ValueError):
             PowerIterationConfig(n=4, max_updates=0)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_shift(self, shift):
+        with pytest.raises(ValueError, match="shift"):
+            PowerIterationConfig(n=4, shift=shift)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="convergence_tol"):
+            PowerIterationConfig(n=4, convergence_tol=tol)
+
+    @pytest.mark.parametrize("knob", ["n", "n_update", "max_updates"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
+    def test_rejects_non_integral_counts(self, knob, value):
+        kwargs = {"n": 4, knob: value}
+        with pytest.raises(ValueError, match=knob):
+            PowerIterationConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = PowerIterationConfig(n=np.int64(4), n_update=np.int32(2), max_updates=np.int64(7))
+        assert (config.n, config.n_update, config.max_updates) == (4, 2, 7)
 
 
 class TestResetFreeIteration:
@@ -335,6 +356,19 @@ class TestSelectShift:
         session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_FREE)
         shift = select_shift(session, 50, rng_seed=0)
         assert 1e-6 < shift < 10.0
+
+    def test_unsettled_probe_warns_with_count_and_residual(self):
+        # a pole at 0.9999 needs about 200 batches of 50 to settle
+        session = new_session(slow_pole(), 50, RESET_FREE)
+        with pytest.warns(UserWarning, match=r"within 5 batches \(last relative_batch_change"):
+            shift = select_shift(session, 50, rng_seed=0, max_probe_batches=5)
+        assert session.batch_counter == 6
+        assert 0.0 < shift < 1.0
+
+    def test_settled_probe_does_not_warn(self, recwarn):
+        session = new_session(low_pass(), 8, RESET_FREE)
+        select_shift(session, 8, rng_seed=0)
+        assert not [w for w in recwarn if "did not settle" in str(w.message)]
 
     def test_reset_probe_uses_single_batch(self):
         ss = tf_to_ss(RationalTransferFunction((1.5,), (1.0,)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import delayed_resonator, random_stable_statespace
+from conftest import SampleExactSession, delayed_resonator, random_stable_statespace, slow_pole
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
@@ -88,12 +88,81 @@ def test_reset_free_state_carries_over():
     rng = np.random.default_rng(5)
     ss = random_stable_statespace(rng)
     N = 6
-    session = new_session(ss, N, RESET_FREE)
+    session = SampleExactSession(ss, N, RESET_FREE)
     u1, u2 = rng.standard_normal(N), rng.standard_normal(N)
     y1 = session.apply_batch(u1).y
     y2 = session.apply_batch(u2).y
     y_ref, _ = simulate(ss, np.zeros(ss.n), np.concatenate([u1, u2]))
     assert np.array_equal(np.concatenate([y1, y2]), y_ref)
+
+
+def demo_plant():
+    return tf_to_ss(delayed_resonator())
+
+
+def _worst_lifted_error(ss, N, mode, batches, switch_every, rng, x0=None):
+    """Largest per-batch max|dy| / (1 + max|y|) of the lifted session against the reference."""
+    lifted = new_session(ss, N, mode, x0=x0)
+    reference = SampleExactSession(ss, N, mode, x0=x0)
+    worst = 0.0
+    for j in range(batches):
+        if j % switch_every == 0:
+            u = rng.standard_normal(N)
+        y_ref = reference.apply_batch(u).y
+        y = lifted.apply_batch(u).y
+        worst = max(worst, float(np.abs(y - y_ref).max() / (1.0 + np.abs(y_ref).max())))
+    return worst
+
+
+@pytest.mark.parametrize("switch_every", [1500, 10], ids=["held", "switching"])
+@pytest.mark.parametrize(
+    "plant, N",
+    [(demo_plant, 50), (demo_plant, 256), (slow_pole, 50)],
+    ids=["demo-N50", "demo-N256", "slow-N50"],
+)
+def test_lifted_session_matches_sample_exact_reference(plant, N, switch_every):
+    rng = np.random.default_rng(N)
+    assert _worst_lifted_error(plant(), N, RESET_FREE, 1500, switch_every, rng) <= 1e-12
+
+
+def test_lifted_session_matches_reference_on_random_systems():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        ss = random_stable_statespace(rng)
+        N = int(rng.integers(1, 40))
+        x0 = rng.standard_normal(ss.n)
+        assert _worst_lifted_error(ss, N, RESET_FREE, 200, 10, rng, x0=x0) <= 1e-12
+        assert _worst_lifted_error(ss, N, RESET_PER_BATCH, 20, 1, rng) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
+def test_non_finite_batch_rejected_without_touching_the_session(mode, bad):
+    rng = np.random.default_rng(9)
+    ss = random_stable_statespace(rng)
+    N = 6
+    x0 = rng.standard_normal(ss.n) if mode == RESET_FREE else None
+    u1, u2 = rng.standard_normal(N), rng.standard_normal(N)
+    poisoned = u2.copy()
+    poisoned[3] = bad
+    session = new_session(ss, N, mode, x0=x0)
+    clean = new_session(ss, N, mode, x0=x0)
+    session.apply_batch(u1)
+    clean.apply_batch(u1)
+    with pytest.raises(ValueError, match="finite"):
+        session.apply_batch(poisoned)
+    assert session.batch_counter == 1
+    record = session.apply_batch(u2)
+    expected = clean.apply_batch(u2)
+    assert record.j == expected.j == 1
+    assert np.array_equal(record.y, expected.y)
+
+
+def test_steady_state_plant_rejects_non_finite_batch():
+    plant = SteadyStatePlant(tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5))), 4)
+    with pytest.raises(ValueError, match="finite"):
+        plant.apply_batch([1.0, np.nan, 0.0, 0.0])
+    assert plant.batch_counter == 0
 
 
 def test_held_input_settles_to_periodic_response():
