@@ -5,8 +5,8 @@ diagonalizes it and its eigenvalues are frequency-response samples; their
 peak magnitude is the gain the estimator is after. Those eigenvalues are
 complex, which breaks a plain power iteration, but reversing M's row order
 gives a real symmetric matrix whose spectrum folds the same magnitudes onto
-the real axis. The folding rules are checked here against an independent
-Jacobi eigensolver.
+the real axis. The folding rules are checked here against a dense symmetric
+eigensolver.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from peakgain import (
     periodic_response_matrix,
     reversed_circulant,
     reversed_spectrum,
-    symmetric_eig_oracle,
     tf_to_ss,
 )
 
@@ -49,6 +48,6 @@ print(f"\nreversed-circulant top eigenvalue: {rev.max():.9f} (real, positive)")
 print("interior magnitudes appear as +/- pairs:")
 print(f"  rev[{peak}] = {rev[peak]:.6f}, rev[{N - peak}] = {rev[N - peak]:.6f}")
 
-solved = symmetric_eig_oracle(reversed_circulant(spec))
-predicted = np.sort(rev)[::-1]
-print(f"\nfolding rules vs Jacobi eigensolver: {np.abs(solved - predicted).max():.3e}")
+solved = np.linalg.eigvalsh(reversed_circulant(spec))
+predicted = np.sort(rev)
+print(f"\nfolding rules vs np.linalg.eigvalsh: {np.abs(solved - predicted).max():.3e}")

@@ -43,16 +43,16 @@ config = PowerIterationConfig(
 )
 trace = iterate_reset_free(session, config)
 
-print(f"\nconverged: {trace.converged} after {len(trace.beta_updates)} updates "
+print(f"\nconverged: {trace.converged} after {len(trace.updates)} updates "
       f"({session.batch_counter} batches)")
 print(f"final estimate: {trace.estimate:.9f}  (error {abs(trace.estimate - target):.2e})")
 
 print("\ngain readout along the run:")
-for idx in (0, 1, 2, 4, 9, 24, len(trace.beta_updates) - 1):
-    if idx < len(trace.beta_updates):
-        print(f"  update {idx + 1:>4}: beta = {trace.beta_updates[idx]: .6f}")
+for idx in (0, 1, 2, 4, 9, 24, len(trace.updates) - 1):
+    if idx < len(trace.updates):
+        print(f"  update {idx + 1:>4}: beta = {trace.updates[idx].beta: .6f}")
 
-u_first, u_second, u_last = trace.u_updates[0], trace.u_updates[1], trace.u_updates[-1]
+u_first, u_second, u_last = (trace.updates[i].u for i in (0, 1, -1))
 print("\ndominant frequency bin of the input (grid peak is at "
       f"{dominant_bin(lam)}):")
 print(f"  initial random input: bin {dominant_bin(u_first)}")

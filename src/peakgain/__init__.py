@@ -17,8 +17,6 @@ from .estimator import (
     iterate_reset_based,
     iterate_reset_free,
     select_shift,
-    write_trace_csv,
-    write_update_snapshots,
 )
 from .lifting import (
     CirculantSpec,
@@ -32,7 +30,6 @@ from .lti import (
     StateSpace,
     SystemSpecError,
     freq_response,
-    hinf_grid_oracle,
     hinf_peak,
     parse_system_file,
     parse_system_text,
@@ -46,11 +43,8 @@ from .plant import (
     BatchRecord,
     PlantSession,
     SteadyStatePlant,
-    export_batch_log,
-    is_settled,
     new_session,
     relative_batch_change,
-    steady_state_response,
 )
 from .spectral import (
     circulant,
@@ -61,8 +55,6 @@ from .spectral import (
     max_gain_reset_based,
     reversed_circulant,
     reversed_spectrum,
-    symmetric_eig_oracle,
-    time_reversal_matrix,
     time_reverse,
 )
 
@@ -88,12 +80,9 @@ __all__ = [
     "dft_matrix",
     "diagonalization_residual",
     "dominant_bin",
-    "export_batch_log",
     "freq_response",
-    "hinf_grid_oracle",
     "hinf_peak",
     "init_input",
-    "is_settled",
     "iterate_reset_based",
     "iterate_reset_free",
     "lift",
@@ -108,11 +97,6 @@ __all__ = [
     "select_shift",
     "simulate",
     "spectral_radius",
-    "steady_state_response",
-    "symmetric_eig_oracle",
     "tf_to_ss",
-    "time_reversal_matrix",
     "time_reverse",
-    "write_trace_csv",
-    "write_update_snapshots",
 ]

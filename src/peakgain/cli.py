@@ -11,18 +11,13 @@ Exit codes: 0 success, 1 validation error, 2 non-convergence.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .estimator import (
-    PowerIterationConfig,
-    iterate_reset_free,
-    select_shift,
-    write_trace_csv,
-    write_update_snapshots,
-)
+from .estimator import PowerIterationConfig, iterate_reset_free, select_shift
 from .lifting import circulant_coefficients, lift, periodic_response_matrix
 from .lti import (
     RationalTransferFunction,
@@ -48,9 +43,41 @@ def _fmt(value):
 
 def _write_csv(path, header, rows):
     lines = [header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(trace, path):
+    """Write the per-batch trace as CSV with header updateIndex,batchIndex,mu,beta."""
+    _write_csv(
+        path,
+        "updateIndex,batchIndex,mu,beta",
+        [(update, batch, _fmt(mu), _fmt(beta)) for update, batch, mu, beta in trace.rows],
+    )
+
+
+def write_update_snapshots(trace, outdir, updates=None):
+    """Write u and y snapshots for selected updates as k,value CSV files.
+
+    Defaults to the initial input, the first post-update input and the final
+    one (deduplicated for short runs). Returns the written file names.
+    """
+    count = len(trace.updates)
+    if count == 0:
+        return []
+    if updates is None:
+        updates = sorted({1, min(2, count), count})
+    written = []
+    for upd in updates:
+        if not 1 <= upd <= count:
+            raise ValueError(f"no update {upd} in a trace of {count} updates")
+        record = trace.updates[upd - 1]
+        for tag, vec in (("u", record.u), ("y", record.y)):
+            name = f"{tag}_update_{upd:05d}.csv"
+            _write_csv(os.path.join(outdir, name), "k,value", enumerate(map(_fmt, vec)))
+            written.append(name)
+    return written
 
 
 def _load(args):
@@ -162,29 +189,27 @@ def cmd_sweep(args):
 
 def cmd_estimate(args):
     _, ss = _load(args)
-    out = _outdir(args)
     if args.ideal_plant:
         plant = SteadyStatePlant(ss, args.n)
         default_tol = 1e-8
     else:
         plant = new_session(ss, args.n, RESET_FREE)
         default_tol = 1e-4
-    tol = args.tol if args.tol is not None else default_tol
-    shift = args.shift
-    if shift is None:
-        shift = select_shift(plant, args.n, args.seed)
     config = PowerIterationConfig(
         n=args.n,
         n_update=args.n_update,
-        shift=shift,
+        shift=args.shift,
         max_updates=args.max_updates,
-        convergence_tol=tol,
+        convergence_tol=args.tol if args.tol is not None else default_tol,
         rng_seed=args.seed,
     )
+    out = _outdir(args)
+    if config.shift is None:
+        config = dataclasses.replace(config, shift=select_shift(plant, args.n, args.seed))
     trace = iterate_reset_free(plant, config)
     write_trace_csv(trace, os.path.join(out, "trace.csv"))
     snapshots = write_update_snapshots(trace, out)
-    updates = len(trace.beta_updates)
+    updates = len(trace.updates)
     print(f"shift = {_fmt(config.shift)}")
     print(f"updates = {updates}")
     print(f"batches = {plant.batch_counter}")

@@ -17,9 +17,9 @@ no shift contribution.
 
 import math
 import numbers
-import os
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "iterate_reset_free",
     "iterate_reset_based",
     "select_shift",
-    "write_trace_csv",
-    "write_update_snapshots",
 ]
 
 
@@ -82,23 +80,28 @@ class PowerIterationConfig:
             )
 
 
+class UpdateRecord(NamedTuple):
+    """One update step: the held input, its readout batch and that batch's readouts."""
+
+    batch: int
+    u: np.ndarray
+    y: np.ndarray
+    mu: float
+    beta: float
+
+
 @dataclass
 class EstimateTrace:
     """Everything an iteration run produced.
 
     ``rows`` has one entry per applied batch: (update_index, batch_index, mu,
-    beta), where mu = ||y|| / sqrt(N) and beta = u . reverse(y) / N. The
-    ``*_updates`` lists snapshot each update step: the input that was held,
-    the last output measured under it, and the readouts at that point.
+    beta), where mu = ||y|| / sqrt(N) and beta = u . reverse(y) / N.
+    ``updates`` has one ``UpdateRecord`` per update step.
     """
 
     shift: float | None = None
     rows: list = field(default_factory=list)
-    update_batch_indices: list = field(default_factory=list)
-    u_updates: list = field(default_factory=list)
-    y_updates: list = field(default_factory=list)
-    mu_updates: list = field(default_factory=list)
-    beta_updates: list = field(default_factory=list)
+    updates: list = field(default_factory=list)
     converged: bool = False
     zero_output: bool = False
 
@@ -107,9 +110,9 @@ class EstimateTrace:
         """Final gain estimate (0.0 when the plant returned a zero batch)."""
         if self.zero_output:
             return 0.0
-        if not self.beta_updates:
+        if not self.updates:
             raise ValueError("empty trace has no estimate")
-        return self.beta_updates[-1]
+        return self.updates[-1].beta
 
 
 def init_input(n, rng_seed):
@@ -128,6 +131,52 @@ def _readouts(u, y, n):
     return mu, beta
 
 
+def _iterate(plant, config, mode, hold, shift):
+    """Power iteration z = reverse(y) + shift * u, renormalized to power one.
+
+    Each input is applied ``hold`` times (the same array object every time)
+    and the last batch is the readout. ``shift`` None probes the plant for
+    one; a shift of 0 is the reset-based baseline, where a vanishing update
+    means the plant returned a zero batch and ends the run with estimate 0.
+    """
+    n = plant.N
+    if config.n != n:
+        raise ValueError(f"config batch length {config.n} != plant batch length {n}")
+    plant_mode = getattr(plant, "mode", RESET_FREE)
+    if plant_mode != mode:
+        raise ValueError(f"this iteration needs a {mode} plant, got {plant_mode}")
+    if shift is None:
+        shift = select_shift(plant, n, config.rng_seed)
+
+    trace = EstimateTrace(shift=float(shift) if shift != 0.0 else None)
+    u = init_input(n, config.rng_seed)
+    sqrt_n = np.sqrt(n)
+    beta_prev = None
+    for update in range(1, config.max_updates + 1):
+        for _ in range(hold):
+            record = plant.apply_batch(u)
+            mu, beta = _readouts(u, record.y, n)
+            trace.rows.append((update, record.j, mu, beta))
+        trace.updates.append(UpdateRecord(record.j, u.copy(), record.y.copy(), mu, beta))
+        if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
+            trace.converged = True
+            break
+        beta_prev = beta
+        z = time_reverse(record.y) + shift * u
+        z_norm = float(np.linalg.norm(z))
+        if z_norm == 0.0:
+            if shift != 0.0:
+                raise EstimationError(
+                    "update vector vanished: the reversed response exactly cancels "
+                    "the shifted input; retry with a different shift or seed"
+                )
+            trace.zero_output = True
+            trace.converged = True
+            break
+        u = z * (sqrt_n / z_norm)
+    return trace
+
+
 def iterate_reset_free(plant, config):
     """Shifted power iteration on a continuously operated plant.
 
@@ -138,45 +187,7 @@ def iterate_reset_free(plant, config):
     every step. Stops when beta moves less than the tolerance between
     updates, or flags the trace as non-converged at max_updates.
     """
-    n = plant.N
-    if config.n != n:
-        raise ValueError(f"config batch length {config.n} != plant batch length {n}")
-    if getattr(plant, "mode", RESET_FREE) != RESET_FREE:
-        raise ValueError("iterate_reset_free needs a reset-free plant")
-    shift = config.shift
-    if shift is None:
-        shift = select_shift(plant, n, config.rng_seed)
-    if shift == 0.0:
-        raise ValueError("shift must be nonzero")
-
-    trace = EstimateTrace(shift=float(shift))
-    u = init_input(n, config.rng_seed)
-    sqrt_n = np.sqrt(n)
-    beta_prev = None
-    for update in range(1, config.max_updates + 1):
-        record = None
-        for _ in range(config.n_update):
-            record = plant.apply_batch(u)
-            mu, beta = _readouts(u, record.y, n)
-            trace.rows.append((update, record.j, mu, beta))
-        trace.update_batch_indices.append(record.j)
-        trace.u_updates.append(u.copy())
-        trace.y_updates.append(record.y.copy())
-        trace.mu_updates.append(mu)
-        trace.beta_updates.append(beta)
-        if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
-            trace.converged = True
-            break
-        beta_prev = beta
-        z = time_reverse(record.y) + shift * u
-        z_norm = float(np.linalg.norm(z))
-        if z_norm == 0.0:
-            raise EstimationError(
-                "update vector vanished: the reversed response exactly cancels "
-                "the shifted input; retry with a different shift or seed"
-            )
-        u = z * (sqrt_n / z_norm)
-    return trace
+    return _iterate(plant, config, RESET_FREE, config.n_update, config.shift)
 
 
 def iterate_reset_based(plant, config):
@@ -188,42 +199,7 @@ def iterate_reset_based(plant, config):
     length yields zero output: the run then terminates immediately with
     estimate 0 and the zero_output flag set.
     """
-    n = plant.N
-    if config.n != n:
-        raise ValueError(f"config batch length {config.n} != plant batch length {n}")
-    if getattr(plant, "mode", None) != RESET_PER_BATCH:
-        raise ValueError("iterate_reset_based needs a reset-per-batch plant")
-
-    trace = EstimateTrace(shift=None)
-    u = init_input(n, config.rng_seed)
-    sqrt_n = np.sqrt(n)
-    beta_prev = None
-    for update in range(1, config.max_updates + 1):
-        record = plant.apply_batch(u)
-        y_norm = float(np.linalg.norm(record.y))
-        if y_norm == 0.0:
-            trace.rows.append((update, record.j, 0.0, 0.0))
-            trace.update_batch_indices.append(record.j)
-            trace.u_updates.append(u.copy())
-            trace.y_updates.append(record.y.copy())
-            trace.mu_updates.append(0.0)
-            trace.beta_updates.append(0.0)
-            trace.zero_output = True
-            trace.converged = True
-            break
-        mu, beta = _readouts(u, record.y, n)
-        trace.rows.append((update, record.j, mu, beta))
-        trace.update_batch_indices.append(record.j)
-        trace.u_updates.append(u.copy())
-        trace.y_updates.append(record.y.copy())
-        trace.mu_updates.append(mu)
-        trace.beta_updates.append(beta)
-        if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
-            trace.converged = True
-            break
-        beta_prev = beta
-        u = time_reverse(record.y) * (sqrt_n / y_norm)
-    return trace
+    return _iterate(plant, config, RESET_PER_BATCH, 1, 0.0)
 
 
 def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000):
@@ -257,39 +233,3 @@ def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000)
         warnings.warn("probe batch produced zero output; falling back to shift 1.0")
         return 1.0
     return max(gain, 1e-6)
-
-
-def write_trace_csv(trace, path):
-    """Write the per-batch trace as CSV with header updateIndex,batchIndex,mu,beta."""
-    lines = ["updateIndex,batchIndex,mu,beta"]
-    for update_index, batch_index, mu, beta in trace.rows:
-        lines.append(f"{update_index},{batch_index},{float(mu)!r},{float(beta)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_update_snapshots(trace, outdir, updates=None):
-    """Write u and y snapshots for selected updates as k,value CSV files.
-
-    Defaults to the initial input, the first post-update input and the final
-    one (deduplicated for short runs). Returns the written file names.
-    """
-    count = len(trace.u_updates)
-    if count == 0:
-        return []
-    if updates is None:
-        updates = sorted({1, min(2, count), count})
-    written = []
-    for upd in updates:
-        if not 1 <= upd <= count:
-            raise ValueError(f"no update {upd} in a trace of {count} updates")
-        for tag, series in (("u", trace.u_updates), ("y", trace.y_updates)):
-            name = f"{tag}_update_{upd:05d}.csv"
-            lines = ["k,value"]
-            vec = series[upd - 1]
-            for k in range(vec.shape[0]):
-                lines.append(f"{k},{float(vec[k])!r}")
-            with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-            written.append(name)
-    return written

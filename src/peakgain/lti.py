@@ -16,7 +16,6 @@ __all__ = [
     "tf_to_ss",
     "simulate",
     "freq_response",
-    "hinf_grid_oracle",
     "hinf_peak",
     "spectral_radius",
     "parse_system_file",
@@ -286,12 +285,6 @@ def hinf_peak(sys, grid_size=100001):
         if (hi - lo) < 1e-12 and change < 1e-10 * max(best, 1e-300):
             break
     return best, best_w % (2.0 * np.pi)
-
-
-def hinf_grid_oracle(sys, grid_size=100001):
-    """Worst-case gain (peak response magnitude) of a stable system."""
-    gain, _ = hinf_peak(sys, grid_size)
-    return gain
 
 
 class SystemSpecError(ValueError):

@@ -29,10 +29,7 @@ __all__ = [
     "PlantSession",
     "SteadyStatePlant",
     "new_session",
-    "steady_state_response",
     "relative_batch_change",
-    "is_settled",
-    "export_batch_log",
 ]
 
 RESET_FREE = "reset-free"
@@ -85,6 +82,8 @@ class PlantSession:
             x = np.asarray(x0, dtype=float).reshape(-1).copy()
             if x.shape != (ss.n,):
                 raise ValueError(f"initial state must have length {ss.n}, got {x.shape}")
+            if not np.isfinite(x).all():
+                raise ValueError("initial state must be finite (NaN or inf entry)")
         if mode == RESET_PER_BATCH and np.any(x != 0.0):
             raise ValueError("reset-per-batch sessions start every batch at rest; "
                              "a nonzero initial state is rejected")
@@ -137,19 +136,6 @@ def new_session(ss, N, mode, x0=None, noise=None):
     return PlantSession(ss, N, mode, x0=x0, noise=noise)
 
 
-def steady_state_response(ss, N, u):
-    """Settled periodic output for a period-N input held forever.
-
-    Exact fixed-point value M u; the reset-free session approaches it
-    geometrically when the same batch is applied over and over.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    N = int(N)
-    if u.shape[0] != N:
-        raise ValueError(f"input must have length {N}, got {u.shape[0]}")
-    return periodic_response_matrix(lift(ss, N)) @ u
-
-
 def relative_batch_change(y_prev, y_curr):
     """Relative change between consecutive batch outputs."""
     y_prev = np.asarray(y_prev, dtype=float)
@@ -159,24 +145,3 @@ def relative_batch_change(y_prev, y_curr):
     if scale == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
     return diff / scale
-
-
-def is_settled(y_prev, y_curr, tol=1e-8):
-    """Steady-state detector: consecutive outputs differ by less than tol."""
-    return relative_batch_change(y_prev, y_curr) < tol
-
-
-def export_batch_log(records, path):
-    """Write batch records as CSV with one row per sample.
-
-    Header line is ``j,k,u,y``: batch index, sample index within the batch,
-    applied input sample, measured output sample.
-    """
-    lines = ["j,k,u,y"]
-    for rec in records:
-        for k in range(rec.u.shape[0]):
-            lines.append(
-                f"{rec.j},{k},{float(rec.u[k])!r},{float(rec.y[k])!r}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

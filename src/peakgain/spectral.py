@@ -5,8 +5,6 @@ are the DFT of its first row. Reversing the row order of a circulant gives a
 real symmetric matrix whose spectrum is the circulant spectrum folded onto the
 real axis: index 0 keeps its value, interior conjugate pairs become a
 plus/minus magnitude pair, and (for even N) the half-rate index flips sign.
-A cyclic Jacobi eigensolver is included as an independent cross-check that
-shares none of the DFT formulas.
 """
 
 import numpy as np
@@ -15,14 +13,12 @@ from .lifting import CirculantSpec
 
 __all__ = [
     "time_reverse",
-    "time_reversal_matrix",
     "dft_matrix",
     "circulant",
     "circulant_eigenvalues",
     "diagonalization_residual",
     "reversed_circulant",
     "reversed_spectrum",
-    "symmetric_eig_oracle",
     "max_gain_reset_based",
     "dominant_bin",
 ]
@@ -31,11 +27,6 @@ __all__ = [
 def time_reverse(v):
     """Reverse a signal in time: output l is input N+1-l. Involutory."""
     return np.asarray(v)[::-1].copy()
-
-
-def time_reversal_matrix(N):
-    """The anti-diagonal permutation matrix that reverses a length-N signal."""
-    return np.eye(int(N))[::-1].copy()
 
 
 def dft_matrix(N):
@@ -71,7 +62,7 @@ def circulant_eigenvalues(spec):
     return np.sqrt(N) * (dft_matrix(N) @ a)
 
 
-def diagonalization_residual(M, dft=None):
+def diagonalization_residual(M):
     """How diagonal F* M F is: (largest off-diagonal magnitude, diagonal).
 
     Zero residual (to rounding) is specific to circulant M; a generic
@@ -81,9 +72,7 @@ def diagonalization_residual(M, dft=None):
     N = M.shape[0]
     if M.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    F = dft_matrix(N) if dft is None else np.asarray(dft)
-    if F.shape != (N, N):
-        raise ValueError(f"DFT matrix shape {F.shape} does not match N={N}")
+    F = dft_matrix(N)
     T = F.conj().T @ M @ F
     diag = np.diag(T).copy()
     off = T - np.diag(diag)
@@ -134,86 +123,13 @@ def reversed_spectrum(lam, imag_tol=1e-10):
     return out
 
 
-def symmetric_eig_oracle(S, return_vectors=False, max_sweeps=100):
-    """Cyclic Jacobi eigensolver for a real symmetric matrix.
-
-    Plain rotation sweeps until the off-diagonal Frobenius mass drops below
-    1e-12 of the matrix norm; deliberately independent of the DFT-based
-    spectral formulas it is used to cross-check. Eigenvalues come back sorted
-    descending, with matching eigenvectors as columns when requested.
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if n and float(np.abs(A - A.T).max()) > 1e-10:
-        raise ValueError("matrix is not symmetric")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n) if return_vectors else None
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0 or n < 2:
-        w = np.diag(A).copy()
-    else:
-        skip = 1e-16 * norm
-
-        def off_mass():
-            # summed directly over the off-diagonal entries; the subtraction
-            # norm(A)^2 - norm(diag)^2 would bottom out at cancellation noise
-            off = A - np.diag(np.diag(A))
-            return float(np.linalg.norm(off))
-
-        done = False
-        for _ in range(max_sweeps):
-            if off_mass() <= 1e-12 * norm:
-                done = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if theta == 0.0:
-                        t = 1.0  # equal diagonal entries: rotate by 45 degrees
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p = A[:, p].copy()
-                    col_q = A[:, q].copy()
-                    A[:, p] = c * col_p - s * col_q
-                    A[:, q] = s * col_p + c * col_q
-                    row_p = A[p, :].copy()
-                    row_q = A[q, :].copy()
-                    A[p, :] = c * row_p - s * row_q
-                    A[q, :] = s * row_p + c * row_q
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    if V is not None:
-                        vp = V[:, p].copy()
-                        vq = V[:, q].copy()
-                        V[:, p] = c * vp - s * vq
-                        V[:, q] = s * vp + c * vq
-        if not done and off_mass() > 1e-12 * norm:
-            raise RuntimeError(
-                f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-            )
-        w = np.diag(A).copy()
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    if return_vectors:
-        return w, V[:, order]
-    return w
-
-
-def max_gain_reset_based(J, oracle_size_limit=64):
+def max_gain_reset_based(J):
     """Worst-case amplification of a single from-rest batch.
 
     Because the transpose of the batch response matrix J equals its
     time-reversed conjugation, T_N J is symmetric and the induced 2-norm of J
-    is the largest eigenvalue magnitude of T_N J. Solved with the Jacobi
-    oracle up to ``oracle_size_limit`` and with LAPACK beyond it; the test
-    suite pins both routes against each other at the boundary.
+    is the largest eigenvalue magnitude of T_N J, solved with LAPACK. The
+    test suite pins it against an independent Jacobi eigensolver.
     """
     J = np.asarray(J, dtype=float)
     N = J.shape[0]
@@ -228,11 +144,7 @@ def max_gain_reset_based(J, oracle_size_limit=64):
         )
     if N == 0:
         return 0.0
-    if N <= oracle_size_limit:
-        w = symmetric_eig_oracle(S)
-    else:
-        w = np.linalg.eigvalsh(S)
-    return float(np.max(np.abs(w)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
 
 
 def dominant_bin(values):

@@ -112,3 +112,75 @@ def impulse_by_long_division(tf, count):
             acc -= den[i] * h[k - i]
         h[k] = acc / den[0]
     return np.concatenate([np.zeros(tf.delay), h])[:count]
+
+
+def symmetric_eig_oracle(S, return_vectors=False, max_sweeps=100):
+    """Cyclic Jacobi eigensolver for a real symmetric matrix.
+
+    Plain rotation sweeps until the off-diagonal Frobenius mass drops below
+    1e-12 of the matrix norm; deliberately independent of the DFT-based
+    spectral formulas it is used to cross-check. Eigenvalues come back sorted
+    descending, with matching eigenvectors as columns when requested.
+    """
+    A = np.array(S, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if n and float(np.abs(A - A.T).max()) > 1e-10:
+        raise ValueError("matrix is not symmetric")
+    A = 0.5 * (A + A.T)
+    V = np.eye(n) if return_vectors else None
+    norm = float(np.linalg.norm(A))
+    if norm == 0.0 or n < 2:
+        w = np.diag(A).copy()
+    else:
+        skip = 1e-16 * norm
+
+        def off_mass():
+            # summed directly over the off-diagonal entries; the subtraction
+            # norm(A)^2 - norm(diag)^2 would bottom out at cancellation noise
+            off = A - np.diag(np.diag(A))
+            return float(np.linalg.norm(off))
+
+        done = False
+        for _ in range(max_sweeps):
+            if off_mass() <= 1e-12 * norm:
+                done = True
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = A[p, q]
+                    if abs(apq) <= skip:
+                        continue
+                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                    if theta == 0.0:
+                        t = 1.0  # equal diagonal entries: rotate by 45 degrees
+                    else:
+                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    col_p = A[:, p].copy()
+                    col_q = A[:, q].copy()
+                    A[:, p] = c * col_p - s * col_q
+                    A[:, q] = s * col_p + c * col_q
+                    row_p = A[p, :].copy()
+                    row_q = A[q, :].copy()
+                    A[p, :] = c * row_p - s * row_q
+                    A[q, :] = s * row_p + c * row_q
+                    A[p, q] = 0.0
+                    A[q, p] = 0.0
+                    if V is not None:
+                        vp = V[:, p].copy()
+                        vq = V[:, q].copy()
+                        V[:, p] = c * vp - s * vq
+                        V[:, q] = s * vp + c * vq
+        if not done and off_mass() > 1e-12 * norm:
+            raise RuntimeError(
+                f"Jacobi iteration did not converge within {max_sweeps} sweeps"
+            )
+        w = np.diag(A).copy()
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    if return_vectors:
+        return w, V[:, order]
+    return w

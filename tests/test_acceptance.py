@@ -13,6 +13,7 @@ from conftest import (
     delayed_resonator,
     random_dc_dominant_statespace,
     random_stable_statespace,
+    symmetric_eig_oracle,
 )
 from peakgain import (
     RESET_FREE,
@@ -33,7 +34,6 @@ from peakgain import (
     periodic_response_matrix,
     reversed_circulant,
     reversed_spectrum,
-    symmetric_eig_oracle,
     tf_to_ss,
     time_reverse,
 )
@@ -179,7 +179,7 @@ def test_criterion_6_converged_input_hits_peak_bin():
             )
             trace = iterate_reset_free(session, config)
             assert trace.converged
-            assert dominant_bin(trace.u_updates[-1]) == reference_bin
+            assert dominant_bin(trace.updates[-1].u) == reference_bin
 
 
 def test_criterion_7_estimator_invariants():
@@ -205,16 +205,16 @@ def test_criterion_7_estimator_invariants():
         )
         trace = iterate_reset_free(LoggingSession(), config)
         # input power one at every update
-        for u in trace.u_updates:
-            assert abs(float(u @ u) - N) < 1e-8
+        for record in trace.updates:
+            assert abs(float(record.u @ record.u) - N) < 1e-8
         # hold semantics: bitwise-constant input within each update period
-        periods = len(trace.u_updates)
+        periods = len(trace.updates)
         assert len(applied) == periods * 10
         for period in range(periods):
             block = applied[period * 10 : (period + 1) * 10]
             for u in block[1:]:
                 assert np.array_equal(u, block[0])
-            assert np.array_equal(block[0], trace.u_updates[period])
+            assert np.array_equal(block[0], trace.updates[period].u)
         # reset-based runner on the delayed plant terminates with zero
         session = new_session(ss, N, RESET_PER_BATCH)
         based = iterate_reset_based(session, PowerIterationConfig(n=N, rng_seed=0))

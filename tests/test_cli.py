@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_PEAK_GAIN
+from peakgain import cli
 from peakgain.cli import main
 
 DEMO_SYSTEM = "num = 0, 5, 4\nden = 10, -5, 6\ndelay = 50\n"
@@ -138,6 +139,20 @@ class TestEstimate:
         ])
         assert code == 1
         assert "convergence_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "knob",
+        [("--tol", "nan"), ("--n-update", "0"), ("--max-updates", "0")],
+        ids=["tol", "n-update", "max-updates"],
+    )
+    def test_bad_knob_exits_1_before_probing(self, knob, low_pass_file, tmp_path, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the shift probe ran before the knobs were validated")
+
+        monkeypatch.setattr(cli, "select_shift", no_probe)
+        out = tmp_path / "est"
+        assert main(["estimate", "--system", low_pass_file, *knob, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_transient_demo_run(self, demo_file, tmp_path, capsys):
         out = tmp_path / "est"

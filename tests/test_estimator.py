@@ -121,9 +121,9 @@ class TestResetFreeIteration:
         )
         trace = iterate_reset_free(plant, config)
         assert trace.converged
-        assert len(trace.beta_updates) <= 200
+        assert len(trace.updates) <= 200
         assert trace.estimate == pytest.approx(target, abs=1e-6)
-        u = trace.u_updates[-1]
+        u = trace.updates[-1].u
         direction = u / u[0]
         assert np.abs(direction - 1.0).max() < 1e-4  # constant vector up to sign
 
@@ -174,15 +174,15 @@ class TestResetFreeIteration:
             n=N, shift=1.5 * sigma, max_updates=500, convergence_tol=1e-9, rng_seed=2
         )
         trace = iterate_reset_free(plant, config)
-        for u_prev, u_next in zip(trace.u_updates, trace.u_updates[1:]):
-            assert u_prev @ u_next > 0.0
+        for prev, nxt in zip(trace.updates, trace.updates[1:]):
+            assert prev.u @ nxt.u > 0.0
 
     def test_input_power_held_at_every_update(self):
         plant = SteadyStatePlant(low_pass(), 8)
         config = PowerIterationConfig(n=8, shift=1.0, max_updates=50, rng_seed=0)
         trace = iterate_reset_free(plant, config)
-        for u in trace.u_updates:
-            assert abs(u @ u - 8) < 1e-8
+        for record in trace.updates:
+            assert abs(record.u @ record.u - 8) < 1e-8
 
     def test_hold_semantics_bitwise(self):
         rng = np.random.default_rng(12)
@@ -192,7 +192,7 @@ class TestResetFreeIteration:
             n=6, n_update=4, shift=1.0, max_updates=5, convergence_tol=1e-30, rng_seed=0
         )
         trace = iterate_reset_free(plant, config)
-        periods = len(trace.u_updates)
+        periods = len(trace.updates)
         assert len(plant.applied) == periods * 4
         for period in range(periods):
             block = plant.applied[period * 4 : (period + 1) * 4]
@@ -214,9 +214,9 @@ class TestResetFreeIteration:
         plant = RecordingPlant(lambda u: c * u, 6)
         config = PowerIterationConfig(n=6, shift=c, max_updates=100, rng_seed=3)
         trace = iterate_reset_free(plant, config)
-        assert all(abs(beta) <= c + 1e-9 for beta in trace.beta_updates)
-        for u in trace.u_updates:
-            assert abs(u @ u - 6) < 1e-8
+        assert all(abs(record.beta) <= c + 1e-9 for record in trace.updates)
+        for record in trace.updates:
+            assert abs(record.u @ record.u - 6) < 1e-8
 
     def test_vanishing_update_vector_diagnosed(self):
         shift = 0.7
@@ -232,7 +232,7 @@ class TestResetFreeIteration:
         )
         trace = iterate_reset_free(plant, config)
         assert not trace.converged
-        assert len(trace.beta_updates) == 3
+        assert len(trace.updates) == 3
 
     def test_mode_and_length_validation(self):
         ss = low_pass()
@@ -305,8 +305,8 @@ class TestResetBasedIteration:
         ss = tf_to_ss(RationalTransferFunction((c,), (1.0,)))
         session = new_session(ss, 6, RESET_PER_BATCH)
         trace = iterate_reset_based(session, PowerIterationConfig(n=6, rng_seed=4))
-        assert trace.mu_updates[0] == pytest.approx(c, abs=1e-12)
-        assert all(abs(b) <= c + 1e-12 for b in trace.beta_updates)
+        assert trace.updates[0].mu == pytest.approx(c, abs=1e-12)
+        assert all(abs(record.beta) <= c + 1e-12 for record in trace.updates)
         assert trace.converged
 
     def test_estimate_magnitude_matches_single_batch_gain(self):
