@@ -50,7 +50,6 @@ from .spectral import (
     circulant,
     circulant_eigenvalues,
     diagonalization_residual,
-    dft_matrix,
     dominant_bin,
     max_gain_reset_based,
     reversed_circulant,
@@ -77,7 +76,6 @@ __all__ = [
     "circulant",
     "circulant_coefficients",
     "circulant_eigenvalues",
-    "dft_matrix",
     "diagonalization_residual",
     "dominant_bin",
     "freq_response",

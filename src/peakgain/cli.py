@@ -87,6 +87,12 @@ def _load(args):
     return sys_obj, sys_obj
 
 
+def _at_least(flag, value, low):
+    # called before _outdir, so a rejected size leaves no output directory behind
+    if value < low:
+        raise SystemSpecError(f"{flag} must be at least {low}, got {value}")
+
+
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -95,6 +101,7 @@ def _outdir(args):
 def cmd_analyze(args):
     _, ss = _load(args)
     N = args.n
+    _at_least("--n", N, 1)
     out = _outdir(args)
     spec = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(spec)
@@ -146,10 +153,9 @@ def cmd_analyze(args):
 
 def cmd_sweep(args):
     sys_obj, ss = _load(args)
-    if args.n_start < 1:
-        raise SystemSpecError(f"--n-start must be at least 1, got {args.n_start}")
-    if args.n_doublings < 0:
-        raise SystemSpecError(f"--n-doublings must be nonnegative, got {args.n_doublings}")
+    _at_least("--n-start", args.n_start, 1)
+    _at_least("--n-doublings", args.n_doublings, 0)
+    _at_least("--grid", args.grid, 2)
     out = _outdir(args)
     oracle, _ = hinf_peak(sys_obj, args.grid)
     schedule = [args.n_start * 2**k for k in range(args.n_doublings + 1)]
@@ -221,6 +227,7 @@ def cmd_estimate(args):
 
 def cmd_oracle(args):
     sys_obj, _ = _load(args)
+    _at_least("--grid", args.grid, 2)
     out = _outdir(args)
     gain, omega = hinf_peak(sys_obj, args.grid)
     rows = [

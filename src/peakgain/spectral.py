@@ -1,10 +1,11 @@
-"""DFT machinery and circulant / reversed-circulant spectra.
+"""Circulant / reversed-circulant spectra through the FFT.
 
 A circulant matrix is diagonalized by the unitary DFT matrix; its eigenvalues
-are the DFT of its first row. Reversing the row order of a circulant gives a
-real symmetric matrix whose spectrum is the circulant spectrum folded onto the
-real axis: index 0 keeps its value, interior conjugate pairs become a
-plus/minus magnitude pair, and (for even N) the half-rate index flips sign.
+are the DFT of its first row, computed here with ``numpy.fft`` in
+O(N log N). Reversing the row order of a circulant gives a real symmetric
+matrix whose spectrum is the circulant spectrum folded onto the real axis:
+index 0 keeps its value, interior conjugate pairs become a plus/minus
+magnitude pair, and (for even N) the half-rate index flips sign.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from .lifting import CirculantSpec
 
 __all__ = [
     "time_reverse",
-    "dft_matrix",
     "circulant",
     "circulant_eigenvalues",
     "diagonalization_residual",
@@ -27,13 +27,6 @@ __all__ = [
 def time_reverse(v):
     """Reverse a signal in time: output l is input N+1-l. Involutory."""
     return np.asarray(v)[::-1].copy()
-
-
-def dft_matrix(N):
-    """Unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N)."""
-    N = int(N)
-    p = np.arange(N)
-    return np.exp((-2j * np.pi / N) * np.outer(p, p)) / np.sqrt(N)
 
 
 def _coefficients(spec):
@@ -53,31 +46,35 @@ def circulant(spec):
 def circulant_eigenvalues(spec):
     """Spectrum of circ(a): lambda_m = sum_k a_k exp(-2j*pi*m*k/N).
 
-    Computed as a direct product with the DFT matrix (O(N^2)); for
-    coefficients coming from ``circulant_coefficients`` this equals the
-    system's frequency response at z = exp(-2j*pi*m/N).
+    This is the FFT of a (same sign convention); for coefficients coming
+    from ``circulant_coefficients`` it equals the system's frequency response
+    at z = exp(-2j*pi*m/N).
     """
     a = _coefficients(spec)
-    N = a.shape[0]
-    return np.sqrt(N) * (dft_matrix(N) @ a)
+    if a.shape[0] == 0:
+        raise ValueError("empty coefficient vector: a circulant needs N >= 1")
+    return np.fft.fft(a)
 
 
 def diagonalization_residual(M):
     """How diagonal F* M F is: (largest off-diagonal magnitude, diagonal).
 
-    Zero residual (to rounding) is specific to circulant M; a generic
-    symmetric matrix leaves a nonzero residual.
+    F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N), so
+    F* M F is an FFT along the rows of M followed by an inverse FFT along its
+    columns, O(N^2 log N). Zero residual (to rounding) is specific to
+    circulant M; a generic symmetric matrix leaves a nonzero residual.
     """
     M = np.asarray(M)
     N = M.shape[0]
     if M.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    F = dft_matrix(N)
-    T = F.conj().T @ M @ F
+    if N == 0:
+        raise ValueError("empty matrix: the residual needs N >= 1")
+    T = np.fft.fft(M, axis=1)
+    np.fft.ifft(T, axis=0, out=T)
     diag = np.diag(T).copy()
-    off = T - np.diag(diag)
-    max_off = float(np.abs(off).max()) if N > 1 else 0.0
-    return max_off, diag
+    np.fill_diagonal(T, 0.0)
+    return float(np.abs(T).max()), diag
 
 
 def reversed_circulant(spec):

@@ -26,9 +26,14 @@ def delayed_resonator():
     return RationalTransferFunction(DEMO_NUM, DEMO_DEN, delay=DEMO_DELAY)
 
 
-def slow_pole():
+def slow_pole_tf():
     """One real pole at 0.9999 with unit DC gain: a 10,000-sample time constant."""
-    return tf_to_ss(RationalTransferFunction((1e-4,), (1.0, -0.9999)))
+    return RationalTransferFunction((1e-4,), (1.0, -0.9999))
+
+
+def slow_pole():
+    """State-space realization of ``slow_pole_tf``."""
+    return tf_to_ss(slow_pole_tf())
 
 
 class SampleExactSession:
@@ -112,6 +117,17 @@ def impulse_by_long_division(tf, count):
             acc -= den[i] * h[k - i]
         h[k] = acc / den[0]
     return np.concatenate([np.zeros(tf.delay), h])[:count]
+
+
+def dft_matrix(N):
+    """Dense unitary DFT matrix, entries exp(-2j*pi*p*q/N) / sqrt(N).
+
+    The O(N^2) reference the FFT routes in ``peakgain.spectral`` are checked
+    against.
+    """
+    N = int(N)
+    p = np.arange(N)
+    return np.exp((-2j * np.pi / N) * np.outer(p, p)) / np.sqrt(N)
 
 
 def symmetric_eig_oracle(S, return_vectors=False, max_sweeps=100):

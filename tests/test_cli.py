@@ -237,3 +237,19 @@ class TestCrossCommandConsistency:
         last = rows[-1]
         assert int(last[0]) == 2048
         assert float(last[4]) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--n", "0"], "--n"),
+        (["oracle", "--grid", "1"], "--grid"),
+        (["sweep", "--grid", "1"], "--grid"),
+    ],
+    ids=["analyze-n", "oracle-grid", "sweep-grid"],
+)
+def test_bad_size_exits_1_without_creating_out(argv, flag, low_pass_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--system", low_pass_file, "--out", str(out)]) == 1
+    assert f"{flag} must be at least" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,11 +7,13 @@ from conftest import (
     delayed_resonator,
     impulse_by_long_division,
     random_stable_tf,
+    slow_pole_tf,
 )
 from peakgain import (
     RationalTransferFunction,
     StateSpace,
     SystemSpecError,
+    circulant_coefficients,
     freq_response,
     hinf_peak,
     parse_system_text,
@@ -156,6 +158,33 @@ class TestGainOracle:
     def test_state_space_route_agrees(self):
         gain, _ = hinf_peak(tf_to_ss(delayed_resonator()), 20001)
         assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+
+    @staticmethod
+    def scan_cases():
+        rng = np.random.default_rng(21)
+        systems = [random_stable_tf(rng) for _ in range(10)]
+        return systems + [delayed_resonator(), slow_pole_tf()]
+
+    def test_fft_grid_matches_solve_loop(self):
+        for i, tf in enumerate(self.scan_cases()):
+            ss = tf_to_ss(tf)
+            N = 2000 + i % 2
+            om = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+            # FFT bin m is the response at -2*pi*m/N, i.e. at grid point (-m) mod N
+            lam = np.fft.fft(circulant_coefficients(ss, N).a)
+            via_fft = lam[-np.arange(N) % N]
+            via_solve = freq_response(ss, om)
+            assert np.abs(via_fft - via_solve).max() <= 1e-12 * np.abs(via_solve).max()
+
+    def test_state_space_scan_reports_direct_solves(self):
+        for i, tf in enumerate(self.scan_cases()):
+            ss = tf_to_ss(tf)
+            N = 2000 + i % 2
+            gain, omega = hinf_peak(ss, N)
+            assert gain == abs(freq_response(ss, omega))
+            grid = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+            assert gain >= np.abs(freq_response(ss, grid)).max() * (1.0 - 1e-12)
+            assert gain == pytest.approx(hinf_peak(tf, N)[0], rel=1e-12)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

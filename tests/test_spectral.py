@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     delayed_resonator,
+    dft_matrix,
     random_dc_dominant_statespace,
     random_stable_statespace,
     slow_pole,
@@ -13,7 +14,6 @@ from peakgain import (
     circulant,
     circulant_coefficients,
     circulant_eigenvalues,
-    dft_matrix,
     diagonalization_residual,
     dominant_bin,
     freq_response,
@@ -75,6 +75,17 @@ class TestCirculant:
         expected = np.array([10.0, -2.0 + 2.0j, -2.0, -2.0 - 2.0j])
         assert np.abs(lam - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 13, 64, 257, 2048])
+    def test_fft_matches_dense_dft(self, N):
+        a = np.random.default_rng(N).standard_normal(N)
+        lam = circulant_eigenvalues(a)
+        dense = np.sqrt(N) * (dft_matrix(N) @ a)
+        assert np.abs(lam - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="empty coefficient vector"):
+            circulant_eigenvalues([])
+
     def test_eigenvalues_are_frequency_response_samples(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -103,6 +114,22 @@ class TestDiagonalization:
         S = S + S.T + np.diag(np.arange(6.0))
         max_off, _ = diagonalization_residual(S)
         assert max_off > 1e-3
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64])
+    @pytest.mark.parametrize("kind", ["circulant", "generic"])
+    def test_fft_matches_dense_conjugation(self, N, kind):
+        rng = np.random.default_rng(N)
+        M = circulant(rng.standard_normal(N)) if kind == "circulant" else rng.standard_normal((N, N))
+        F = dft_matrix(N)
+        T = F.conj().T @ M @ F
+        max_off, diag = diagonalization_residual(M)
+        scale = np.abs(T).max()
+        assert np.abs(diag - np.diag(T)).max() <= 1e-12 * scale
+        assert abs(max_off - np.abs(T - np.diag(np.diag(T))).max()) <= 1e-12 * scale
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            diagonalization_residual(np.zeros((0, 0)))
 
     def test_periodic_response_diagonalizes(self):
         rng = np.random.default_rng(4)
