@@ -7,7 +7,8 @@ Subcommands: ``analyze`` (per-N structural report of the batch response),
 shortest round-trip float formatting, so identical configurations produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 validation error, 2 non-convergence.
+Exit codes: 0 success, 1 validation error or a system the numerics cannot
+handle (such as one too close to marginal stability), 2 non-convergence.
 """
 
 import argparse
@@ -326,7 +327,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemSpecError, ValueError, OSError) as exc:
+    except (SystemSpecError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

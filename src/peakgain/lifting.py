@@ -11,6 +11,7 @@ form.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lti import StateSpace, spectral_radius
 
@@ -52,6 +53,19 @@ class CirculantSpec:
     N: int
 
 
+def lower_toeplitz(column):
+    """Read-only view of the lower-triangular Toeplitz matrix with this first column.
+
+    Entry (i, j) is column[i - j] for i >= j and 0 above the diagonal. The
+    N x N view strides over one zero-padded copy of the column, so it costs
+    O(N) memory until it is copied.
+    """
+    column = np.asarray(column, dtype=float)
+    N = column.shape[0]
+    padded = np.concatenate((np.zeros(N - 1), column))
+    return sliding_window_view(padded, N)[:, ::-1]
+
+
 def lift(ss, N):
     """Build the batch representation of a StateSpace over blocks of N samples."""
     if not isinstance(ss, StateSpace):
@@ -78,9 +92,7 @@ def lift(ss, N):
     for k in range(1, N):
         markov[k] = C @ v
         v = A @ v
-    idx = np.arange(N)
-    lag = idx[:, None] - idx[None, :]
-    J = np.where(lag >= 0, markov[np.clip(lag, 0, N - 1)], 0.0)
+    J = lower_toeplitz(markov).copy()
     return LiftedBatchSystem(F=F, G=G, H=H, J=J, N=N)
 
 

@@ -6,11 +6,16 @@ O(N log N). Reversing the row order of a circulant gives a real symmetric
 matrix whose spectrum is the circulant spectrum folded onto the real axis:
 index 0 keeps its value, interior conjugate pairs become a plus/minus
 magnitude pair, and (for even N) the half-rate index flips sign.
+
+The reset-based baseline, the induced norm of the lower-triangular Toeplitz
+single-batch response J, has no such closed form. It is the largest
+eigenvalue magnitude of the symmetric T_N J, found by a Lanczos iteration
+whose products with J are FFT convolutions, so J is never factorized.
 """
 
 import numpy as np
 
-from .lifting import CirculantSpec
+from .lifting import CirculantSpec, lower_toeplitz
 
 __all__ = [
     "time_reverse",
@@ -22,6 +27,11 @@ __all__ = [
     "max_gain_reset_based",
     "dominant_bin",
 ]
+
+# relative Ritz residual bound at which the reset-based gain is accepted
+_LANCZOS_RTOL = 1e-13
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def time_reverse(v):
@@ -124,24 +134,161 @@ def max_gain_reset_based(J):
     """Worst-case amplification of a single from-rest batch.
 
     Because the transpose of the batch response matrix J equals its
-    time-reversed conjugation, T_N J is symmetric and the induced 2-norm of J
-    is the largest eigenvalue magnitude of T_N J, solved with LAPACK. The
-    test suite pins it against an independent Jacobi eigensolver.
+    time-reversed conjugation, S = T_N J is symmetric and the induced 2-norm
+    of J is the largest eigenvalue magnitude of S. J must be finite and
+    lower-triangular Toeplitz (the J of ``lift``); anything else raises
+    ValueError.
+
+    The eigenvalue comes from a symmetric Lanczos iteration on S. A product
+    S v is reverse(J v), and J v is the causal convolution of J's first column
+    with v, taken with real FFTs of length 2N: each step costs O(N log N) and
+    O(N) memory. The iteration starts from a fixed-seed random vector, so
+    reruns are bitwise equal. It stops once the smallest and the largest
+    Ritz value are each certified to lie within max(1e-13, k eps) of the
+    larger magnitude from an eigenvalue of S, k eps being what rounding
+    allows after k steps. The certificate is the Ritz residual bound
+    beta_k |s_k| (Parlett, The Symmetric Eigenvalue Problem) or a second Ritz
+    value that close. If no check certifies both ends within 4N + 64 steps it
+    raises RuntimeError rather than return an uncertified number. Most
+    plants need well under N steps; a flat gain peak can need about 2N,
+    which at N of a few hundred is slower than a dense eigensolver.
     """
     J = np.asarray(J, dtype=float)
     N = J.shape[0]
     if J.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {J.shape}")
-    S = J[::-1, :].copy()
-    scale = 1.0 + float(np.abs(S).max()) if N else 1.0
-    if N and float(np.abs(S - S.T).max()) > 1e-10 * scale:
-        raise ValueError(
-            "T_N J is not symmetric; J does not look like a batch response "
-            "(lower-triangular Toeplitz) matrix"
-        )
     if N == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    column = J[:, 0]
+    toeplitz = lower_toeplitz(column)
+    # J from lift matches its Toeplitz view exactly; anything else is compared
+    # within a tolerance
+    if not (np.isfinite(column).all() and np.array_equal(J, toeplitz)):
+        if not np.isfinite(J).all():
+            raise ValueError("J has non-finite entries")
+        if float(np.abs(J - toeplitz).max()) > 1e-10 * (1.0 + float(np.abs(column).max())):
+            raise ValueError(
+                "J is not lower-triangular Toeplitz, so T_N J is not the "
+                "symmetric time-reversed response of a batch"
+            )
+    peak = float(np.abs(column).max())
+    if peak == 0.0:
+        return 0.0
+    return peak * _lanczos_gain(column / peak)
+
+
+def _lanczos_gain(column):
+    # Lanczos on S = T_N J without reorthogonalization. Rounding makes copies
+    # of converged Ritz values and can take the iteration past N steps. A
+    # check after k steps costs O(k) per Sturm count; spacing the checks half
+    # of k apart (at least 32 steps) keeps all of them together within about
+    # three times the last. The tolerance grows as k eps past 1e-13 because
+    # the residual bounds that rounding lets Lanczos reach grow that way. A
+    # beta_k that vanishes against the entries of T_k is an invariant
+    # subspace; it is checked at once.
+    N = column.shape[0]
+    size = 2 * N
+    kernel = np.fft.rfft(column, size)
+    q = np.random.default_rng(0).standard_normal(N)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(N)
+    alphas, squares = [], [0.0]
+    beta = 0.0
+    entry_max = 0.0
+    next_check = min(N, 32)
+    max_steps = 4 * N + 64
+    for k in range(1, max_steps + 1):
+        w = np.fft.irfft(kernel * np.fft.rfft(q, size), size)[N - 1::-1]
+        alpha = float(q @ w)
+        w -= alpha * q
+        w -= beta * q_prev
+        entry_max = max(entry_max, abs(alpha), beta)
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        if k >= next_check or k == max_steps or beta <= _LANCZOS_RTOL * entry_max:
+            ends = _extreme_eigenvalues(alphas, squares)
+            gain = max(abs(ends[0]), abs(ends[1]))
+            tol = max(_LANCZOS_RTOL, k * _EPS) * gain
+            if all(
+                _certified(alphas, squares, beta, end, theta, tol)
+                for end, theta in enumerate(ends)
+            ):
+                return gain
+            next_check = k + max(32, k // 2)
+        squares.append(beta * beta)
+        q_prev, q = q, w / beta
+    raise RuntimeError(
+        f"the Lanczos iteration for the reset-based gain certified no Ritz "
+        f"values within {max_steps} steps"
+    )
+
+
+def _extreme_eigenvalues(diag, squares):
+    # smallest and largest eigenvalue of the symmetric tridiagonal with this
+    # diagonal and squared off-diagonal (squares[0] = 0), each by bisection on
+    # Sturm counts from the Gershgorin interval to eps times its bound
+    a = np.asarray(diag)
+    b = np.sqrt(squares)
+    radius = b + np.append(b[1:], 0.0)
+    low0, high0 = float((a - radius).min()), float((a + radius).max())
+    width = _EPS * max(abs(low0), abs(high0))
+    ends = []
+    for index in (1, len(diag)):
+        low, high = low0 - width, high0 + width
+        while high - low > width:
+            mid = 0.5 * (low + high)
+            if _count_below(diag, squares, mid) >= index:
+                high = mid
+            else:
+                low = mid
+        ends.append(0.5 * (low + high))
+    return ends
+
+
+def _certified(diag, squares, beta, end, theta, tol):
+    # Whether the extreme Ritz value theta (end 0 smallest, 1 largest) lies
+    # within tol of an eigenvalue of S: by a second Ritz value within tol (S
+    # has an eigenvalue between two consecutive Ritz values, which are Gauss
+    # quadrature nodes; rounding makes such copies of converged ones), or by
+    # the Ritz residual bound beta |u_k| + ||(T_k - theta I) u|| of the unit
+    # eigenvector u that the twisted factorization of T_k - theta I gives.
+    k = len(diag)
+    if end == 0 and _count_below(diag, squares, theta + tol) >= 2:
+        return True
+    if end == 1 and _count_below(diag, squares, theta - tol) <= k - 2:
+        return True
+    a = np.asarray(diag)
+    b = np.sqrt(squares[1:])
+    down = np.array(_pivots(diag, squares, theta))
+    up = np.array(_pivots(diag[::-1], [0.0] + squares[:0:-1], theta)[::-1])
+    gamma = down + up - (a - theta)
+    # twisted at r: (T_k - theta I) z = gamma_r e_r with z_r = 1; a pivot
+    # nudged off zero can overflow z, which then certifies nothing
+    r = int(np.argmin(np.abs(gamma)))
+    z = np.ones(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z[:r] = np.cumprod((-b[:r] / down[:r])[::-1])[::-1]
+        z[r + 1:] = np.cumprod(-b[r:] / up[r + 1:])
+        norm = np.linalg.norm(z)
+    return bool(np.isfinite(norm)) and beta * abs(z[-1]) + abs(gamma[r]) <= tol * norm
+
+
+def _count_below(diag, squares, x):
+    # number of eigenvalues below x: the negative pivots of T - x I = L D L^T
+    return np.count_nonzero(np.less(_pivots(diag, squares, x), 0.0))
+
+
+def _pivots(diag, squares, x):
+    # pivots of T - x I = L D L^T for the tridiagonal with this diagonal and
+    # squared off-diagonal (squares[0] = 0); a zero pivot is nudged to -tiny
+    out = []
+    pivot = 1.0
+    for a, b in zip(diag, squares):
+        pivot = (a - x) - b / pivot
+        if pivot == 0.0:
+            pivot = -_TINY
+        out.append(pivot)
+    return out
 
 
 def dominant_bin(values):

@@ -253,3 +253,16 @@ def test_bad_size_exits_1_without_creating_out(argv, flag, low_pass_file, tmp_pa
     assert main([*argv, "--system", low_pass_file, "--out", str(out)]) == 1
     assert f"{flag} must be at least" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--n", "2"], ["oracle", "--grid", "2"]], ids=["analyze", "oracle"]
+)
+def test_near_marginal_system_exits_1_without_traceback(argv, tmp_path, capsys):
+    # I - A^N is numerically singular, so the fixed-point solve raises RuntimeError
+    path = tmp_path / "marginal.txt"
+    path.write_text("A = 0.999999999999999\nB = 1\nC = 1\nD = 0\n")
+    assert main([*argv, "--system", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "marginal" in err
+    assert "Traceback" not in err

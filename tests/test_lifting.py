@@ -12,6 +12,7 @@ from peakgain import (
     simulate,
     tf_to_ss,
 )
+from peakgain.lifting import lower_toeplitz
 
 
 def test_lift_single_sample_blocks():
@@ -29,6 +30,30 @@ def test_lift_two_sample_blocks_response_pattern():
     cb = float(ss.C @ ss.B)
     assert np.allclose(lb.J, [[0.7, 0.0], [cb, 0.7]])
     assert np.allclose(lb.F, [[0.16]])
+
+
+def test_lower_toeplitz_view_matches_definition():
+    rng = np.random.default_rng(3)
+    for N in range(1, 8):
+        column = rng.standard_normal(N)
+        expected = np.array(
+            [[column[i - j] if i >= j else 0.0 for j in range(N)] for i in range(N)]
+        )
+        assert np.array_equal(lower_toeplitz(column), expected)
+
+
+def test_lift_batch_response_is_an_owned_toeplitz_copy():
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        ss = random_stable_statespace(rng)
+        N = int(rng.integers(1, 40))
+        J = lift(ss, N).J
+        markov = [ss.D] + [
+            float(ss.C @ np.linalg.matrix_power(ss.A, k - 1) @ ss.B) for k in range(1, N)
+        ]
+        assert np.allclose(J, lower_toeplitz(markov), rtol=0.0, atol=1e-12)
+        assert np.array_equal(J, lower_toeplitz(J[:, 0]))
+        assert J.flags.c_contiguous and J.flags.owndata and J.flags.writeable
 
 
 def test_lift_rejects_empty_blocks():

@@ -272,6 +272,80 @@ class TestResetBasedGain:
             max_gain_reset_based(np.arange(9.0).reshape(3, 3))
 
 
+@pytest.fixture(scope="module")
+def demo_and_slow_realizations():
+    return {"demo": tf_to_ss(delayed_resonator()), "slow": slow_pole()}
+
+
+def _dense_references(J):
+    return (
+        float(np.abs(np.linalg.eigvalsh(J[::-1])).max()),
+        float(np.linalg.svd(J, compute_uv=False)[0]),
+    )
+
+
+class TestLanczosResetBasedGain:
+    """The Lanczos route against the dense references it replaced."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 51, 52, 64, 257, 1024, 2048])
+    @pytest.mark.parametrize("plant", ["demo", "slow"])
+    def test_matches_dense_eigensolvers(self, plant, N, demo_and_slow_realizations):
+        J = lift(demo_and_slow_realizations[plant], N).J
+        gain = max_gain_reset_based(J)
+        for reference in _dense_references(J):
+            assert abs(gain - reference) <= 1e-12 * reference
+
+    def test_matches_dense_eigensolvers_on_random_systems(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            ss = random_stable_statespace(rng)
+            N = int(rng.integers(1, 300))
+            J = lift(ss, N).J
+            gain = max_gain_reset_based(J)
+            for reference in _dense_references(J):
+                assert abs(gain - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize(
+        "num, den, N",
+        [((1.0,), (1.0, 0.5), 52), ((0.125,) * 8, (1.0,), 100)],
+        ids=["pole-0.5", "moving-average"],
+    )
+    def test_certifies_after_the_krylov_space_is_exhausted(self, num, den, N):
+        # these run past N steps, where rounding makes copies of converged
+        # Ritz values and the residual bound alone stops certifying them
+        J = lift(tf_to_ss(RationalTransferFunction(num, den)), N).J
+        gain = max_gain_reset_based(J)
+        for reference in _dense_references(J):
+            assert abs(gain - reference) <= 1e-12 * reference
+
+    def test_reruns_are_bitwise_equal(self, demo_and_slow_realizations):
+        for ss in demo_and_slow_realizations.values():
+            J = lift(ss, 257).J
+            first = np.float64(max_gain_reset_based(J)).tobytes()
+            assert np.float64(max_gain_reset_based(J.copy())).tobytes() == first
+
+    def test_tolerates_rounding_in_a_toeplitz_matrix(self):
+        J = lift(slow_pole(), 64).J
+        noisy = J + 1e-13 * np.random.default_rng(2).standard_normal(J.shape)
+        assert max_gain_reset_based(noisy) == pytest.approx(max_gain_reset_based(J), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            max_gain_reset_based(np.array([[bad, 0.0], [1.0, bad]]))
+        J = np.eye(3)
+        J[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            max_gain_reset_based(J)
+
+    def test_persymmetric_but_not_toeplitz_rejected(self):
+        # T_N J is symmetric here, but J is not lower-triangular Toeplitz
+        J = np.array([[1.0, 0.0, 0.0], [2.0, 5.0, 0.0], [3.0, 2.0, 1.0]])
+        assert np.array_equal(J[::-1], J[::-1].T)
+        with pytest.raises(ValueError, match="Toeplitz"):
+            max_gain_reset_based(J)
+
+
 class TestEigenvectorReversalSymmetry:
     def test_dc_dominant_top_eigenvector_is_reversal_symmetric(self):
         rng = np.random.default_rng(11)
