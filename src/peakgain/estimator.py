@@ -202,33 +202,69 @@ def iterate_reset_based(plant, config):
     return _iterate(plant, config, RESET_PER_BATCH, 1, 0.0)
 
 
+def _settled_output(plant, u, tol, max_batches):
+    """Hold ``u`` on a reset-free plant and return its settled output batch.
+
+    After each batch the measured output is accepted once its
+    relative_batch_change is below ``tol``. Otherwise the held batches are
+    extrapolated to their limit, y_j + d_j r / (1 - r), where d_j is the
+    last batch change and r = d_j . d_{j-1} / ||d_{j-1}||^2 its contraction
+    (Aitken's rule, exact for a single geometric transient mode); only
+    0 <= r < 1 gives a limit, and two consecutive limits that agree to
+    ``tol`` are returned. An all-zero batch never counts as settled, so a
+    dead time longer than the batch is waited out. After ``max_batches``
+    batches past the first it warns, unless the output is still all zero,
+    and returns the last batch.
+    """
+    y = plant.apply_batch(u).y
+    change = math.inf
+    d = limit = None
+    for _ in range(max_batches):
+        prev, y = y, plant.apply_batch(u).y
+        if not y.any():
+            d = limit = None
+            continue
+        change = relative_batch_change(prev, y)
+        if change < tol:
+            return y
+        d_prev, d = d, y - prev
+        prev_limit, limit = limit, None
+        if d_prev is not None and d_prev.any():
+            r = float(d @ d_prev) / float(d_prev @ d_prev)
+            if 0.0 <= r < 1.0:
+                limit = y + d * (r / (1.0 - r))
+                if prev_limit is not None and relative_batch_change(prev_limit, limit) < tol:
+                    return limit
+    if y.any():
+        warnings.warn(
+            f"shift probe did not settle within {max_batches} batches "
+            f"(last relative_batch_change {change:.3g}); using the unsettled gain"
+        )
+    return y
+
+
 def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
-    Applies a random unit-power batch (held until settled on a reset-free
-    plant) and returns the observed gain ||y|| / ||u||, floored at 1e-6. A
-    zero probe output falls back to 1.0 with a warning. A probe still
-    unsettled after ``max_probe_batches`` warns and returns the gain of its
-    last batch.
+    Applies a random unit-power batch and returns the observed gain
+    ||y|| / ||u||, floored at 1e-6. On a reset-free plant the batch is held
+    until ``_settled_output`` accepts: either a measured batch that moved
+    less than ``settle_tol`` (relative) from the one before, or, for a slow
+    transient, the extrapolated limit of the held batches once two
+    consecutive limits agree to ``settle_tol``. A reset-per-batch plant is
+    probed with one batch. The gain only sets the scale of the shift; it is
+    not a bounded estimate of the settled gain. A zero probe output falls
+    back to 1.0 with a warning. A probe still unsettled after
+    ``max_probe_batches`` batches past the first warns and returns the gain
+    of its last batch.
     """
     n = int(n)
     u = init_input(n, rng_seed)
-    record = plant.apply_batch(u)
     if getattr(plant, "mode", RESET_FREE) == RESET_FREE:
-        prev = record.y
-        change = math.inf
-        for _ in range(max_probe_batches):
-            record = plant.apply_batch(u)
-            change = relative_batch_change(prev, record.y)
-            if change < settle_tol:
-                break
-            prev = record.y
-        else:
-            warnings.warn(
-                f"shift probe did not settle within {max_probe_batches} batches "
-                f"(last relative_batch_change {change:.3g}); using the unsettled gain"
-            )
-    gain = float(np.linalg.norm(record.y) / np.linalg.norm(u))
+        y = _settled_output(plant, u, settle_tol, max_probe_batches)
+    else:
+        y = plant.apply_batch(u).y
+    gain = float(np.linalg.norm(y) / np.linalg.norm(u))
     if gain == 0.0:
         warnings.warn("probe batch produced zero output; falling back to shift 1.0")
         return 1.0

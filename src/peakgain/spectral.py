@@ -75,9 +75,9 @@ def diagonalization_residual(M):
     circulant M; a generic symmetric matrix leaves a nonzero residual.
     """
     M = np.asarray(M)
-    N = M.shape[0]
-    if M.shape != (N, N):
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    N = M.shape[0]
     if N == 0:
         raise ValueError("empty matrix: the residual needs N >= 1")
     T = np.fft.fft(M, axis=1)
@@ -154,9 +154,9 @@ def max_gain_reset_based(J):
     which at N of a few hundred is slower than a dense eigensolver.
     """
     J = np.asarray(J, dtype=float)
-    N = J.shape[0]
-    if J.shape != (N, N):
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {J.shape}")
+    N = J.shape[0]
     if N == 0:
         return 0.0
     column = J[:, 0]

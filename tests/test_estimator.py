@@ -340,6 +340,18 @@ class TestResetBasedIteration:
             iterate_reset_based(session, PowerIterationConfig(n=8))
 
 
+def slow_pole_pair():
+    """Complex poles at 0.9999 exp(+-0.3j): two slow, oscillating transient modes."""
+    r, theta = 0.9999, 0.3
+    return tf_to_ss(RationalTransferFunction((1e-4,), (1.0, -2.0 * r * np.cos(theta), r * r)))
+
+
+def settled_gain(ss, N, rng_seed):
+    """||y|| / ||u|| of the probe input on the transient-free plant."""
+    u = init_input(N, rng_seed)
+    return float(np.linalg.norm(SteadyStatePlant(ss, N).apply_batch(u).y) / np.linalg.norm(u))
+
+
 class TestSelectShift:
     def test_static_gain_probe_is_exact(self):
         ss = tf_to_ss(RationalTransferFunction((2.4,), (1.0,)))
@@ -358,8 +370,9 @@ class TestSelectShift:
         assert 1e-6 < shift < 10.0
 
     def test_unsettled_probe_warns_with_count_and_residual(self):
-        # a pole at 0.9999 needs about 200 batches of 50 to settle
-        session = new_session(slow_pole(), 50, RESET_FREE)
+        # a complex pole pair at radius 0.9999 needs thousands of batches of
+        # 50 to settle, and scalar extrapolation cannot shortcut two modes
+        session = new_session(slow_pole_pair(), 50, RESET_FREE)
         with pytest.warns(UserWarning, match=r"within 5 batches \(last relative_batch_change"):
             shift = select_shift(session, 50, rng_seed=0, max_probe_batches=5)
         assert session.batch_counter == 6
@@ -369,6 +382,51 @@ class TestSelectShift:
         session = new_session(low_pass(), 8, RESET_FREE)
         select_shift(session, 8, rng_seed=0)
         assert not [w for w in recwarn if "did not settle" in str(w.message)]
+
+    @pytest.mark.parametrize("N", [8, 50, 256])
+    def test_slow_pole_probe_is_extrapolated(self, N, recwarn):
+        # one geometric transient mode: Aitken's limit is exact after 3 batches
+        ss = slow_pole()
+        session = new_session(ss, N, RESET_FREE)
+        shift = select_shift(session, N, rng_seed=0)
+        assert session.batch_counter <= 10
+        assert shift == pytest.approx(settled_gain(ss, N, 0), abs=1e-10)
+        assert not recwarn.list
+
+    def test_two_slow_poles_probe(self):
+        den = tuple(np.polymul([1.0, -0.9999], [1.0, -0.999]))
+        ss = tf_to_ss(RationalTransferFunction((1e-7,), den))
+        session = new_session(ss, 50, RESET_FREE)
+        shift = select_shift(session, 50, rng_seed=0)
+        assert session.batch_counter <= 500
+        assert shift == pytest.approx(settled_gain(ss, 50, 0), rel=1e-6)
+
+    def test_negative_slow_pole_probe(self):
+        # at even N the per-batch contraction (-0.999)^N is positive
+        ss = tf_to_ss(RationalTransferFunction((1e-3,), (1.0, 0.999)))
+        session = new_session(ss, 50, RESET_FREE)
+        shift = select_shift(session, 50, rng_seed=0)
+        assert session.batch_counter <= 10
+        assert shift == pytest.approx(settled_gain(ss, 50, 0), abs=1e-10)
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_dead_time_longer_than_batch_is_waited_out(self, N, recwarn):
+        # the demo's 50-sample dead time spans several all-zero batches
+        ss = tf_to_ss(delayed_resonator())
+        session = new_session(ss, N, RESET_FREE)
+        shift = select_shift(session, N, rng_seed=0)
+        assert not recwarn.list
+        assert shift == pytest.approx(settled_gain(ss, N, 0), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "seed, shift, batches",
+        [(0, 0.9909459315140888, 5), (1, 1.034077508810889, 5), (2, 1.1137095825190033, 5)],
+    )
+    def test_demo_probe_is_unchanged(self, seed, shift, batches):
+        # values of the raw settle rule alone: extrapolation must not move them
+        session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_FREE)
+        assert select_shift(session, 50, rng_seed=seed) == pytest.approx(shift, rel=1e-13)
+        assert session.batch_counter == batches
 
     def test_reset_probe_uses_single_batch(self):
         ss = tf_to_ss(RationalTransferFunction((1.5,), (1.0,)))

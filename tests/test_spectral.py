@@ -131,6 +131,11 @@ class TestDiagonalization:
         with pytest.raises(ValueError, match="empty matrix"):
             diagonalization_residual(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("M", [np.float64(1.0), np.zeros(3), np.zeros((2, 3))])
+    def test_non_square_rejected(self, M):
+        with pytest.raises(ValueError, match="square matrix"):
+            diagonalization_residual(M)
+
     def test_periodic_response_diagonalizes(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -270,6 +275,11 @@ class TestResetBasedGain:
     def test_non_toeplitz_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             max_gain_reset_based(np.arange(9.0).reshape(3, 3))
+
+    @pytest.mark.parametrize("J", [np.float64(1.0), np.zeros(3), np.zeros((2, 3))])
+    def test_non_square_rejected(self, J):
+        with pytest.raises(ValueError, match="square matrix"):
+            max_gain_reset_based(J)
 
 
 @pytest.fixture(scope="module")
