@@ -37,8 +37,8 @@ print("-> continuous operation sees the plant fine")
 
 # M is circulant: each row is the previous row shifted right. Its first row
 # comes in closed form from the state-space matrices.
-spec = circulant_coefficients(ss, N)
-gap = np.abs(circulant(spec) - M).max()
+a = circulant_coefficients(ss, N)
+gap = np.abs(circulant(a) - M).max()
 print(f"\n||circ(a) - M||_max = {gap:.3e} (closed form vs. direct solve)")
 
 # and the closed form is not a model shortcut: holding one input period on

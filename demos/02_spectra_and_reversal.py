@@ -36,8 +36,8 @@ omegas = -2.0 * np.pi * np.arange(N) / N
 response = freq_response(tf, omegas)
 print(f"diagonal vs frequency response samples: {np.abs(diag - response).max():.3e}")
 
-spec = circulant_coefficients(ss, N)
-lam = circulant_eigenvalues(spec)
+a = circulant_coefficients(ss, N)
+lam = circulant_eigenvalues(a)
 print(f"\npeak |lambda_m| over the N-point grid: {np.abs(lam).max():.9f}")
 peak = int(np.argmax(np.abs(lam[: N // 2 + 1])))
 print(f"attained at bin m = {peak} (omega = {2 * np.pi * peak / N:.4f} rad/sample)")
@@ -48,6 +48,6 @@ print(f"\nreversed-circulant top eigenvalue: {rev.max():.9f} (real, positive)")
 print("interior magnitudes appear as +/- pairs:")
 print(f"  rev[{peak}] = {rev[peak]:.6f}, rev[{N - peak}] = {rev[N - peak]:.6f}")
 
-solved = np.linalg.eigvalsh(reversed_circulant(spec))
+solved = np.linalg.eigvalsh(reversed_circulant(a))
 predicted = np.sort(rev)
 print(f"\nfolding rules vs np.linalg.eigvalsh: {np.abs(solved - predicted).max():.3e}")

@@ -38,7 +38,7 @@ shift = select_shift(session, N, rng_seed=0)
 print(f"probed shift: {shift:.4f}")
 
 config = PowerIterationConfig(
-    n=N, n_update=n_update, shift=shift, max_updates=2000,
+    n_update=n_update, shift=shift, max_updates=2000,
     convergence_tol=1e-7, rng_seed=0,
 )
 trace = iterate_reset_free(session, config)

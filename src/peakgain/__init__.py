@@ -13,14 +13,11 @@ from .estimator import (
     EstimateTrace,
     EstimationError,
     PowerIterationConfig,
-    init_input,
     iterate_reset_based,
     iterate_reset_free,
     select_shift,
 )
 from .lifting import (
-    CirculantSpec,
-    LiftedBatchSystem,
     circulant_coefficients,
     lift,
     periodic_response_matrix,
@@ -34,14 +31,11 @@ from .lti import (
     parse_system_file,
     parse_system_text,
     simulate,
-    spectral_radius,
     tf_to_ss,
 )
 from .plant import (
     RESET_FREE,
     RESET_PER_BATCH,
-    BatchRecord,
-    PlantSession,
     SteadyStatePlant,
     new_session,
     relative_batch_change,
@@ -60,12 +54,8 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchRecord",
-    "CirculantSpec",
     "EstimateTrace",
     "EstimationError",
-    "LiftedBatchSystem",
-    "PlantSession",
     "PowerIterationConfig",
     "RESET_FREE",
     "RESET_PER_BATCH",
@@ -80,7 +70,6 @@ __all__ = [
     "dominant_bin",
     "freq_response",
     "hinf_peak",
-    "init_input",
     "iterate_reset_based",
     "iterate_reset_free",
     "lift",
@@ -94,7 +83,6 @@ __all__ = [
     "reversed_spectrum",
     "select_shift",
     "simulate",
-    "spectral_radius",
     "tf_to_ss",
     "time_reverse",
 ]

@@ -104,8 +104,8 @@ def cmd_analyze(args):
     N = args.n
     _at_least("--n", N, 1)
     out = _outdir(args)
-    spec = circulant_coefficients(ss, N)
-    lam = circulant_eigenvalues(spec)
+    a = circulant_coefficients(ss, N)
+    lam = circulant_eigenvalues(a)
     rev = reversed_spectrum(lam)
     lifted = lift(ss, N)
     M = periodic_response_matrix(lifted)
@@ -118,7 +118,7 @@ def cmd_analyze(args):
     _write_csv(
         os.path.join(out, "coefficients.csv"),
         "k,a",
-        [(k, _fmt(spec.a[k])) for k in range(N)],
+        [(k, _fmt(a[k])) for k in range(N)],
     )
     _write_csv(
         os.path.join(out, "spectrum.csv"),
@@ -203,7 +203,6 @@ def cmd_estimate(args):
         plant = new_session(ss, args.n, RESET_FREE)
         default_tol = 1e-4
     config = PowerIterationConfig(
-        n=args.n,
         n_update=args.n_update,
         shift=args.shift,
         max_updates=args.max_updates,

@@ -13,6 +13,11 @@ response, u . reverse(y) / N, with the input normalized to power one. At the
 converged input this equals the dominant eigenvalue exactly; the shift steers
 the iteration but never enters the readout, since the measured output contains
 no shift contribution.
+
+A plant is any object with a batch length ``N``, a ``mode`` and an
+``apply_batch(u)`` that returns a record with the batch index ``j`` and the
+measured output ``y``; the estimator reads nothing else from it, and the
+batch length of every iteration is the plant's ``N``.
 """
 
 import math
@@ -23,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .lifting import _batch_length
 from .plant import RESET_FREE, RESET_PER_BATCH, relative_batch_change
 from .spectral import time_reverse
 
@@ -45,14 +51,13 @@ class EstimationError(RuntimeError):
 class PowerIterationConfig:
     """Knobs of the power iterations.
 
-    n is the batch length; n_update the number of batches each input is held
-    (reset-free only); shift the scalar added to the reversed response before
-    renormalizing, None to probe the plant for a scale; convergence is
-    declared when the gain readout moves less than convergence_tol between
-    consecutive updates.
+    n_update is the number of batches each input is held (reset-free only);
+    shift the scalar added to the reversed response before renormalizing,
+    None to probe the plant for a scale; convergence is declared when the
+    gain readout moves less than convergence_tol between consecutive
+    updates. The batch length is the plant's N.
     """
 
-    n: int
     n_update: int = 1
     shift: float | None = None
     max_updates: int = 1000
@@ -60,12 +65,10 @@ class PowerIterationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "n_update", "max_updates"):
+        for name in ("n_update", "max_updates"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"batch length must be at least 1, got {self.n}")
         if self.n_update < 1:
             raise ValueError(f"n_update must be at least 1, got {self.n_update}")
         if self.shift is not None and not math.isfinite(self.shift):
@@ -81,9 +84,8 @@ class PowerIterationConfig:
 
 
 class UpdateRecord(NamedTuple):
-    """One update step: the held input, its readout batch and that batch's readouts."""
+    """One update step: the held input, its readout output and that batch's readouts."""
 
-    batch: int
     u: np.ndarray
     y: np.ndarray
     mu: float
@@ -99,7 +101,6 @@ class EstimateTrace:
     ``updates`` has one ``UpdateRecord`` per update step.
     """
 
-    shift: float | None = None
     rows: list = field(default_factory=list)
     updates: list = field(default_factory=list)
     converged: bool = False
@@ -117,9 +118,7 @@ class EstimateTrace:
 
 def init_input(n, rng_seed):
     """Seeded random start vector scaled to input power one (||u||^2 = n)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"batch length must be at least 1, got {n}")
+    n = _batch_length(n)
     rng = np.random.default_rng(rng_seed)
     u = rng.standard_normal(n)
     return u * (np.sqrt(n) / np.linalg.norm(u))
@@ -140,15 +139,12 @@ def _iterate(plant, config, mode, hold, shift):
     means the plant returned a zero batch and ends the run with estimate 0.
     """
     n = plant.N
-    if config.n != n:
-        raise ValueError(f"config batch length {config.n} != plant batch length {n}")
-    plant_mode = getattr(plant, "mode", RESET_FREE)
-    if plant_mode != mode:
-        raise ValueError(f"this iteration needs a {mode} plant, got {plant_mode}")
+    if plant.mode != mode:
+        raise ValueError(f"this iteration needs a {mode} plant, got {plant.mode}")
     if shift is None:
         shift = select_shift(plant, n, config.rng_seed)
 
-    trace = EstimateTrace(shift=float(shift) if shift != 0.0 else None)
+    trace = EstimateTrace()
     u = init_input(n, config.rng_seed)
     sqrt_n = np.sqrt(n)
     beta_prev = None
@@ -157,7 +153,7 @@ def _iterate(plant, config, mode, hold, shift):
             record = plant.apply_batch(u)
             mu, beta = _readouts(u, record.y, n)
             trace.rows.append((update, record.j, mu, beta))
-        trace.updates.append(UpdateRecord(record.j, u.copy(), record.y.copy(), mu, beta))
+        trace.updates.append(UpdateRecord(u.copy(), record.y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
             break
@@ -258,9 +254,8 @@ def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000)
     ``max_probe_batches`` batches past the first warns and returns the gain
     of its last batch.
     """
-    n = int(n)
     u = init_input(n, rng_seed)
-    if getattr(plant, "mode", RESET_FREE) == RESET_FREE:
+    if plant.mode == RESET_FREE:
         y = _settled_output(plant, u, settle_tol, max_probe_batches)
     else:
         y = plant.apply_batch(u).y

@@ -4,10 +4,14 @@ Processing length-N input/output blocks turns the state recursion into a
 batch recursion x_{j+1} = F x_j + G u_j, y_j = H x_j + J u_j. Holding a
 periodic input drives the state to a fixed point, and the resulting map from
 one input period to the settled output period is the circulant matrix
-M = H (I - F)^-1 G + J whose coefficients this module computes in closed
-form.
+M = H (I - F)^-1 G + J. ``circulant_coefficients`` returns its first row a
+in closed form, O(N) floats, which is all the FFT paths (the spectrum, the
+steady-state plant, the state-space grid scan) need. ``lift`` and the dense
+``periodic_response_matrix`` serve the transient plant session, the
+single-batch response J and the diagonalization residual of ``analyze``.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +21,6 @@ from .lti import StateSpace, spectral_radius
 
 __all__ = [
     "LiftedBatchSystem",
-    "CirculantSpec",
     "lift",
     "periodic_response_matrix",
     "circulant_coefficients",
@@ -42,15 +45,15 @@ class LiftedBatchSystem:
     G: np.ndarray
     H: np.ndarray
     J: np.ndarray
-    N: int
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    """First row of the periodic batch response matrix as length-N vector a."""
-
-    a: np.ndarray
-    N: int
+def _batch_length(N):
+    """Check a batch length: an integer (numpy integers included, bool not) of at least 1."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ValueError(f"batch length must be an integer, got {N!r}")
+    if N < 1:
+        raise ValueError(f"batch length must be at least 1, got {N}")
+    return int(N)
 
 
 def lower_toeplitz(column):
@@ -70,9 +73,7 @@ def lift(ss, N):
     """Build the batch representation of a StateSpace over blocks of N samples."""
     if not isinstance(ss, StateSpace):
         raise TypeError("lift expects a StateSpace")
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"batch length must be at least 1, got {N}")
+    N = _batch_length(N)
     n = ss.n
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
     F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
@@ -93,7 +94,7 @@ def lift(ss, N):
         markov[k] = C @ v
         v = A @ v
     J = lower_toeplitz(markov).copy()
-    return LiftedBatchSystem(F=F, G=G, H=H, J=J, N=N)
+    return LiftedBatchSystem(F=F, G=G, H=H, J=J)
 
 
 def _solve_fixed_point(F, rhs, what):
@@ -122,8 +123,9 @@ def periodic_response_matrix(lb):
 
 
 def circulant_coefficients(ss, N):
-    """Closed-form first-row coefficients of the periodic batch response.
+    """Closed-form first-row coefficients a of the periodic batch response.
 
+    Returns the length-N float array a with
     a_0 = D + C A^(N-1) (I - A^N)^-1 B and
     a_k = C A^(N-k-1) (I - A^N)^-1 B for k = 1..N-1. The circulant built from
     these coefficients equals periodic_response_matrix(lift(ss, N)) entry for
@@ -131,9 +133,7 @@ def circulant_coefficients(ss, N):
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("circulant_coefficients expects a StateSpace")
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"batch length must be at least 1, got {N}")
+    N = _batch_length(N)
     if ss.n and spectral_radius(ss.A) >= 1.0:
         raise ValueError("circulant_coefficients needs a strictly stable system")
     AN = np.linalg.matrix_power(ss.A, N)
@@ -144,4 +144,4 @@ def circulant_coefficients(ss, N):
         a[k] = ss.C @ v
         v = ss.A @ v
     a[0] = ss.D + ss.C @ v
-    return CirculantSpec(a=a, N=N)
+    return a

@@ -73,7 +73,7 @@ class StateSpace:
     construction, so they can be shared freely across threads.
     """
 
-    def __init__(self, A, B, C, D, validate=True):
+    def __init__(self, A, B, C, D):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.asarray(B, dtype=float).reshape(-1)
         C = np.asarray(C, dtype=float).reshape(-1)
@@ -88,7 +88,7 @@ class StateSpace:
         self.B = B
         self.C = C
         self.D = float(D)
-        if validate and n > 0:
+        if n > 0:
             rho = spectral_radius(A)
             if rho >= 1.0:
                 raise ValueError(
@@ -262,7 +262,7 @@ def hinf_peak(sys, grid_size=100001):
     if isinstance(sys, StateSpace):
         from .lifting import circulant_coefficients  # lifting imports this module
 
-        lam = np.fft.fft(circulant_coefficients(sys, N).a)
+        lam = np.fft.fft(circulant_coefficients(sys, N))
         i = int(np.argmax(np.abs(lam[-np.arange(N) % N])))
         best = abs(freq_response(sys, float(om[i])))
     else:

@@ -13,13 +13,19 @@ reset-per-batch batch is y = J u. It therefore holds about N^2 + 2 N n
 doubles for an n-state plant (J alone is N x N, 32 MB at N = 2048).
 ``lti.simulate`` stays the sample-exact reference; the tests compare the
 session against it within a rounding tolerance.
+
+The steady-state plant has no state: its settled response is the circulant
+circ(a) of ``lifting.circulant_coefficients``, which the DFT diagonalizes,
+so it applies a batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time
+and O(N) memory. The tests compare it against the dense
+``periodic_response_matrix(lift(ss, N)) @ u``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import lift, periodic_response_matrix
+from .lifting import _batch_length, circulant_coefficients, lift
 from .lti import StateSpace
 
 __all__ = [
@@ -38,10 +44,9 @@ RESET_PER_BATCH = "reset-per-batch"
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One experiment: batch index j, applied input u, measured output y."""
+    """One experiment: batch index j and measured output y."""
 
     j: int
-    u: np.ndarray
     y: np.ndarray
 
 
@@ -58,8 +63,9 @@ def _input_batch(u, N):
 class PlantSession:
     """Stateful experiment handle over a hidden system.
 
-    Only ``apply_batch`` (and the batch length ``N``) is meant for consumers;
-    the system matrices are private and never leak through the interface.
+    Consumers call ``apply_batch`` and read ``N``, ``mode`` and
+    ``batch_counter``; the system matrices are private and never leak through
+    the interface.
     A session has a single owner: do not call apply_batch concurrently on one
     session, though distinct sessions can run in parallel.
 
@@ -71,9 +77,7 @@ class PlantSession:
     def __init__(self, ss, N, mode, x0=None, noise=None):
         if not isinstance(ss, StateSpace):
             raise TypeError("PlantSession expects a StateSpace")
-        N = int(N)
-        if N < 1:
-            raise ValueError(f"batch length must be at least 1, got {N}")
+        N = _batch_length(N)
         if mode not in (RESET_FREE, RESET_PER_BATCH):
             raise ValueError(f"unknown mode {mode!r}")
         if x0 is None:
@@ -105,7 +109,7 @@ class PlantSession:
             self._x = self._F @ self._x + self._G @ u
         if self._noise is not None:
             y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)
-        record = BatchRecord(j=self.batch_counter, u=u.copy(), y=y)
+        record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record
 
@@ -113,20 +117,23 @@ class PlantSession:
 class SteadyStatePlant:
     """Idealized reset-free plant with no transients.
 
-    Every batch returns the exact settled periodic response, as if the input
-    had been held forever; useful for exercising estimator logic in isolation
-    from transient effects. Exposes the same interface as a PlantSession.
+    Every batch returns the exact settled periodic response circ(a) u, as if
+    the input had been held forever; useful for exercising estimator logic in
+    isolation from transient effects. It keeps only the N // 2 + 1 conjugated
+    DFT bins of a and exposes the same interface as a PlantSession.
     """
 
     def __init__(self, ss, N):
-        self._M = periodic_response_matrix(lift(ss, int(N)))
-        self.N = int(N)
+        a = circulant_coefficients(ss, N)
+        self.N = a.shape[0]
+        self._a_bins = np.conj(np.fft.rfft(a))
         self.mode = RESET_FREE
         self.batch_counter = 0
 
     def apply_batch(self, u):
         u = _input_batch(u, self.N)
-        record = BatchRecord(j=self.batch_counter, u=u.copy(), y=self._M @ u)
+        y = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
+        record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record
 

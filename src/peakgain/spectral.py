@@ -15,7 +15,7 @@ whose products with J are FFT convolutions, so J is never factorized.
 
 import numpy as np
 
-from .lifting import CirculantSpec, lower_toeplitz
+from .lifting import lower_toeplitz
 
 __all__ = [
     "time_reverse",
@@ -39,28 +39,22 @@ def time_reverse(v):
     return np.asarray(v)[::-1].copy()
 
 
-def _coefficients(spec):
-    if isinstance(spec, CirculantSpec):
-        return np.asarray(spec.a, dtype=float)
-    return np.asarray(spec, dtype=float).reshape(-1)
-
-
-def circulant(spec):
+def circulant(a):
     """Circulant matrix with first row a: entry (p, q) is a[(q - p) mod N]."""
-    a = _coefficients(spec)
+    a = np.asarray(a, dtype=float).reshape(-1)
     N = a.shape[0]
     idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
     return a[idx]
 
 
-def circulant_eigenvalues(spec):
+def circulant_eigenvalues(a):
     """Spectrum of circ(a): lambda_m = sum_k a_k exp(-2j*pi*m*k/N).
 
     This is the FFT of a (same sign convention); for coefficients coming
     from ``circulant_coefficients`` it equals the system's frequency response
     at z = exp(-2j*pi*m/N).
     """
-    a = _coefficients(spec)
+    a = np.asarray(a, dtype=float).reshape(-1)
     if a.shape[0] == 0:
         raise ValueError("empty coefficient vector: a circulant needs N >= 1")
     return np.fft.fft(a)
@@ -87,9 +81,9 @@ def diagonalization_residual(M):
     return float(np.abs(T).max()), diag
 
 
-def reversed_circulant(spec):
+def reversed_circulant(a):
     """Row-reversed circulant: T_N circ(a). Real symmetric by construction."""
-    R = circulant(spec)[::-1, :].copy()
+    R = circulant(a)[::-1, :].copy()
     if not np.array_equal(R, R.T):
         raise AssertionError("row-reversed circulant came out asymmetric: construction bug")
     return R

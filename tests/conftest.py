@@ -5,12 +5,12 @@ import numpy as np
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
-    BatchRecord,
     RationalTransferFunction,
     StateSpace,
     simulate,
     tf_to_ss,
 )
+from peakgain.plant import BatchRecord
 
 # Bundled demo plant: a lightly damped two-pole resonance behind 50 samples of
 # dead time. Reference values computed from the closed-form magnitude
@@ -55,7 +55,7 @@ class SampleExactSession:
         if self.mode == RESET_PER_BATCH:
             self._x = np.zeros(self._ss.n)
         y, self._x = simulate(self._ss, self._x, u)
-        record = BatchRecord(j=self.batch_counter, u=u.copy(), y=y)
+        record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record
 

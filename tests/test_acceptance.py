@@ -144,7 +144,7 @@ def test_criterion_5_iteration_reaches_grid_peak():
         for seed in (0, 1, 2):
             session = new_session(ss, N, RESET_FREE)
             config = PowerIterationConfig(
-                n=N, n_update=10, shift=2.0, max_updates=3000,
+                n_update=10, shift=2.0, max_updates=3000,
                 convergence_tol=1e-7, rng_seed=seed,
             )
             trace = iterate_reset_free(session, config)
@@ -155,7 +155,7 @@ def test_criterion_5_iteration_reaches_grid_peak():
         for shift in (0.5 * target, target, 2.0 * target):
             plant = SteadyStatePlant(ss, N)
             config = PowerIterationConfig(
-                n=N, n_update=1, shift=shift, max_updates=20000,
+                n_update=1, shift=shift, max_updates=20000,
                 convergence_tol=1e-9, rng_seed=0,
             )
             trace = iterate_reset_free(plant, config)
@@ -174,7 +174,7 @@ def test_criterion_6_converged_input_hits_peak_bin():
         for seed in range(5):
             session = new_session(ss, N, RESET_FREE)
             config = PowerIterationConfig(
-                n=N, n_update=10, shift=2.0, max_updates=3000,
+                n_update=10, shift=2.0, max_updates=3000,
                 convergence_tol=1e-7, rng_seed=seed,
             )
             trace = iterate_reset_free(session, config)
@@ -200,7 +200,7 @@ def test_criterion_7_estimator_invariants():
                 return self._inner.apply_batch(u)
 
         config = PowerIterationConfig(
-            n=N, n_update=10, shift=2.0, max_updates=40,
+            n_update=10, shift=2.0, max_updates=40,
             convergence_tol=1e-30, rng_seed=0,
         )
         trace = iterate_reset_free(LoggingSession(), config)
@@ -217,7 +217,7 @@ def test_criterion_7_estimator_invariants():
             assert np.array_equal(block[0], trace.updates[period].u)
         # reset-based runner on the delayed plant terminates with zero
         session = new_session(ss, N, RESET_PER_BATCH)
-        based = iterate_reset_based(session, PowerIterationConfig(n=N, rng_seed=0))
+        based = iterate_reset_based(session, PowerIterationConfig(rng_seed=0))
         assert based.zero_output
         assert based.estimate == 0.0
 

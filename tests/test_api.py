@@ -1,0 +1,48 @@
+import peakgain
+
+# The public surface of the package. A new export has to be added here on
+# purpose; everything else stays importable from its own module.
+PUBLIC_NAMES = {
+    "EstimateTrace",
+    "EstimationError",
+    "PowerIterationConfig",
+    "RESET_FREE",
+    "RESET_PER_BATCH",
+    "RationalTransferFunction",
+    "StateSpace",
+    "SteadyStatePlant",
+    "SystemSpecError",
+    "circulant",
+    "circulant_coefficients",
+    "circulant_eigenvalues",
+    "diagonalization_residual",
+    "dominant_bin",
+    "freq_response",
+    "hinf_peak",
+    "iterate_reset_based",
+    "iterate_reset_free",
+    "lift",
+    "max_gain_reset_based",
+    "new_session",
+    "parse_system_file",
+    "parse_system_text",
+    "periodic_response_matrix",
+    "relative_batch_change",
+    "reversed_circulant",
+    "reversed_spectrum",
+    "select_shift",
+    "simulate",
+    "tf_to_ss",
+    "time_reverse",
+}
+
+
+def test_every_export_resolves():
+    for name in peakgain.__all__:
+        assert getattr(peakgain, name) is not None, name
+
+
+def test_exports_are_the_frozen_public_names():
+    assert len(peakgain.__all__) == len(set(peakgain.__all__))
+    assert set(peakgain.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 31

@@ -5,14 +5,12 @@ from conftest import delayed_resonator, random_stable_statespace, slow_pole
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
-    BatchRecord,
     EstimationError,
     PowerIterationConfig,
     RationalTransferFunction,
     SteadyStatePlant,
     circulant_coefficients,
     circulant_eigenvalues,
-    init_input,
     iterate_reset_based,
     iterate_reset_free,
     lift,
@@ -24,6 +22,8 @@ from peakgain import (
     tf_to_ss,
     time_reverse,
 )
+from peakgain.estimator import init_input
+from peakgain.plant import BatchRecord
 
 
 def low_pass():
@@ -35,7 +35,7 @@ def reversed_top(ss, N):
 
 
 class RecordingPlant:
-    """Duck-typed plant exposing nothing but N and apply_batch.
+    """Duck-typed plant exposing nothing but N, mode and apply_batch.
 
     Proves the iterations run against the experiment interface alone, and
     logs every applied input for the hold-semantics checks.
@@ -51,7 +51,7 @@ class RecordingPlant:
     def apply_batch(self, u):
         u = np.asarray(u, dtype=float)
         self.applied.append(u.copy())
-        record = BatchRecord(j=self.batch_counter, u=u.copy(), y=self._response(u))
+        record = BatchRecord(j=self.batch_counter, y=self._response(u))
         self.batch_counter += 1
         return record
 
@@ -76,36 +76,33 @@ class TestInitInput:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            PowerIterationConfig(n=0)
+            PowerIterationConfig(n_update=0)
         with pytest.raises(ValueError):
-            PowerIterationConfig(n=4, n_update=0)
+            PowerIterationConfig(shift=0.0)
         with pytest.raises(ValueError):
-            PowerIterationConfig(n=4, shift=0.0)
+            PowerIterationConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
-            PowerIterationConfig(n=4, convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            PowerIterationConfig(n=4, max_updates=0)
+            PowerIterationConfig(max_updates=0)
 
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_shift(self, shift):
         with pytest.raises(ValueError, match="shift"):
-            PowerIterationConfig(n=4, shift=shift)
+            PowerIterationConfig(shift=shift)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="convergence_tol"):
-            PowerIterationConfig(n=4, convergence_tol=tol)
+            PowerIterationConfig(convergence_tol=tol)
 
-    @pytest.mark.parametrize("knob", ["n", "n_update", "max_updates"])
+    @pytest.mark.parametrize("knob", ["n_update", "max_updates"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
     def test_rejects_non_integral_counts(self, knob, value):
-        kwargs = {"n": 4, knob: value}
         with pytest.raises(ValueError, match=knob):
-            PowerIterationConfig(**kwargs)
+            PowerIterationConfig(**{knob: value})
 
     def test_accepts_numpy_integers(self):
-        config = PowerIterationConfig(n=np.int64(4), n_update=np.int32(2), max_updates=np.int64(7))
-        assert (config.n, config.n_update, config.max_updates) == (4, 2, 7)
+        config = PowerIterationConfig(n_update=np.int32(2), max_updates=np.int64(7))
+        assert (config.n_update, config.max_updates) == (2, 7)
 
 
 class TestResetFreeIteration:
@@ -117,7 +114,7 @@ class TestResetFreeIteration:
         assert target == pytest.approx(2.0, abs=1e-12)
         plant = SteadyStatePlant(ss, N)
         config = PowerIterationConfig(
-            n=N, shift=2.0, max_updates=200, convergence_tol=1e-10, rng_seed=0
+            shift=2.0, max_updates=200, convergence_tol=1e-10, rng_seed=0
         )
         trace = iterate_reset_free(plant, config)
         assert trace.converged
@@ -139,7 +136,6 @@ class TestResetFreeIteration:
                 continue  # exact assertion only for a simple dominant value
             plant = SteadyStatePlant(ss, N)
             config = PowerIterationConfig(
-                n=N,
                 shift=float(top[0]),
                 max_updates=5000,
                 convergence_tol=1e-11,
@@ -158,7 +154,7 @@ class TestResetFreeIteration:
         for shift in (0.5 * sigma, sigma, 2.0 * sigma):
             plant = SteadyStatePlant(ss, N)
             config = PowerIterationConfig(
-                n=N, shift=shift, max_updates=20000, convergence_tol=1e-9, rng_seed=0
+                shift=shift, max_updates=20000, convergence_tol=1e-9, rng_seed=0
             )
             results.append(iterate_reset_free(plant, config).estimate)
         assert abs(results[0] - results[1]) < 1e-6
@@ -171,7 +167,7 @@ class TestResetFreeIteration:
         sigma = reversed_top(ss, N)
         plant = SteadyStatePlant(ss, N)
         config = PowerIterationConfig(
-            n=N, shift=1.5 * sigma, max_updates=500, convergence_tol=1e-9, rng_seed=2
+            shift=1.5 * sigma, max_updates=500, convergence_tol=1e-9, rng_seed=2
         )
         trace = iterate_reset_free(plant, config)
         for prev, nxt in zip(trace.updates, trace.updates[1:]):
@@ -179,7 +175,7 @@ class TestResetFreeIteration:
 
     def test_input_power_held_at_every_update(self):
         plant = SteadyStatePlant(low_pass(), 8)
-        config = PowerIterationConfig(n=8, shift=1.0, max_updates=50, rng_seed=0)
+        config = PowerIterationConfig(shift=1.0, max_updates=50, rng_seed=0)
         trace = iterate_reset_free(plant, config)
         for record in trace.updates:
             assert abs(record.u @ record.u - 8) < 1e-8
@@ -189,7 +185,7 @@ class TestResetFreeIteration:
         M = 0.4 * rng.standard_normal((6, 6))  # arbitrary fixed response
         plant = RecordingPlant(lambda u: M @ u, 6)
         config = PowerIterationConfig(
-            n=6, n_update=4, shift=1.0, max_updates=5, convergence_tol=1e-30, rng_seed=0
+            n_update=4, shift=1.0, max_updates=5, convergence_tol=1e-30, rng_seed=0
         )
         trace = iterate_reset_free(plant, config)
         periods = len(trace.updates)
@@ -202,7 +198,7 @@ class TestResetFreeIteration:
     def test_runs_on_duck_typed_plant(self):
         # nothing but N and apply_batch is required of the plant
         plant = RecordingPlant(lambda u: 1.3 * u, 5)
-        config = PowerIterationConfig(n=5, shift=1.3, max_updates=50, rng_seed=0)
+        config = PowerIterationConfig(shift=1.3, max_updates=50, rng_seed=0)
         trace = iterate_reset_free(plant, config)
         assert trace.converged
         assert trace.estimate == pytest.approx(1.3, abs=1e-8)
@@ -212,7 +208,7 @@ class TestResetFreeIteration:
         # convergence is guaranteed; the estimate stays a valid quotient
         c = 0.8
         plant = RecordingPlant(lambda u: c * u, 6)
-        config = PowerIterationConfig(n=6, shift=c, max_updates=100, rng_seed=3)
+        config = PowerIterationConfig(shift=c, max_updates=100, rng_seed=3)
         trace = iterate_reset_free(plant, config)
         assert all(abs(record.beta) <= c + 1e-9 for record in trace.updates)
         for record in trace.updates:
@@ -221,14 +217,14 @@ class TestResetFreeIteration:
     def test_vanishing_update_vector_diagnosed(self):
         shift = 0.7
         plant = RecordingPlant(lambda u: time_reverse(-shift * u), 4)
-        config = PowerIterationConfig(n=4, shift=shift, max_updates=10, rng_seed=0)
+        config = PowerIterationConfig(shift=shift, max_updates=10, rng_seed=0)
         with pytest.raises(EstimationError, match="shift or seed"):
             iterate_reset_free(plant, config)
 
     def test_non_convergence_sets_flag(self):
         plant = SteadyStatePlant(tf_to_ss(delayed_resonator()), 50)
         config = PowerIterationConfig(
-            n=50, shift=2.0, max_updates=3, convergence_tol=1e-14, rng_seed=0
+            shift=2.0, max_updates=3, convergence_tol=1e-14, rng_seed=0
         )
         trace = iterate_reset_free(plant, config)
         assert not trace.converged
@@ -238,10 +234,11 @@ class TestResetFreeIteration:
         ss = low_pass()
         reset_session = new_session(ss, 8, RESET_PER_BATCH)
         with pytest.raises(ValueError, match="reset-free"):
-            iterate_reset_free(reset_session, PowerIterationConfig(n=8, shift=1.0))
-        free_session = new_session(ss, 8, RESET_FREE)
-        with pytest.raises(ValueError, match="batch length"):
-            iterate_reset_free(free_session, PowerIterationConfig(n=9, shift=1.0))
+            iterate_reset_free(reset_session, PowerIterationConfig(shift=1.0))
+        # the batch length comes from the plant alone
+        plant = RecordingPlant(lambda u: 0.5 * u, 9)
+        iterate_reset_free(plant, PowerIterationConfig(shift=1.0, max_updates=3))
+        assert {u.shape for u in plant.applied} == {(9,)}
 
     def test_transient_settles_within_each_hold_period(self):
         ss = tf_to_ss(delayed_resonator())
@@ -261,7 +258,7 @@ class TestResetFreeIteration:
 
         n_update = 10  # one batch already contracts this plant's transient hard
         config = PowerIterationConfig(
-            n=N, n_update=n_update, shift=2.0, max_updates=12,
+            n_update=n_update, shift=2.0, max_updates=12,
             convergence_tol=1e-30, rng_seed=0,
         )
         iterate_reset_free(Capture(), config)
@@ -280,7 +277,7 @@ class TestResetFreeIteration:
         target = reversed_top(ss, N)
         session = new_session(ss, N, RESET_FREE)
         config = PowerIterationConfig(
-            n=N, n_update=10, shift=2.0, max_updates=2000, convergence_tol=1e-7,
+            n_update=10, shift=2.0, max_updates=2000, convergence_tol=1e-7,
             rng_seed=0,
         )
         trace = iterate_reset_free(session, config)
@@ -291,7 +288,7 @@ class TestResetFreeIteration:
 class TestResetBasedIteration:
     def test_dead_time_longer_than_batch_terminates_with_zero(self):
         session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_PER_BATCH)
-        trace = iterate_reset_based(session, PowerIterationConfig(n=50, rng_seed=0))
+        trace = iterate_reset_based(session, PowerIterationConfig(rng_seed=0))
         assert trace.zero_output
         assert trace.converged
         assert trace.estimate == 0.0
@@ -304,7 +301,7 @@ class TestResetBasedIteration:
         c = 1.9
         ss = tf_to_ss(RationalTransferFunction((c,), (1.0,)))
         session = new_session(ss, 6, RESET_PER_BATCH)
-        trace = iterate_reset_based(session, PowerIterationConfig(n=6, rng_seed=4))
+        trace = iterate_reset_based(session, PowerIterationConfig(rng_seed=4))
         assert trace.updates[0].mu == pytest.approx(c, abs=1e-12)
         assert all(abs(record.beta) <= c + 1e-12 for record in trace.updates)
         assert trace.converged
@@ -325,7 +322,7 @@ class TestResetBasedIteration:
                 continue
             session = new_session(ss, N, RESET_PER_BATCH)
             config = PowerIterationConfig(
-                n=N, max_updates=30000, convergence_tol=1e-12, rng_seed=5
+                max_updates=30000, convergence_tol=1e-12, rng_seed=5
             )
             trace = iterate_reset_based(session, config)
             assert trace.converged
@@ -337,7 +334,7 @@ class TestResetBasedIteration:
     def test_mode_validation(self):
         session = new_session(low_pass(), 8, RESET_FREE)
         with pytest.raises(ValueError, match="reset-per-batch"):
-            iterate_reset_based(session, PowerIterationConfig(n=8))
+            iterate_reset_based(session, PowerIterationConfig())
 
 
 def slow_pole_pair():

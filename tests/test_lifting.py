@@ -77,10 +77,10 @@ def test_periodic_response_of_static_gain_is_scaled_identity():
 
 def test_periodic_response_of_unit_delay_is_cyclic_shift():
     ss = tf_to_ss(RationalTransferFunction((0.0, 1.0), (1.0,)))
-    spec = circulant_coefficients(ss, 4)
-    assert np.allclose(spec.a, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+    a = circulant_coefficients(ss, 4)
+    assert np.allclose(a, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
     M = periodic_response_matrix(lift(ss, 4))
-    assert np.allclose(M, circulant(spec), atol=1e-14)
+    assert np.allclose(M, circulant(a), atol=1e-14)
     # a pulse at sample 0, repeated with period 4, settles to a pulse at
     # sample 1; pinned against plain simulation below
     response = M @ [1.0, 0.0, 0.0, 0.0]
@@ -93,8 +93,8 @@ def test_periodic_response_of_unit_delay_is_cyclic_shift():
 
 def test_circulant_coefficients_of_static_gain():
     ss = tf_to_ss(RationalTransferFunction((1.8,), (1.0,)))
-    spec = circulant_coefficients(ss, 5)
-    assert np.allclose(spec.a, [1.8, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+    a = circulant_coefficients(ss, 5)
+    assert np.allclose(a, [1.8, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_circulant_matches_periodic_response():

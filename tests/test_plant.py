@@ -7,6 +7,7 @@ from peakgain import (
     RESET_PER_BATCH,
     RationalTransferFunction,
     SteadyStatePlant,
+    circulant_coefficients,
     lift,
     new_session,
     periodic_response_matrix,
@@ -14,6 +15,8 @@ from peakgain import (
     simulate,
     tf_to_ss,
 )
+from peakgain.estimator import init_input
+from peakgain.plant import PlantSession
 
 
 def test_reset_mode_rejects_nonzero_initial_state():
@@ -205,6 +208,19 @@ def test_steady_state_plant_matches_matrix_action():
     assert np.allclose(record.y, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
     assert plant.mode == RESET_FREE
     assert plant.batch_counter == 1
+    # the FFT product against the dense settled response, on every plant kind
+    rng = np.random.default_rng(12)
+    systems = [demo_plant(), slow_pole()] + [random_stable_statespace(rng) for _ in range(4)]
+    for ss in systems:
+        for N in (1, 2, 7, 50, 257):
+            M = periodic_response_matrix(lift(ss, N))
+            plant = SteadyStatePlant(ss, N)
+            for _ in range(2):
+                u = rng.standard_normal(N)
+                expected = M @ u
+                y = plant.apply_batch(u).y
+                assert y.shape == (N,)
+                assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_session_surface_does_not_leak_the_model():
@@ -226,6 +242,27 @@ def test_batch_counter_and_length_validation():
         session.apply_batch(np.ones(5))
     with pytest.raises(ValueError):
         new_session(ss, 0, RESET_FREE)
+
+
+@pytest.mark.parametrize(
+    "entry", ["lift", "circulant_coefficients", "PlantSession", "init_input", "SteadyStatePlant"]
+)
+def test_batch_length_is_checked_at_every_entry_point(entry):
+    ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
+    # each entry point mapped to the batch length it ended up with
+    build = {
+        "lift": lambda N: lift(ss, N).J.shape[0],
+        "circulant_coefficients": lambda N: circulant_coefficients(ss, N).shape[0],
+        "PlantSession": lambda N: PlantSession(ss, N, RESET_FREE).N,
+        "init_input": lambda N: init_input(N, 0).shape[0],
+        "SteadyStatePlant": lambda N: SteadyStatePlant(ss, N).N,
+    }[entry]
+    for bad in (2.5, 2.7, 3.9, 4.5, 3.0, "3", None, True, 0, -2):
+        with pytest.raises(ValueError, match="batch length"):
+            build(bad)
+    for good in (3, np.int64(3), np.int32(3)):
+        length = build(good)
+        assert length == 3 and type(length) is int
 
 
 def test_noise_hook_default_off_and_additive():
