@@ -15,11 +15,11 @@ from peakgain import (
     circulant_coefficients,
     circulant_eigenvalues,
     hinf_peak,
-    lift,
     max_gain_reset_based,
     parse_system_file,
     tf_to_ss,
 )
+from peakgain.lifting import impulse_response
 
 tf = parse_system_file("demos/delayed_resonator.txt")
 ss = tf_to_ss(tf)
@@ -33,7 +33,7 @@ for k in range(9):
     N = 8 * 2**k
     lam = circulant_eigenvalues(circulant_coefficients(ss, N))
     free = float(np.abs(lam).max())
-    based = max_gain_reset_based(lift(ss, N).J)
+    based = max_gain_reset_based(impulse_response(ss, N))
     print(
         f"{N:>6} {free:>14.9f} {based:>14.9f} "
         f"{abs(free - oracle) / oracle:>10.2e} {abs(based - oracle) / oracle:>10.2e}"

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .estimator import PowerIterationConfig, iterate_reset_free, select_shift
-from .lifting import circulant_coefficients, lift, periodic_response_matrix
+from .lifting import circulant_coefficients, impulse_response, lift, periodic_response_matrix
 from .lti import (
     RationalTransferFunction,
     SystemSpecError,
@@ -110,10 +110,10 @@ def cmd_analyze(args):
     lifted = lift(ss, N)
     M = periodic_response_matrix(lifted)
     residual, _ = diagonalization_residual(M)
-    j_is_zero = bool(np.all(lifted.J == 0.0))
+    j_is_zero = not lifted.J[:, 0].any()
     gain_reset_free = float(np.abs(lam).max())
     rev_top = float(rev.max())
-    gain_reset_based = max_gain_reset_based(lifted.J)
+    gain_reset_based = max_gain_reset_based(lifted.J[:, 0])
 
     _write_csv(
         os.path.join(out, "coefficients.csv"),
@@ -166,21 +166,12 @@ def cmd_sweep(args):
     for N in schedule:
         lam = circulant_eigenvalues(circulant_coefficients(ss, N))
         gain_free = float(np.abs(lam).max())
-        gain_based = max_gain_reset_based(lift(ss, N).J)
+        gain_based = max_gain_reset_based(impulse_response(ss, N))
         err_free = abs(gain_free - oracle) / oracle
         err_based = abs(gain_based - oracle) / oracle
         free_errors.append(err_free)
         based_errors.append(err_based)
-        rows.append(
-            (
-                N,
-                _fmt(gain_free),
-                _fmt(gain_based),
-                _fmt(oracle),
-                _fmt(err_free),
-                _fmt(err_based),
-            )
-        )
+        rows.append((N, *map(_fmt, (gain_free, gain_based, oracle, err_free, err_based))))
     _write_csv(
         os.path.join(out, "sweep.csv"),
         "N,resetFree,resetBased,oracle,resetFreeRelError,resetBasedRelError",

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# relative change at which the shift probe's held output counts as settled
+_SETTLE_TOL = 1e-8
+
+
 class EstimationError(RuntimeError):
     """Raised when an iteration cannot proceed (degenerate update vector)."""
 
@@ -239,15 +243,15 @@ def _settled_output(plant, u, tol, max_batches):
     return y
 
 
-def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000):
+def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
     Applies a random unit-power batch and returns the observed gain
     ||y|| / ||u||, floored at 1e-6. On a reset-free plant the batch is held
     until ``_settled_output`` accepts: either a measured batch that moved
-    less than ``settle_tol`` (relative) from the one before, or, for a slow
+    less than 1e-8 (relative) from the one before, or, for a slow
     transient, the extrapolated limit of the held batches once two
-    consecutive limits agree to ``settle_tol``. A reset-per-batch plant is
+    consecutive limits agree to 1e-8. A reset-per-batch plant is
     probed with one batch. The gain only sets the scale of the shift; it is
     not a bounded estimate of the settled gain. A zero probe output falls
     back to 1.0 with a warning. A probe still unsettled after
@@ -256,7 +260,7 @@ def select_shift(plant, n, rng_seed=0, settle_tol=1e-8, max_probe_batches=10000)
     """
     u = init_input(n, rng_seed)
     if plant.mode == RESET_FREE:
-        y = _settled_output(plant, u, settle_tol, max_probe_batches)
+        y = _settled_output(plant, u, _SETTLE_TOL, max_probe_batches)
     else:
         y = plant.apply_batch(u).y
     gain = float(np.linalg.norm(y) / np.linalg.norm(u))

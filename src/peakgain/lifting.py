@@ -6,9 +6,10 @@ periodic input drives the state to a fixed point, and the resulting map from
 one input period to the settled output period is the circulant matrix
 M = H (I - F)^-1 G + J. ``circulant_coefficients`` returns its first row a
 in closed form, O(N) floats, which is all the FFT paths (the spectrum, the
-steady-state plant, the state-space grid scan) need. ``lift`` and the dense
-``periodic_response_matrix`` serve the transient plant session, the
-single-batch response J and the diagonalization residual of ``analyze``.
+steady-state plant, the state-space grid scan) need; ``impulse_response``
+returns the first column h of J from the same Markov-parameter recursion.
+``lift`` and the dense ``periodic_response_matrix`` serve the transient
+plant session and the diagonalization residual of ``analyze``.
 """
 
 import numbers
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lti import StateSpace, spectral_radius
+from .lti import StateSpace
 
 __all__ = [
     "LiftedBatchSystem",
     "lift",
+    "impulse_response",
     "periodic_response_matrix",
     "circulant_coefficients",
 ]
@@ -75,7 +77,7 @@ def lift(ss, N):
         raise TypeError("lift expects a StateSpace")
     N = _batch_length(N)
     n = ss.n
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
+    A, B, C = ss.A, ss.B, ss.C
     F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
     G = np.empty((n, N))
     col = B.copy()
@@ -87,14 +89,29 @@ def lift(ss, N):
     for k in range(N):
         H[k, :] = row
         row = row @ A
-    markov = np.empty(N)
-    markov[0] = D
-    v = B.copy()
-    for k in range(1, N):
-        markov[k] = C @ v
-        v = A @ v
-    J = lower_toeplitz(markov).copy()
+    J = lower_toeplitz(impulse_response(ss, N)).copy()
     return LiftedBatchSystem(F=F, G=G, H=H, J=J)
+
+
+def _markov(A, B, C, D, count):
+    # the first count Markov parameters D, C B, C A B, ... of (A, B, C, D)
+    h = np.empty(count)
+    h[0] = D
+    v = B
+    for k in range(1, count):
+        h[k] = C @ v
+        v = A @ v
+    return h
+
+
+def impulse_response(ss, N):
+    """First N Markov parameters h = [D, CB, CAB, ...], the first column of J.
+
+    They fix the single from-rest batch response J = lower Toeplitz(h).
+    """
+    if not isinstance(ss, StateSpace):
+        raise TypeError("impulse_response expects a StateSpace")
+    return _markov(ss.A, ss.B, ss.C, ss.D, _batch_length(N))
 
 
 def _solve_fixed_point(F, rhs, what):
@@ -126,22 +143,18 @@ def circulant_coefficients(ss, N):
     """Closed-form first-row coefficients a of the periodic batch response.
 
     Returns the length-N float array a with
-    a_0 = D + C A^(N-1) (I - A^N)^-1 B and
-    a_k = C A^(N-k-1) (I - A^N)^-1 B for k = 1..N-1. The circulant built from
-    these coefficients equals periodic_response_matrix(lift(ss, N)) entry for
-    entry, which the test suite checks across random systems.
+    a_0 = D + C A^(N-1) w and a_k = C A^(N-k-1) w for k = 1..N-1, where
+    w = (I - A^N)^-1 B: with h the N + 1 Markov parameters of (A, w, C, D),
+    a = [h_N + h_0, h_(N-1), ..., h_1]. The circulant built from these
+    coefficients equals periodic_response_matrix(lift(ss, N)) entry for entry,
+    which the test suite checks across random systems.
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("circulant_coefficients expects a StateSpace")
     N = _batch_length(N)
-    if ss.n and spectral_radius(ss.A) >= 1.0:
-        raise ValueError("circulant_coefficients needs a strictly stable system")
     AN = np.linalg.matrix_power(ss.A, N)
     w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
-    a = np.empty(N)
-    v = w.copy()
-    for k in range(N - 1, 0, -1):
-        a[k] = ss.C @ v
-        v = ss.A @ v
-    a[0] = ss.D + ss.C @ v
+    h = _markov(ss.A, w, ss.C, ss.D, N + 1)
+    a = h[:0:-1].copy()
+    a[0] += h[0]
     return a

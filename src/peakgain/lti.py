@@ -6,6 +6,7 @@ plain-text system file format used by the command line tools.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,9 +69,10 @@ class StateSpace:
     """State-space recursion x(k+1) = A x(k) + B u(k), y(k) = C x(k) + D u(k).
 
     Single input, single output: A is n-by-n, B and C hold n entries each and
-    D is a scalar. The state matrix must be strictly stable (spectral radius
-    below one). Instances are value objects: nothing mutates them after
-    construction, so they can be shared freely across threads.
+    D is a scalar. Every coefficient must be finite and the state matrix
+    strictly stable (spectral radius below one). Instances are value objects:
+    nothing mutates them after construction, so they can be shared freely
+    across threads.
     """
 
     def __init__(self, A, B, C, D):
@@ -84,10 +86,10 @@ class StateSpace:
             raise ValueError(f"B must hold {n} entries, got {B.shape}")
         if C.shape != (n,):
             raise ValueError(f"C must hold {n} entries, got {C.shape}")
-        self.A = A
-        self.B = B
-        self.C = C
-        self.D = float(D)
+        self.A, self.B, self.C, self.D = A, B, C, float(D)
+        for name in "ABCD":
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         if n > 0:
             rho = spectral_radius(A)
             if rho >= 1.0:
@@ -107,9 +109,10 @@ class StateSpace:
 class RationalTransferFunction:
     """Rational z-domain system num(z^-1)/den(z^-1) times a pure delay z^-d.
 
-    Coefficients are powers of z^-1 starting at the constant term. The
+    Coefficients are finite, in powers of z^-1 from the constant term. The
     denominator needs a nonzero leading coefficient and all its roots (poles)
-    strictly inside the unit circle; ``delay`` is a nonnegative sample count.
+    strictly inside the unit circle; ``delay`` is a nonnegative integer
+    sample count (numpy integers included, bool not).
     """
 
     def __init__(self, num, den, delay=0):
@@ -117,11 +120,12 @@ class RationalTransferFunction:
         den = tuple(float(c) for c in den)
         if not num:
             num = (0.0,)
+        if not all(map(math.isfinite, num + den)):
+            raise ValueError(f"non-finite coefficient in num {num} or den {den}")
         if not den or den[0] == 0.0:
             raise ValueError("denominator must have a nonzero leading coefficient")
-        delay = int(delay)
-        if delay < 0:
-            raise ValueError(f"delay must be a nonnegative sample count, got {delay}")
+        if isinstance(delay, bool) or not isinstance(delay, numbers.Integral) or delay < 0:
+            raise ValueError(f"delay must be a nonnegative integer sample count, got {delay!r}")
         if len(den) > 1:
             mags = np.abs(np.roots(den))
             bad = np.sort(mags[mags >= 1.0])[::-1]
@@ -132,7 +136,7 @@ class RationalTransferFunction:
                 )
         self.num = num
         self.den = den
-        self.delay = delay
+        self.delay = int(delay)
 
     def __repr__(self):
         return (

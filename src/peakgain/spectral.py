@@ -10,12 +10,11 @@ magnitude pair, and (for even N) the half-rate index flips sign.
 The reset-based baseline, the induced norm of the lower-triangular Toeplitz
 single-batch response J, has no such closed form. It is the largest
 eigenvalue magnitude of the symmetric T_N J, found by a Lanczos iteration
-whose products with J are FFT convolutions, so J is never factorized.
+whose products with J are FFT convolutions with J's first column, the
+impulse response h, so J is never formed.
 """
 
 import numpy as np
-
-from .lifting import lower_toeplitz
 
 __all__ = [
     "time_reverse",
@@ -30,6 +29,9 @@ __all__ = [
 
 # relative Ritz residual bound at which the reset-based gain is accepted
 _LANCZOS_RTOL = 1e-13
+# largest imaginary part of lambda_0 (and of lambda_{N/2} for even N) that a
+# real circulant's spectrum may show, relative to 1 + max |lambda|
+_IMAG_TOL = 1e-10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -89,24 +91,25 @@ def reversed_circulant(a):
     return R
 
 
-def reversed_spectrum(lam, imag_tol=1e-10):
+def reversed_spectrum(lam):
     """Real spectrum of the row-reversed circulant, indexed like the input.
 
     Entry 0 keeps lambda_0; for 0 < m < N/2 entry m is |lambda_m| and entry
     N-m is -|lambda_m|; for even N entry N/2 is -lambda_{N/2}. Requires the
     conjugate symmetry of a real coefficient vector, so lambda_0 (and
-    lambda_{N/2} for even N) must be real up to ``imag_tol``.
+    lambda_{N/2} for even N) must be real up to 1e-10 relative.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     N = lam.shape[0]
     if N == 0:
         raise ValueError("empty spectrum")
     scale = 1.0 + float(np.abs(lam).max())
-    if abs(lam[0].imag) > imag_tol * scale:
-        raise ValueError(
-            f"lambda_0 has imaginary part {lam[0].imag:.3g}; "
-            "input is not the spectrum of a real circulant"
-        )
+    for m in (0, N // 2) if N % 2 == 0 else (0,):
+        if abs(lam[m].imag) > _IMAG_TOL * scale:
+            raise ValueError(
+                f"lambda_{m} has imaginary part {lam[m].imag:.3g}; "
+                "input is not the spectrum of a real circulant"
+            )
     out = np.empty(N)
     out[0] = lam[0].real
     for m in range(1, (N + 1) // 2):
@@ -114,61 +117,42 @@ def reversed_spectrum(lam, imag_tol=1e-10):
         out[m] = mag
         out[N - m] = -mag
     if N % 2 == 0:
-        half = lam[N // 2]
-        if abs(half.imag) > imag_tol * scale:
-            raise ValueError(
-                f"lambda_{N // 2} has imaginary part {half.imag:.3g}; "
-                "input is not the spectrum of a real circulant"
-            )
-        out[N // 2] = -half.real
+        out[N // 2] = -lam[N // 2].real
     return out
 
 
-def max_gain_reset_based(J):
+def max_gain_reset_based(h):
     """Worst-case amplification of a single from-rest batch.
 
-    Because the transpose of the batch response matrix J equals its
-    time-reversed conjugation, S = T_N J is symmetric and the induced 2-norm
-    of J is the largest eigenvalue magnitude of S. J must be finite and
-    lower-triangular Toeplitz (the J of ``lift``); anything else raises
-    ValueError.
+    ``h`` is the batch's impulse response (``impulse_response``), the first
+    column of the lower-triangular Toeplitz batch response J. The transpose
+    of J equals its time-reversed conjugation, so S = T_N J is symmetric and
+    ||J||_2 is the largest eigenvalue magnitude of S. ``h`` must be 1-D and
+    finite, else ValueError; an empty or all-zero ``h`` gives 0.0.
 
     The eigenvalue comes from a symmetric Lanczos iteration on S. A product
-    S v is reverse(J v), and J v is the causal convolution of J's first column
-    with v, taken with real FFTs of length 2N: each step costs O(N log N) and
-    O(N) memory. The iteration starts from a fixed-seed random vector, so
-    reruns are bitwise equal. It stops once the smallest and the largest
-    Ritz value are each certified to lie within max(1e-13, k eps) of the
-    larger magnitude from an eigenvalue of S, k eps being what rounding
-    allows after k steps. The certificate is the Ritz residual bound
-    beta_k |s_k| (Parlett, The Symmetric Eigenvalue Problem) or a second Ritz
-    value that close. If no check certifies both ends within 4N + 64 steps it
-    raises RuntimeError rather than return an uncertified number. Most
-    plants need well under N steps; a flat gain peak can need about 2N,
-    which at N of a few hundred is slower than a dense eigensolver.
+    S v is reverse(J v), and J v is the causal convolution of h with v, taken
+    with real FFTs of length 2N: each step costs O(N log N) and O(N) memory.
+    The iteration starts from a fixed-seed random vector, so reruns are
+    bitwise equal. It stops once the smallest and the largest Ritz value are
+    each certified to lie within max(1e-13, k eps) of the larger magnitude
+    from an eigenvalue of S, k eps being what rounding allows after k steps.
+    The certificate is the Ritz residual bound beta_k |s_k| (Parlett, The
+    Symmetric Eigenvalue Problem) or a second Ritz value that close. If no
+    check certifies both ends within 4N + 64 steps it raises RuntimeError
+    rather than return an uncertified number. Most plants need well under N
+    steps; a flat gain peak can need about 2N, which at N of a few hundred is
+    slower than a dense eigensolver.
     """
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {J.shape}")
-    N = J.shape[0]
-    if N == 0:
-        return 0.0
-    column = J[:, 0]
-    toeplitz = lower_toeplitz(column)
-    # J from lift matches its Toeplitz view exactly; anything else is compared
-    # within a tolerance
-    if not (np.isfinite(column).all() and np.array_equal(J, toeplitz)):
-        if not np.isfinite(J).all():
-            raise ValueError("J has non-finite entries")
-        if float(np.abs(J - toeplitz).max()) > 1e-10 * (1.0 + float(np.abs(column).max())):
-            raise ValueError(
-                "J is not lower-triangular Toeplitz, so T_N J is not the "
-                "symmetric time-reversed response of a batch"
-            )
-    peak = float(np.abs(column).max())
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1:
+        raise ValueError(f"expected a 1-D impulse response, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("impulse response has non-finite entries")
+    peak = float(np.abs(h).max(initial=0.0))
     if peak == 0.0:
         return 0.0
-    return peak * _lanczos_gain(column / peak)
+    return peak * _lanczos_gain(h / peak)
 
 
 def _lanczos_gain(column):

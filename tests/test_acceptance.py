@@ -115,7 +115,7 @@ def test_criterion_4_doubling_sweep():
         for N in schedule:
             lam = circulant_eigenvalues(circulant_coefficients(ss, N))
             reset_free.append(float(np.abs(lam).max()))
-            reset_based.append(max_gain_reset_based(lift(ss, N).J))
+            reset_based.append(max_gain_reset_based(lift(ss, N).J[:, 0]))
         # (a) a from-rest batch shorter than the dead time measures nothing
         for N, value in zip(schedule, reset_based):
             if N <= 50:

@@ -266,3 +266,28 @@ def test_near_marginal_system_exits_1_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "marginal" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--grid", "64"],
+        ["analyze", "--n", "8"],
+        ["sweep", "--n-start", "8", "--n-doublings", "1", "--grid", "64"],
+        ["estimate", "--n", "8"],
+    ],
+    ids=["oracle", "analyze", "sweep", "estimate"],
+)
+@pytest.mark.parametrize(
+    "text",
+    ["num = nan\nden = 1, -0.5\n", "A = 0.5\nB = 1\nC = 1\nD = inf\n"],
+    ids=["num-nan", "D-inf"],
+)
+def test_non_finite_system_exits_1(argv, text, tmp_path, capsys):
+    path = tmp_path / "plant.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--system", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and str(path) in err
+    assert not out.exists()

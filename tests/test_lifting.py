@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import delayed_resonator, random_stable_statespace
+from conftest import (
+    delayed_resonator,
+    impulse_by_long_division,
+    random_stable_statespace,
+    random_stable_tf,
+)
 from peakgain import (
     RationalTransferFunction,
     StateSpace,
@@ -12,7 +17,7 @@ from peakgain import (
     simulate,
     tf_to_ss,
 )
-from peakgain.lifting import lower_toeplitz
+from peakgain.lifting import impulse_response, lower_toeplitz
 
 
 def test_lift_single_sample_blocks():
@@ -54,6 +59,50 @@ def test_lift_batch_response_is_an_owned_toeplitz_copy():
         assert np.allclose(J, lower_toeplitz(markov), rtol=0.0, atol=1e-12)
         assert np.array_equal(J, lower_toeplitz(J[:, 0]))
         assert J.flags.c_contiguous and J.flags.owndata and J.flags.writeable
+
+
+def test_impulse_response_is_the_first_column_of_j():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        ss = random_stable_statespace(rng)
+        N = int(rng.integers(1, 60))
+        assert np.array_equal(impulse_response(ss, N), lift(ss, N).J[:, 0])
+
+
+def test_impulse_response_matches_long_division():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        tf = random_stable_tf(rng)
+        N = int(rng.integers(1, 40))
+        expected = impulse_by_long_division(tf, N)
+        got = impulse_response(tf_to_ss(tf), N)
+        assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+def test_circulant_coefficients_match_the_backward_loop_bitwise():
+    # a_k = C A^(N-k-1) w for k = N-1 .. 1, then a_0 = D + C A^(N-1) w, one
+    # coefficient per step; the shared Markov recursion must give the same bits
+    rng = np.random.default_rng(7)
+    systems = [tf_to_ss(delayed_resonator())] + [random_stable_statespace(rng) for _ in range(8)]
+    for ss in systems:
+        for N in (1, 2, 7, 50, 257):
+            w = np.linalg.solve(np.eye(ss.n) - np.linalg.matrix_power(ss.A, N), ss.B)
+            expected = np.empty(N)
+            v = w
+            for k in range(N - 1, 0, -1):
+                expected[k] = ss.C @ v
+                v = ss.A @ v
+            expected[0] = ss.D + ss.C @ v
+            assert np.array_equal(circulant_coefficients(ss, N), expected)
+
+
+def test_impulse_response_checks_its_arguments():
+    ss = StateSpace([[0.4]], [1.0], [1.0], 0.0)
+    with pytest.raises(TypeError):
+        impulse_response(delayed_resonator(), 4)
+    for N in (0, 2.5, True):
+        with pytest.raises(ValueError, match="batch length"):
+            impulse_response(ss, N)
 
 
 def test_lift_rejects_empty_blocks():

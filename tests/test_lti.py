@@ -70,6 +70,23 @@ class TestRealization:
         with pytest.raises(ValueError):
             RationalTransferFunction((1.0,), (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["num", "den"])
+    def test_non_finite_coefficient_rejected(self, name, bad):
+        coeffs = {"num": [1.0, 0.5], "den": [1.0, -0.5]}
+        coeffs[name][1] = bad
+        with pytest.raises(ValueError, match="non-finite coefficient in num"):
+            RationalTransferFunction(coeffs["num"], coeffs["den"])
+
+    @pytest.mark.parametrize("delay", [2.5, True, np.float64(3.7), np.float64(3.0), "2"])
+    def test_non_integral_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay must be a nonnegative integer"):
+            RationalTransferFunction((1.0,), (1.0, -0.5), delay=delay)
+
+    def test_numpy_integer_delay_accepted(self):
+        tf = RationalTransferFunction((1.0,), (1.0, -0.5), delay=np.int64(3))
+        assert tf.delay == 3 and type(tf.delay) is int
+
 
 class TestSimulate:
     def test_hand_recursion(self):
@@ -228,6 +245,19 @@ class TestStateSpaceValidation:
         with pytest.raises(ValueError, match="spectral radius"):
             StateSpace([[1.0]], [1.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+    def test_non_finite_coefficient_rejected(self, name, bad):
+        coeffs = {
+            "A": np.array([[0.5, 0.1], [0.0, 0.2]]),
+            "B": np.array([1.0, 0.0]),
+            "C": np.array([0.0, 1.0]),
+            "D": np.array(0.0),
+        }
+        coeffs[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            StateSpace(coeffs["A"], coeffs["B"], coeffs["C"], coeffs["D"])
+
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             StateSpace([[0.5, 0.1]], [1.0], [1.0], 0.0)
@@ -290,6 +320,23 @@ class TestSystemFileFormat:
     def test_bad_delay_reports_line(self):
         with pytest.raises(SystemSpecError, match=r":3:.*integer"):
             parse_system_text("num = 1\nden = 1\ndelay = half\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "num = {}\nden = 1, -0.5\n",
+            "num = 1\nden = 1, {}\n",
+            "A = 0.5, {}; 0, 0.2\nB = 1; 0\nC = 0, 1\nD = 0\n",
+            "A = 0.5\nB = {}\nC = 1\nD = 0\n",
+            "A = 0.5\nB = 1\nC = {}\nD = 0\n",
+            "A = 0.5\nB = 1\nC = 1\nD = {}\n",
+        ],
+        ids=["num", "den", "A", "B", "C", "D"],
+    )
+    def test_non_finite_coefficient_reports_file(self, template, bad):
+        with pytest.raises(SystemSpecError, match=r"plant\.txt: .*non-finite"):
+            parse_system_text(template.format(bad), name="plant.txt")
 
     def test_unstable_file_rejected(self):
         with pytest.raises(SystemSpecError, match="pole magnitudes"):
