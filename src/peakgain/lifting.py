@@ -10,6 +10,17 @@ steady-state plant, the state-space grid scan) need; ``impulse_response``
 returns the first column h of J from the same Markov-parameter recursion.
 ``lift`` and the dense ``periodic_response_matrix`` serve the transient
 plant session and the diagonalization residual of ``analyze``.
+
+All of these walk one Krylov sequence v, A v, A^2 v, ... (v = B, w or, for
+H, C with A transposed) through one helper. Its first 512 steps are one
+A @ v each, so up to that length every result is the plain sequential
+recursion bit for bit. Later steps go 512 rows at a time as one matrix
+product with the rounded A^512, which is O(N n^2) like the sequential loop
+but runs as BLAS-3. Reusing that power makes the error grow like the
+number of 512-step blocks the response lasts times eps: at 100,002 terms
+it stays within 1e-11 of max |h| for the test suite's slow poles, against
+about 1e-14 for the sequential loop, and is larger on realizations whose
+powers are ill-conditioned.
 """
 
 import numbers
@@ -32,6 +43,8 @@ __all__ = [
 # is effectively marginally stable and the fixed point is numerically
 # meaningless (I - F has unit natural scale, so the bound is absolute)
 _MIN_RESOLVENT_SV = 1e-12
+# rows per block of the Krylov recursion in _krylov
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -76,31 +89,52 @@ def lift(ss, N):
     if not isinstance(ss, StateSpace):
         raise TypeError("lift expects a StateSpace")
     N = _batch_length(N)
-    n = ss.n
     A, B, C = ss.A, ss.B, ss.C
     F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
-    G = np.empty((n, N))
-    col = B.copy()
-    for k in range(N - 1, -1, -1):
-        G[:, k] = col
-        col = A @ col
-    H = np.empty((N, n))
-    row = C.copy()
-    for k in range(N):
-        H[k, :] = row
-        row = row @ A
-    J = lower_toeplitz(impulse_response(ss, N)).copy()
+    blocks = list(_krylov(A, B, N))
+    h = _markov(blocks, C, ss.D, N)
+    G = np.concatenate(blocks)[::-1].T.copy()
+    del blocks  # free the Krylov rows before the N x N J is built
+    H = np.concatenate(list(_krylov(A.T, C, N)))
+    J = lower_toeplitz(h).copy()
     return LiftedBatchSystem(F=F, G=G, H=H, J=J)
 
 
-def _markov(A, B, C, D, count):
-    # the first count Markov parameters D, C B, C A B, ... of (A, B, C, D)
+def _krylov(A, v, count):
+    # the rows v, A v, ..., A^(count-1) v in consecutive blocks of at most
+    # _BLOCK rows: the first takes one A @ v per row, each later one is a
+    # single product of the block before it with (A^_BLOCK)^T (see the
+    # module docstring for what that costs in accuracy)
+    block = np.empty((min(count, _BLOCK), v.shape[0]))
+    block[0] = v
+    for k in range(1, block.shape[0]):
+        block[k] = A @ block[k - 1]
+    yield block
+    if count > _BLOCK:
+        step = np.linalg.matrix_power(A, _BLOCK).T
+        for start in range(_BLOCK, count, _BLOCK):
+            block = block[: count - start] @ step
+            yield block
+
+
+def _markov(blocks, C, D, count):
+    # the first count Markov parameters D, C v, C A v, ... from the Krylov
+    # row blocks of (A, v), which hold at least count - 1 rows. The first
+    # block takes one C @ row dot per row, as the sequential recursion does,
+    # and each later block one product. Blocks are consumed as they come, so
+    # a generator never has more than two of them alive.
     h = np.empty(count)
     h[0] = D
-    v = B
-    for k in range(1, count):
-        h[k] = C @ v
-        v = A @ v
+    k = 1
+    for rows in blocks:
+        rows = rows[: count - k]
+        if k == 1:
+            for row in rows:
+                h[k] = C @ row
+                k += 1
+        else:
+            h[k:k + rows.shape[0]] = rows @ C
+            k += rows.shape[0]
     return h
 
 
@@ -111,7 +145,8 @@ def impulse_response(ss, N):
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("impulse_response expects a StateSpace")
-    return _markov(ss.A, ss.B, ss.C, ss.D, _batch_length(N))
+    N = _batch_length(N)
+    return _markov(_krylov(ss.A, ss.B, N), ss.C, ss.D, N)
 
 
 def _solve_fixed_point(F, rhs, what):
@@ -154,7 +189,7 @@ def circulant_coefficients(ss, N):
     N = _batch_length(N)
     AN = np.linalg.matrix_power(ss.A, N)
     w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
-    h = _markov(ss.A, w, ss.C, ss.D, N + 1)
+    h = _markov(_krylov(ss.A, w, N + 1), ss.C, ss.D, N + 1)
     a = h[:0:-1].copy()
     a[0] += h[0]
     return a

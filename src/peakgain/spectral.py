@@ -67,19 +67,28 @@ def diagonalization_residual(M):
 
     F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N), so
     F* M F is an FFT along the rows of M followed by an inverse FFT along its
-    columns, O(N^2 log N). Zero residual (to rounding) is specific to
-    circulant M; a generic symmetric matrix leaves a nonzero residual.
+    columns, O(N^2 log N). M must be real, else ValueError: then column N-q
+    of F* M F is the conjugate of column q with its rows taken in the order
+    (-p) mod N, which maps diagonal entries onto diagonal entries, so only
+    the N//2 + 1 columns of a real FFT are transformed and the rest of the
+    diagonal follows by conjugate symmetry. Zero residual (to rounding) is
+    specific to circulant M; a generic symmetric matrix leaves a nonzero
+    residual.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if np.iscomplexobj(M):
+        raise ValueError("expected a real matrix, got a complex one")
     N = M.shape[0]
     if N == 0:
         raise ValueError("empty matrix: the residual needs N >= 1")
-    T = np.fft.fft(M, axis=1)
+    T = np.fft.rfft(M, axis=1)
     np.fft.ifft(T, axis=0, out=T)
-    diag = np.diag(T).copy()
-    np.fill_diagonal(T, 0.0)
+    q = np.arange(N // 2 + 1)
+    half = T[q, q]
+    T[q, q] = 0.0
+    diag = np.concatenate((half, half[(N + 1) // 2 - 1:0:-1].conj()))
     return float(np.abs(T).max()), diag
 
 

@@ -119,6 +119,31 @@ def impulse_by_long_division(tf, count):
     return np.concatenate([np.zeros(tf.delay), h])[:count]
 
 
+def markov_by_sequential_loop(A, B, C, D, count):
+    """First count Markov parameters D, C B, C A B, ... one A @ v per step.
+
+    The plain sequential recursion the blocked one in ``peakgain.lifting``
+    is checked against: bitwise over its first block, within a stated bound
+    beyond it.
+    """
+    h = np.empty(count)
+    h[0] = D
+    v = B
+    for k in range(1, count):
+        h[k] = C @ v
+        v = A @ v
+    return h
+
+
+def krylov_by_sequential_loop(A, v, count):
+    """Rows v, A v, ..., A^(count-1) v, one A @ v per row."""
+    rows = np.empty((count, np.shape(v)[0]))
+    for k in range(count):
+        rows[k] = v
+        v = A @ v
+    return rows
+
+
 def dft_matrix(N):
     """Dense unitary DFT matrix, entries exp(-2j*pi*p*q/N) / sqrt(N).
 

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (
     delayed_resonator,
     impulse_by_long_division,
+    krylov_by_sequential_loop,
+    markov_by_sequential_loop,
     random_stable_statespace,
     random_stable_tf,
+    slow_pole,
 )
 from peakgain import (
     RationalTransferFunction,
@@ -94,6 +99,72 @@ def test_circulant_coefficients_match_the_backward_loop_bitwise():
                 v = ss.A @ v
             expected[0] = ss.D + ss.C @ v
             assert np.array_equal(circulant_coefficients(ss, N), expected)
+
+
+# past its first block of 512 steps the blocked Krylov recursion may differ
+# from the sequential one by this much, relative to the largest entry
+BLOCKED_RTOL = 1e-11
+
+
+def slow_systems():
+    """Realizations whose responses outlast many 512-step blocks."""
+    pair = np.real(np.poly(0.9999 * np.exp([0.3j, -0.3j])))
+    return [
+        tf_to_ss(delayed_resonator()),
+        slow_pole(),
+        tf_to_ss(RationalTransferFunction((1.0,), pair)),
+        StateSpace([[-0.99995]], [1.0], [1.0], 0.0),
+    ]
+
+
+def test_blocked_markov_recursion_matches_the_sequential_loop():
+    rng = np.random.default_rng(8)
+    cases = [(ss, 100002) for ss in slow_systems()]
+    cases += [(random_stable_statespace(rng), 2049) for _ in range(5)]
+    for ss, count in cases:
+        expected = markov_by_sequential_loop(ss.A, ss.B, ss.C, ss.D, count)
+        got = impulse_response(ss, count)
+        # D, then one dot per row of the sequential first block
+        assert np.array_equal(got[:513], expected[:513])
+        assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
+
+
+def test_blocked_circulant_coefficients_match_the_sequential_loop():
+    for ss in slow_systems():
+        N = 20001
+        w = np.linalg.solve(np.eye(ss.n) - np.linalg.matrix_power(ss.A, N), ss.B)
+        h = markov_by_sequential_loop(ss.A, w, ss.C, ss.D, N + 1)
+        expected = h[:0:-1].copy()
+        expected[0] += h[0]
+        got = circulant_coefficients(ss, N)
+        assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
+
+
+def test_markov_scan_streams_its_blocks():
+    ss = tf_to_ss(delayed_resonator())
+    N = 100001
+    tracemalloc.start()
+    try:
+        circulant_coefficients(ss, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all N + 1 Krylov rows at once would take (N + 1) n 8 bytes, 42 MB here
+    assert peak < 0.1 * (N + 1) * ss.n * 8
+
+
+@pytest.mark.parametrize("N", [513, 1024, 2048])
+def test_lift_beyond_one_block_matches_the_sequential_loops(N):
+    rng = np.random.default_rng(N)
+    for ss in slow_systems() + [random_stable_statespace(rng) for _ in range(3)]:
+        lb = lift(ss, N)
+        G = krylov_by_sequential_loop(ss.A, ss.B, N)[::-1].T
+        H = krylov_by_sequential_loop(ss.A.T, ss.C, N)
+        assert np.array_equal(lb.G[:, N - 512:], G[:, N - 512:])
+        assert np.array_equal(lb.H[:512], H[:512])
+        for got, expected in ((lb.G, G), (lb.H, H)):
+            assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
+        assert np.array_equal(lb.J[:, 0], impulse_response(ss, N))
 
 
 def test_impulse_response_checks_its_arguments():

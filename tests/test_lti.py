@@ -207,6 +207,17 @@ class TestGainOracle:
         with pytest.raises(ValueError):
             hinf_peak(delayed_resonator(), 1)
 
+    @pytest.mark.parametrize("grid_size", [2.5, 1000.7, 1000.0, True])
+    def test_non_integral_grid_rejected(self, grid_size):
+        for sys_obj in (delayed_resonator(), tf_to_ss(delayed_resonator())):
+            with pytest.raises(ValueError, match="integer"):
+                hinf_peak(sys_obj, grid_size)
+
+    def test_numpy_integer_grid_accepted(self):
+        tf = RationalTransferFunction((1.0,), (1.0, -0.5))
+        for sys_obj in (tf, tf_to_ss(tf)):
+            assert hinf_peak(sys_obj, np.int64(101)) == hinf_peak(sys_obj, 101)
+
 
 class TestSpectralRadius:
     def test_diagonal(self):

@@ -116,7 +116,7 @@ class TestDiagonalization:
         max_off, _ = diagonalization_residual(S)
         assert max_off > 1e-3
 
-    @pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64])
+    @pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64, 255, 256])
     @pytest.mark.parametrize("kind", ["circulant", "generic"])
     def test_fft_matches_dense_conjugation(self, N, kind):
         rng = np.random.default_rng(N)
@@ -131,6 +131,10 @@ class TestDiagonalization:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty matrix"):
             diagonalization_residual(np.zeros((0, 0)))
+
+    def test_complex_matrix_rejected(self):
+        with pytest.raises(ValueError, match="real matrix"):
+            diagonalization_residual(np.eye(3, dtype=complex))
 
     @pytest.mark.parametrize("M", [np.float64(1.0), np.zeros(3), np.zeros((2, 3))])
     def test_non_square_rejected(self, M):
