@@ -13,6 +13,7 @@ handle (such as one too close to marginal stability), 2 non-convergence.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -42,19 +43,22 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_csv(path, header, rows):
-    lines = [header]
-    lines.extend(",".join(map(str, row)) for row in rows)
+def _write_lines(path, header, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *lines]) + "\n")
+
+
+def _write_csv(path, header, rows):
+    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
 
 
 def write_trace_csv(trace, path):
     """Write the per-batch trace as CSV with header updateIndex,batchIndex,mu,beta."""
-    _write_csv(
+    # mu and beta are floats, so !r is the shortest round-trip form of _fmt
+    _write_lines(
         path,
         "updateIndex,batchIndex,mu,beta",
-        [(update, batch, _fmt(mu), _fmt(beta)) for update, batch, mu, beta in trace.rows],
+        (f"{update},{batch},{mu!r},{beta!r}" for update, batch, mu, beta in trace.rows),
     )
 
 
@@ -248,7 +252,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    # built once per process; parse_args leaves the parser unchanged
     parser = _Parser(
         prog="peakgain",
         description="Worst-case gain estimation for discrete-time LTI systems "
@@ -313,8 +319,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SystemSpecError, ValueError, OSError, RuntimeError) as exc:

@@ -129,7 +129,8 @@ def init_input(n, rng_seed):
 
 
 def _readouts(u, y, n):
-    mu = float(np.linalg.norm(y) / np.sqrt(n))
+    # np.linalg.norm of a real 1-D array is exactly sqrt(y . y)
+    mu = math.sqrt(float(y @ y)) / math.sqrt(n)
     beta = float(u @ time_reverse(y) / n)
     return mu, beta
 
@@ -256,8 +257,11 @@ def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
     not a bounded estimate of the settled gain. A zero probe output falls
     back to 1.0 with a warning. A probe still unsettled after
     ``max_probe_batches`` batches past the first warns and returns the gain
-    of its last batch.
+    of its last batch. ``n`` must be the plant's batch length; any other
+    value raises ValueError before a batch is applied.
     """
+    if n != plant.N:
+        raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
     u = init_input(n, rng_seed)
     if plant.mode == RESET_FREE:
         y = _settled_output(plant, u, _SETTLE_TOL, max_probe_batches)

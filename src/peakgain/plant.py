@@ -14,6 +14,16 @@ doubles for an n-state plant (J alone is N x N, 32 MB at N = 2048).
 ``lti.simulate`` stays the sample-exact reference; the tests compare the
 session against it within a rounding tolerance.
 
+An experiment holds one input for many batches, so the session remembers
+the last input it applied by its float64 bytes. A new input is validated and
+J u (and G u in reset-free mode) is computed once; a repeat reuses them, so
+a reset-per-batch repeat is a copy of J u. Once a reset-free batch leaves x
+bitwise unchanged, every later batch of the same input has the same operands
+and so the same output, and the session returns a copy of it without any
+product. Noise, if any, is still drawn for every batch. The tests check the
+session bit for bit against a reference that runs all four products on
+every batch.
+
 The steady-state plant has no state: its settled response is the circulant
 circ(a) of ``lifting.circulant_coefficients``, which the DFT diagonalizes,
 so it applies a batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time
@@ -95,18 +105,35 @@ class PlantSession:
         self._F, self._G, self._H, self._J = lb.F, lb.G, lb.H, lb.J
         self._x = x
         self._noise = noise
+        # the held input: its float64 bytes, J u, G u, and the noiseless
+        # output once the state stops moving under it (else None)
+        self._held = None
+        self._Ju = self._Gu = self._settled_y = None
         self.N = N
         self.mode = mode
         self.batch_counter = 0
 
     def apply_batch(self, u):
         """Apply one length-N input batch and return the measured record."""
-        u = _input_batch(u, self.N)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        held = u.tobytes()
+        if held != self._held:
+            u = _input_batch(u, self.N)
+            self._Ju = self._J @ u
+            if self.mode == RESET_FREE:
+                self._Gu = self._G @ u
+            self._held, self._settled_y = held, None
         if self.mode == RESET_PER_BATCH:
-            y = self._J @ u
+            y = self._Ju.copy()
+        elif self._settled_y is not None:
+            y = self._settled_y.copy()
         else:
-            y = self._H @ self._x + self._J @ u
-            self._x = self._F @ self._x + self._G @ u
+            y = self._H @ self._x + self._Ju
+            x = self._F @ self._x + self._Gu
+            if x.tobytes() == self._x.tobytes():
+                # same x and u from here on: every later batch repeats y
+                self._settled_y = y.copy()
+            self._x = x
         if self._noise is not None:
             y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)
         record = BatchRecord(j=self.batch_counter, y=y)

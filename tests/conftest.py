@@ -7,6 +7,7 @@ from peakgain import (
     RESET_PER_BATCH,
     RationalTransferFunction,
     StateSpace,
+    lift,
     simulate,
     tf_to_ss,
 )
@@ -55,6 +56,39 @@ class SampleExactSession:
         if self.mode == RESET_PER_BATCH:
             self._x = np.zeros(self._ss.n)
         y, self._x = simulate(self._ss, self._x, u)
+        record = BatchRecord(j=self.batch_counter, y=y)
+        self.batch_counter += 1
+        return record
+
+
+class LiftedReferenceSession:
+    """Reference plant session: all four lifted products on every batch.
+
+    Each batch is y = H x + J u followed by x = F x + G u (y = J u when the
+    plant is reset per batch), with no memo of the held input; the production
+    session's held-input shortcuts must reproduce it bit for bit.
+    """
+
+    def __init__(self, ss, N, mode=RESET_FREE, x0=None, noise=None):
+        self._lifted = lift(ss, N)
+        self._x = np.zeros(ss.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        self._noise = noise
+        self.N = int(N)
+        self.mode = mode
+        self.batch_counter = 0
+
+    def apply_batch(self, u):
+        u = np.asarray(u, dtype=float).reshape(-1)
+        if u.shape != (self.N,) or not np.isfinite(u).all():
+            raise ValueError(f"input batch must be {self.N} finite samples")
+        lb = self._lifted
+        if self.mode == RESET_PER_BATCH:
+            y = lb.J @ u
+        else:
+            y = lb.H @ self._x + lb.J @ u
+            self._x = lb.F @ self._x + lb.G @ u
+        if self._noise is not None:
+            y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)
         record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record

@@ -291,3 +291,29 @@ def test_non_finite_system_exits_1(argv, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite" in err and str(path) in err
     assert not out.exists()
+
+
+def test_cached_parser_shares_no_state_between_calls(demo_file, tmp_path, capsys):
+    calls = [
+        ["estimate", "--system", demo_file, "--n-update", "ten"],
+        ["estimate", "--system", demo_file, "--n", "16", "--seed", "2"],
+        ["analyze", "--system", demo_file, "--n", "16"],
+    ]
+
+    def run(argv, out):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        printed = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, printed.out, printed.err, files
+
+    in_sequence = [run(argv, tmp_path / f"seq{i}") for i, argv in enumerate(calls)]
+    fresh = []
+    for i, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}"))
+    assert in_sequence == fresh
+    assert [result[0] for result in fresh] == [1, 0, 0]
+    assert "invalid int value" in fresh[0][2]

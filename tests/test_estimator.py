@@ -430,3 +430,11 @@ class TestSelectShift:
         session = new_session(ss, 8, RESET_PER_BATCH)
         assert select_shift(session, 8, rng_seed=0) == pytest.approx(1.5, abs=1e-9)
         assert session.batch_counter == 1
+
+    @pytest.mark.parametrize("plant", [new_session, SteadyStatePlant], ids=["session", "steady"])
+    def test_probe_length_must_match_the_plant(self, plant):
+        args = (RESET_FREE,) if plant is new_session else ()
+        session = plant(low_pass(), 8, *args)
+        with pytest.raises(ValueError, match="probe length 9 differs from the plant's batch length 8"):
+            select_shift(session, 9, rng_seed=0)
+        assert session.batch_counter == 0

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import SampleExactSession, delayed_resonator, random_stable_statespace, slow_pole
+from conftest import (
+    LiftedReferenceSession,
+    SampleExactSession,
+    delayed_resonator,
+    random_stable_statespace,
+    slow_pole,
+)
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
@@ -140,6 +146,121 @@ def test_lifted_session_matches_reference_on_random_systems():
         x0 = rng.standard_normal(ss.n)
         assert _worst_lifted_error(ss, N, RESET_FREE, 200, 10, rng, x0=x0) <= 1e-12
         assert _worst_lifted_error(ss, N, RESET_PER_BATCH, 20, 1, rng) <= 1e-12
+
+
+class CountingNoise:
+    """Seeded measurement noise that counts its draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __call__(self, n):
+        self.calls += 1
+        return 1e-3 * self._rng.standard_normal(n)
+
+
+def twin_sessions(ss, N, mode=RESET_FREE, x0=None, noise_seed=None):
+    """A production session and the no-memo reference over the same plant and noise."""
+    noises = [None, None] if noise_seed is None else [CountingNoise(noise_seed) for _ in range(2)]
+    return (new_session(ss, N, mode, x0=x0, noise=noises[0]),
+            LiftedReferenceSession(ss, N, mode, x0=x0, noise=noises[1]))
+
+
+def apply_both(session, reference, u):
+    """Apply u to both sessions; outputs and states must agree bit for bit."""
+    y = session.apply_batch(u).y
+    y_ref = reference.apply_batch(u).y
+    assert y.tobytes() == y_ref.tobytes()
+    assert session._x.tobytes() == reference._x.tobytes()
+    assert session.batch_counter == reference.batch_counter
+    y[:] = np.nan  # a caller may overwrite its batch; later batches must not see that
+    return y_ref
+
+
+@pytest.mark.parametrize(
+    "plant, N, batches",
+    [(demo_plant, 50, 40), (demo_plant, 256, 20), (slow_pole, 50, 8000)],
+    ids=["demo-N50", "demo-N256", "slow-N50"],
+)
+def test_held_input_is_bitwise_the_reference(plant, N, batches):
+    session, reference = twin_sessions(plant(), N)
+    u = np.random.default_rng(N).standard_normal(N)
+    outputs = [apply_both(session, reference, u) for _ in range(batches)]
+    # the state stopped moving, so the last batches repeat the held output
+    assert outputs[-1].tobytes() == outputs[-2].tobytes()
+
+
+@pytest.mark.parametrize("plant", [demo_plant, slow_pole], ids=["demo", "slow"])
+def test_input_switches_are_bitwise_the_reference(plant):
+    N = 50
+    rng = np.random.default_rng(14)
+    u, v = rng.standard_normal(N), rng.standard_normal(N)
+    session, reference = twin_sessions(plant(), N)
+    for u_j in [u] * 12 + [v] * 12 + [u] * 3 + [v, u, v.copy(), v.copy(), u[::-1], u]:
+        apply_both(session, reference, u_j)
+
+
+@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
+def test_input_mutated_in_place_is_recomputed(mode):
+    rng = np.random.default_rng(15)
+    session, reference = twin_sessions(demo_plant(), 50, mode)
+    u = rng.standard_normal(50)
+    for change in (None, 0.5, -2.0):
+        if change is not None:
+            u[7] += change
+            u *= change
+        for _ in range(10):
+            apply_both(session, reference, u)
+
+
+@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
+def test_inputs_equal_in_value_reuse_the_held_input(mode):
+    ints = np.random.default_rng(16).integers(-3, 4, 50)
+    session, reference = twin_sessions(demo_plant(), 50, mode)
+    for u in (ints, ints.astype(float), ints.tolist(), ints.reshape(5, 10),
+              ints.astype(np.float32), ints.astype(float).reshape(1, 50)):
+        for _ in range(4):
+            apply_both(session, reference, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
+def test_non_finite_input_after_a_held_one_still_raises(mode, bad):
+    rng = np.random.default_rng(17)
+    session, reference = twin_sessions(demo_plant(), 50, mode)
+    u = rng.standard_normal(50)
+    held = u.copy()
+    for _ in range(8):
+        apply_both(session, reference, u)
+    poisoned = u.copy()
+    poisoned[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        session.apply_batch(poisoned)
+    u[3] = bad  # the held array itself, poisoned in place
+    with pytest.raises(ValueError, match="finite"):
+        session.apply_batch(u)
+    assert session.batch_counter == 8
+    for u_j in [held] * 3 + [rng.standard_normal(50)] * 3:
+        apply_both(session, reference, u_j)
+
+
+@pytest.mark.parametrize("noise_seed", [None, 18], ids=["clean", "noisy"])
+@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
+def test_random_systems_are_bitwise_the_reference(mode, noise_seed):
+    rng = np.random.default_rng(19)
+    for _ in range(6):
+        ss = random_stable_statespace(rng)
+        N = int(rng.integers(1, 30))
+        x0 = rng.standard_normal(ss.n) if mode == RESET_FREE else None
+        session, reference = twin_sessions(ss, N, mode, x0=x0, noise_seed=noise_seed)
+        for hold in (1, 15, 3, 40):
+            u = rng.standard_normal(N)
+            for _ in range(hold):
+                apply_both(session, reference, u)
+        if noise_seed is not None:
+            # noise is drawn once per batch, also for held and settled batches
+            assert session._noise.calls == session.batch_counter == 59
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
