@@ -36,7 +36,6 @@ from .lti import (
 from .plant import (
     RESET_FREE,
     RESET_PER_BATCH,
-    SteadyStatePlant,
     new_session,
     relative_batch_change,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "RESET_PER_BATCH",
     "RationalTransferFunction",
     "StateSpace",
-    "SteadyStatePlant",
     "SystemSpecError",
     "circulant",
     "circulant_coefficients",

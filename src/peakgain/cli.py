@@ -28,7 +28,7 @@ from .lti import (
     parse_system_file,
     tf_to_ss,
 )
-from .plant import RESET_FREE, SteadyStatePlant, new_session
+from .plant import RESET_FREE, new_session
 from .spectral import (
     circulant_eigenvalues,
     diagonalization_residual,
@@ -191,12 +191,8 @@ def cmd_sweep(args):
 
 def cmd_estimate(args):
     _, ss = _load(args)
-    if args.ideal_plant:
-        plant = SteadyStatePlant(ss, args.n)
-        default_tol = 1e-8
-    else:
-        plant = new_session(ss, args.n, RESET_FREE)
-        default_tol = 1e-4
+    plant = new_session(ss, args.n, RESET_FREE, settled=args.ideal_plant)
+    default_tol = 1e-8 if args.ideal_plant else 1e-4
     config = PowerIterationConfig(
         n_update=args.n_update,
         shift=args.shift,

@@ -59,7 +59,8 @@ class PowerIterationConfig:
     shift the scalar added to the reversed response before renormalizing,
     None to probe the plant for a scale; convergence is declared when the
     gain readout moves less than convergence_tol between consecutive
-    updates. The batch length is the plant's N.
+    updates. rng_seed, a non-negative integer, seeds the random start input
+    and the shift probe. The batch length is the plant's N.
     """
 
     n_update: int = 1
@@ -73,6 +74,7 @@ class PowerIterationConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        _rng_seed(self.rng_seed)
         if self.n_update < 1:
             raise ValueError(f"n_update must be at least 1, got {self.n_update}")
         if self.shift is not None and not math.isfinite(self.shift):
@@ -120,10 +122,17 @@ class EstimateTrace:
         return self.updates[-1].beta
 
 
+def _rng_seed(seed):
+    """Check a seed: a non-negative integer (numpy integers included, bool not)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def init_input(n, rng_seed):
     """Seeded random start vector scaled to input power one (||u||^2 = n)."""
     n = _batch_length(n)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_rng_seed(rng_seed))
     u = rng.standard_normal(n)
     return u * (np.sqrt(n) / np.linalg.norm(u))
 

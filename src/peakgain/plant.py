@@ -2,33 +2,33 @@
 
 An estimator is only allowed to apply input batches and observe output
 batches. The simulated plant behind a session hides its state-space model
-entirely; in reset-free mode the internal state carries over from batch to
-batch exactly as it would on continuously operated hardware, while the
-reset-per-batch mode zeroes the state before every batch.
+entirely. One class, ``PlantSession``, gives three kinds of output:
 
-A session applies each batch in one step through the lifted matrices
-(F, G, H, J) of ``lifting.lift``, built once when the session opens: a
-reset-free batch is y = H x + J u followed by x = F x + G u, and a
-reset-per-batch batch is y = J u. It therefore holds about N^2 + 2 N n
-doubles for an n-state plant (J alone is N x N, 32 MB at N = 2048).
-``lti.simulate`` stays the sample-exact reference; the tests compare the
-session against it within a rounding tolerance.
+- reset-free: the state carries over from batch to batch exactly as on
+  continuously operated hardware; a batch is y = H x + J u followed by
+  x = F x + G u, through the lifted (F, G, H, J) of ``lifting.lift``;
+- reset-per-batch: the state is zeroed before every batch, so y = J u;
+- settled (reset-free with ``settled=True``): no transient, every batch is
+  the periodic response circ(a) u of ``lifting.circulant_coefficients``,
+  as if the input had been held forever. The DFT diagonalizes circ(a), so
+  the session keeps only the N // 2 + 1 bins conj(rfft(a)) and applies a
+  batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
+
+The lifted modes build their matrices once when the session opens, about
+N^2 + 2 N n doubles for an n-state plant (J alone is 32 MB at N = 2048);
+the settled mode holds O(N). ``lti.simulate`` stays the sample-exact
+reference of the lifted modes, and the dense
+``periodic_response_matrix(lift(ss, N))`` that of the settled mode.
 
 An experiment holds one input for many batches, so the session remembers
-the last input it applied by its float64 bytes. A new input is validated and
-J u (and G u in reset-free mode) is computed once; a repeat reuses them, so
-a reset-per-batch repeat is a copy of J u. Once a reset-free batch leaves x
-bitwise unchanged, every later batch of the same input has the same operands
-and so the same output, and the session returns a copy of it without any
-product. Noise, if any, is still drawn for every batch. The tests check the
-session bit for bit against a reference that runs all four products on
-every batch.
-
-The steady-state plant has no state: its settled response is the circulant
-circ(a) of ``lifting.circulant_coefficients``, which the DFT diagonalizes,
-so it applies a batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time
-and O(N) memory. The tests compare it against the dense
-``periodic_response_matrix(lift(ss, N)) @ u``.
+the last input it applied by its float64 bytes and validates a new input
+once. A reset-per-batch or settled output does not depend on the state: it
+is computed once per input and every batch returns a copy. A reset-free
+transient computes J u and G u once and steps the state until a batch
+leaves x bitwise unchanged; every later batch of that input has the same
+operands and so the same output, a copy of which it returns. Noise, if any,
+is still drawn for every batch. The tests check the lifted modes bit for
+bit against a reference that runs all four products on every batch.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ __all__ = [
     "RESET_PER_BATCH",
     "BatchRecord",
     "PlantSession",
-    "SteadyStatePlant",
     "new_session",
     "relative_batch_change",
 ]
@@ -60,14 +59,14 @@ class BatchRecord:
     y: np.ndarray
 
 
-def _input_batch(u, N):
-    """Validate one input batch: N finite samples, returned as a flat float array."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != N:
-        raise ValueError(f"input batch must have length {N}, got {u.shape[0]}")
-    if not np.isfinite(u).all():
-        raise ValueError("input batch must be finite (NaN or inf sample)")
-    return u
+def _batch_samples(v, N, what):
+    """Validate one batch: N finite samples, returned as a flat float array."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != N:
+        raise ValueError(f"{what} must have length {N}, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite (NaN or inf sample)")
+    return v
 
 
 class PlantSession:
@@ -79,17 +78,22 @@ class PlantSession:
     A session has a single owner: do not call apply_batch concurrently on one
     session, though distinct sessions can run in parallel.
 
-    ``noise`` may hold a callable ``noise(n_samples) -> array`` whose output
-    is added to every measured batch; it is off by default and exploratory
-    only.
+    ``settled=True`` gives the idealized reset-free plant with no transients,
+    for exercising estimator logic in isolation; it starts settled, so it
+    takes no ``x0``. ``noise`` may hold a callable
+    ``noise(n_samples) -> array`` of N finite samples that is added to every
+    measured batch; it is off by default and exploratory only.
     """
 
-    def __init__(self, ss, N, mode, x0=None, noise=None):
+    def __init__(self, ss, N, mode, x0=None, noise=None, settled=False):
         if not isinstance(ss, StateSpace):
             raise TypeError("PlantSession expects a StateSpace")
         N = _batch_length(N)
         if mode not in (RESET_FREE, RESET_PER_BATCH):
             raise ValueError(f"unknown mode {mode!r}")
+        if settled and (mode != RESET_FREE or x0 is not None):
+            raise ValueError("a settled plant is reset-free and has no transient: "
+                             "settled=True takes neither reset-per-batch mode nor x0")
         if x0 is None:
             x = np.zeros(ss.n)
         else:
@@ -101,12 +105,17 @@ class PlantSession:
         if mode == RESET_PER_BATCH and np.any(x != 0.0):
             raise ValueError("reset-per-batch sessions start every batch at rest; "
                              "a nonzero initial state is rejected")
-        lb = lift(ss, N)
-        self._F, self._G, self._H, self._J = lb.F, lb.G, lb.H, lb.J
+        if settled:
+            self._a_bins = np.conj(np.fft.rfft(circulant_coefficients(ss, N)))
+        else:
+            lb = lift(ss, N)
+            self._F, self._G, self._H, self._J = lb.F, lb.G, lb.H, lb.J
+            self._a_bins = None
         self._x = x
         self._noise = noise
-        # the held input: its float64 bytes, J u, G u, and the noiseless
-        # output once the state stops moving under it (else None)
+        # the held input: its float64 bytes, J u and G u of a reset-free
+        # transient, and the noiseless output once it no longer depends on
+        # the state (else None)
         self._held = None
         self._Ju = self._Gu = self._settled_y = None
         self.N = N
@@ -118,14 +127,18 @@ class PlantSession:
         u = np.asarray(u, dtype=float).reshape(-1)
         held = u.tobytes()
         if held != self._held:
-            u = _input_batch(u, self.N)
-            self._Ju = self._J @ u
-            if self.mode == RESET_FREE:
-                self._Gu = self._G @ u
-            self._held, self._settled_y = held, None
-        if self.mode == RESET_PER_BATCH:
-            y = self._Ju.copy()
-        elif self._settled_y is not None:
+            u = _batch_samples(u, self.N, "input batch")
+            self._held = held
+            if self._a_bins is not None:
+                self._settled_y = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
+            elif self.mode == RESET_PER_BATCH:
+                self._settled_y = self._J @ u
+            else:
+                self._Ju, self._Gu, self._settled_y = self._J @ u, self._G @ u, None
+        # drawn before the state moves, so a bad draw leaves the session as it was
+        noise = None if self._noise is None else _batch_samples(
+            self._noise(self.N), self.N, "noise draw")
+        if self._settled_y is not None:
             y = self._settled_y.copy()
         else:
             y = self._H @ self._x + self._Ju
@@ -134,40 +147,16 @@ class PlantSession:
                 # same x and u from here on: every later batch repeats y
                 self._settled_y = y.copy()
             self._x = x
-        if self._noise is not None:
-            y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)
+        if noise is not None:
+            y = y + noise
         record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record
 
 
-class SteadyStatePlant:
-    """Idealized reset-free plant with no transients.
-
-    Every batch returns the exact settled periodic response circ(a) u, as if
-    the input had been held forever; useful for exercising estimator logic in
-    isolation from transient effects. It keeps only the N // 2 + 1 conjugated
-    DFT bins of a and exposes the same interface as a PlantSession.
-    """
-
-    def __init__(self, ss, N):
-        a = circulant_coefficients(ss, N)
-        self.N = a.shape[0]
-        self._a_bins = np.conj(np.fft.rfft(a))
-        self.mode = RESET_FREE
-        self.batch_counter = 0
-
-    def apply_batch(self, u):
-        u = _input_batch(u, self.N)
-        y = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
-        record = BatchRecord(j=self.batch_counter, y=y)
-        self.batch_counter += 1
-        return record
-
-
-def new_session(ss, N, mode, x0=None, noise=None):
+def new_session(ss, N, mode, x0=None, noise=None, settled=False):
     """Open an experiment session on a simulated plant."""
-    return PlantSession(ss, N, mode, x0=x0, noise=noise)
+    return PlantSession(ss, N, mode, x0=x0, noise=noise, settled=settled)
 
 
 def relative_batch_change(y_prev, y_curr):

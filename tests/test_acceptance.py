@@ -19,7 +19,6 @@ from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
     PowerIterationConfig,
-    SteadyStatePlant,
     circulant,
     circulant_coefficients,
     circulant_eigenvalues,
@@ -153,7 +152,7 @@ def test_criterion_5_iteration_reaches_grid_peak():
         # idealized steady-state plant: tighter agreement, shift invariant
         estimates = []
         for shift in (0.5 * target, target, 2.0 * target):
-            plant = SteadyStatePlant(ss, N)
+            plant = new_session(ss, N, RESET_FREE, settled=True)
             config = PowerIterationConfig(
                 n_update=1, shift=shift, max_updates=20000,
                 convergence_tol=1e-9, rng_seed=0,

@@ -10,7 +10,6 @@ PUBLIC_NAMES = {
     "RESET_PER_BATCH",
     "RationalTransferFunction",
     "StateSpace",
-    "SteadyStatePlant",
     "SystemSpecError",
     "circulant",
     "circulant_coefficients",
@@ -45,4 +44,4 @@ def test_every_export_resolves():
 def test_exports_are_the_frozen_public_names():
     assert len(peakgain.__all__) == len(set(peakgain.__all__))
     assert set(peakgain.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30

@@ -154,6 +154,16 @@ class TestEstimate:
         assert main(["estimate", "--system", low_pass_file, *knob, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant", [[], ["--ideal-plant"]], ids=["session", "settled"])
+    def test_negative_seed_exits_1_without_creating_out(self, plant, low_pass_file, tmp_path,
+                                                        capsys):
+        out = tmp_path / "est"
+        code = main(["estimate", "--system", low_pass_file, "--seed", "-1", *plant,
+                     "--out", str(out)])
+        assert code == 1
+        assert "rng_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_transient_demo_run(self, demo_file, tmp_path, capsys):
         out = tmp_path / "est"
         code = main([

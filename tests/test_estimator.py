@@ -8,7 +8,6 @@ from peakgain import (
     EstimationError,
     PowerIterationConfig,
     RationalTransferFunction,
-    SteadyStatePlant,
     circulant_coefficients,
     circulant_eigenvalues,
     iterate_reset_based,
@@ -84,6 +83,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PowerIterationConfig(max_updates=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True, np.float64(1.0)])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            PowerIterationConfig(rng_seed=seed)
+        with pytest.raises(ValueError, match="rng_seed"):
+            init_input(8, seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert PowerIterationConfig(rng_seed=np.int64(3)).rng_seed == 3
+        assert np.array_equal(init_input(8, np.uint8(3)), init_input(8, 3))
+
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_shift(self, shift):
         with pytest.raises(ValueError, match="shift"):
@@ -112,7 +122,7 @@ class TestResetFreeIteration:
         N = 8
         target = reversed_top(ss, N)
         assert target == pytest.approx(2.0, abs=1e-12)
-        plant = SteadyStatePlant(ss, N)
+        plant = new_session(ss, N, RESET_FREE, settled=True)
         config = PowerIterationConfig(
             shift=2.0, max_updates=200, convergence_tol=1e-10, rng_seed=0
         )
@@ -134,7 +144,7 @@ class TestResetFreeIteration:
             top = np.sort(rev)[::-1]
             if top[0] <= 0 or top[0] - top[1] < 1e-3 * (1 + abs(top[0])):
                 continue  # exact assertion only for a simple dominant value
-            plant = SteadyStatePlant(ss, N)
+            plant = new_session(ss, N, RESET_FREE, settled=True)
             config = PowerIterationConfig(
                 shift=float(top[0]),
                 max_updates=5000,
@@ -152,7 +162,7 @@ class TestResetFreeIteration:
         sigma = reversed_top(ss, N)
         results = []
         for shift in (0.5 * sigma, sigma, 2.0 * sigma):
-            plant = SteadyStatePlant(ss, N)
+            plant = new_session(ss, N, RESET_FREE, settled=True)
             config = PowerIterationConfig(
                 shift=shift, max_updates=20000, convergence_tol=1e-9, rng_seed=0
             )
@@ -165,7 +175,7 @@ class TestResetFreeIteration:
         ss = tf_to_ss(delayed_resonator())
         N = 50
         sigma = reversed_top(ss, N)
-        plant = SteadyStatePlant(ss, N)
+        plant = new_session(ss, N, RESET_FREE, settled=True)
         config = PowerIterationConfig(
             shift=1.5 * sigma, max_updates=500, convergence_tol=1e-9, rng_seed=2
         )
@@ -174,7 +184,7 @@ class TestResetFreeIteration:
             assert prev.u @ nxt.u > 0.0
 
     def test_input_power_held_at_every_update(self):
-        plant = SteadyStatePlant(low_pass(), 8)
+        plant = new_session(low_pass(), 8, RESET_FREE, settled=True)
         config = PowerIterationConfig(shift=1.0, max_updates=50, rng_seed=0)
         trace = iterate_reset_free(plant, config)
         for record in trace.updates:
@@ -222,7 +232,7 @@ class TestResetFreeIteration:
             iterate_reset_free(plant, config)
 
     def test_non_convergence_sets_flag(self):
-        plant = SteadyStatePlant(tf_to_ss(delayed_resonator()), 50)
+        plant = new_session(tf_to_ss(delayed_resonator()), 50, RESET_FREE, settled=True)
         config = PowerIterationConfig(
             shift=2.0, max_updates=3, convergence_tol=1e-14, rng_seed=0
         )
@@ -346,7 +356,8 @@ def slow_pole_pair():
 def settled_gain(ss, N, rng_seed):
     """||y|| / ||u|| of the probe input on the transient-free plant."""
     u = init_input(N, rng_seed)
-    return float(np.linalg.norm(SteadyStatePlant(ss, N).apply_batch(u).y) / np.linalg.norm(u))
+    plant = new_session(ss, N, RESET_FREE, settled=True)
+    return float(np.linalg.norm(plant.apply_batch(u).y) / np.linalg.norm(u))
 
 
 class TestSelectShift:
@@ -431,10 +442,9 @@ class TestSelectShift:
         assert select_shift(session, 8, rng_seed=0) == pytest.approx(1.5, abs=1e-9)
         assert session.batch_counter == 1
 
-    @pytest.mark.parametrize("plant", [new_session, SteadyStatePlant], ids=["session", "steady"])
-    def test_probe_length_must_match_the_plant(self, plant):
-        args = (RESET_FREE,) if plant is new_session else ()
-        session = plant(low_pass(), 8, *args)
+    @pytest.mark.parametrize("settled", [False, True], ids=["session", "steady"])
+    def test_probe_length_must_match_the_plant(self, settled):
+        session = new_session(low_pass(), 8, RESET_FREE, settled=settled)
         with pytest.raises(ValueError, match="probe length 9 differs from the plant's batch length 8"):
             select_shift(session, 9, rng_seed=0)
         assert session.batch_counter == 0

@@ -12,7 +12,6 @@ from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
     RationalTransferFunction,
-    SteadyStatePlant,
     circulant_coefficients,
     lift,
     new_session,
@@ -287,7 +286,8 @@ def test_non_finite_batch_rejected_without_touching_the_session(mode, bad):
 
 
 def test_steady_state_plant_rejects_non_finite_batch():
-    plant = SteadyStatePlant(tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5))), 4)
+    ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
+    plant = new_session(ss, 4, RESET_FREE, settled=True)
     with pytest.raises(ValueError, match="finite"):
         plant.apply_batch([1.0, np.nan, 0.0, 0.0])
     assert plant.batch_counter == 0
@@ -324,7 +324,7 @@ def test_fixed_point_start_is_settled_immediately():
 
 def test_steady_state_plant_matches_matrix_action():
     ss = tf_to_ss(RationalTransferFunction((0.0, 1.0), (1.0,)))
-    plant = SteadyStatePlant(ss, 4)
+    plant = new_session(ss, 4, RESET_FREE, settled=True)
     record = plant.apply_batch([1.0, 0.0, 0.0, 0.0])
     assert np.allclose(record.y, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
     assert plant.mode == RESET_FREE
@@ -335,7 +335,7 @@ def test_steady_state_plant_matches_matrix_action():
     for ss in systems:
         for N in (1, 2, 7, 50, 257):
             M = periodic_response_matrix(lift(ss, N))
-            plant = SteadyStatePlant(ss, N)
+            plant = new_session(ss, N, RESET_FREE, settled=True)
             for _ in range(2):
                 u = rng.standard_normal(N)
                 expected = M @ u
@@ -344,12 +344,114 @@ def test_steady_state_plant_matches_matrix_action():
                 assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def counted_fft(monkeypatch):
+    """Count np.fft.rfft and np.fft.irfft calls from here on."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def test_settled_session_transforms_each_held_input_once(monkeypatch):
+    ss = demo_plant()
+    rng = np.random.default_rng(20)
+    u, v = rng.standard_normal(50), rng.standard_normal(50)
+    M = periodic_response_matrix(lift(ss, 50))
+    plant = new_session(ss, 50, RESET_FREE, settled=True)
+    calls = counted_fft(monkeypatch)
+    for u_j, hold in ((u, 10), (v, 5), (u.copy(), 3), (v.tolist(), 4)):
+        first = plant.apply_batch(u_j).y
+        assert np.abs(first - M @ np.asarray(u_j)).max() <= 1e-12 * np.abs(first).max()
+        for _ in range(hold - 1):
+            assert plant.apply_batch(u_j).y.tobytes() == first.tobytes()
+    # one transform pair per distinct held input, none for its repeats
+    assert calls == {"rfft": 4, "irfft": 4}
+    assert plant.batch_counter == 22
+
+
+def test_settled_batches_are_fresh_copies():
+    u = np.random.default_rng(21).standard_normal(50)
+    plant = new_session(demo_plant(), 50, RESET_FREE, settled=True)
+    outputs = [plant.apply_batch(u).y for _ in range(5)]
+    expected = outputs[-1].copy()
+    for y in outputs:
+        y[:] = np.nan  # a caller may overwrite its batch
+    for a, b in zip(outputs, outputs[1:]):
+        assert not np.shares_memory(a, b)
+    assert plant.apply_batch(u).y.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mode, x0",
+    [(RESET_PER_BATCH, None), (RESET_FREE, [0.0]), (RESET_FREE, [1.0])],
+    ids=["reset-per-batch", "zero-x0", "x0"],
+)
+def test_settled_session_rejects_reset_mode_and_initial_state(mode, x0):
+    ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
+    with pytest.raises(ValueError, match="settled"):
+        new_session(ss, 4, mode, x0=x0, settled=True)
+
+
+def test_settled_session_holds_no_dense_matrix():
+    N = 256
+    plant = new_session(demo_plant(), N, RESET_FREE, settled=True)
+    plant.apply_batch(np.ones(N))
+    arrays = [v for v in vars(plant).values() if isinstance(v, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= N
+
+
+def test_settled_session_draws_noise_once_per_batch():
+    ss = demo_plant()
+    rng = np.random.default_rng(22)
+    u, v = rng.standard_normal(50), rng.standard_normal(50)
+    noise, replay = CountingNoise(23), CountingNoise(23)
+    noisy = new_session(ss, 50, RESET_FREE, noise=noise, settled=True)
+    clean = new_session(ss, 50, RESET_FREE, settled=True)
+    for u_j in [u] * 6 + [v] * 4 + [u]:
+        y = noisy.apply_batch(u_j).y
+        assert y.tobytes() == (clean.apply_batch(u_j).y + replay(50)).tobytes()
+    assert noise.calls == noisy.batch_counter == 11
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda n: np.full(n, np.nan), lambda n: np.full(n, np.inf), lambda n: 0.5,
+     lambda n: np.ones(1), lambda n: np.ones(n + 1), lambda n: np.ones(n - 1)],
+    ids=["nan", "inf", "scalar", "length-1", "too-long", "too-short"],
+)
+@pytest.mark.parametrize("mode, settled", [(RESET_FREE, False), (RESET_PER_BATCH, False),
+                                           (RESET_FREE, True)],
+                         ids=["reset-free", "reset-per-batch", "settled"])
+def test_bad_noise_draw_rejected_without_touching_the_session(mode, settled, draw):
+    rng = np.random.default_rng(24)
+    ss = random_stable_statespace(rng)
+    N = 6
+    u1, u2 = rng.standard_normal(N), rng.standard_normal(N)
+    draws = iter([np.zeros(N), draw(N)])
+    session = new_session(ss, N, mode, noise=lambda n: next(draws, np.zeros(n)), settled=settled)
+    clean = new_session(ss, N, mode, settled=settled)
+    assert session.apply_batch(u1).y.tobytes() == clean.apply_batch(u1).y.tobytes()
+    with pytest.raises(ValueError, match="noise draw"):
+        session.apply_batch(u2)
+    assert session.batch_counter == 1
+    for u_j in (u2, u2, u1):
+        record, expected = session.apply_batch(u_j), clean.apply_batch(u_j)
+        assert record.j == expected.j
+        assert record.y.tobytes() == expected.y.tobytes()
+
+
 def test_session_surface_does_not_leak_the_model():
     ss = tf_to_ss(delayed_resonator())
     session = new_session(ss, 50, RESET_FREE)
     public = {name for name in vars(session) if not name.startswith("_")}
     assert public == {"N", "mode", "batch_counter"}
-    plant = SteadyStatePlant(ss, 50)
+    plant = new_session(ss, 50, RESET_FREE, settled=True)
     public = {name for name in vars(plant) if not name.startswith("_")}
     assert public == {"N", "mode", "batch_counter"}
 
@@ -376,7 +478,7 @@ def test_batch_length_is_checked_at_every_entry_point(entry):
         "circulant_coefficients": lambda N: circulant_coefficients(ss, N).shape[0],
         "PlantSession": lambda N: PlantSession(ss, N, RESET_FREE).N,
         "init_input": lambda N: init_input(N, 0).shape[0],
-        "SteadyStatePlant": lambda N: SteadyStatePlant(ss, N).N,
+        "SteadyStatePlant": lambda N: new_session(ss, N, RESET_FREE, settled=True).N,
     }[entry]
     for bad in (2.5, 2.7, 3.9, 4.5, 3.0, "3", None, True, 0, -2):
         with pytest.raises(ValueError, match="batch length"):
