@@ -20,7 +20,13 @@ import sys
 import numpy as np
 
 from .estimator import PowerIterationConfig, iterate_reset_free, select_shift
-from .lifting import circulant_coefficients, impulse_response, lift, periodic_response_matrix
+from .lifting import (
+    _batch_length,
+    circulant_coefficients,
+    impulse_response,
+    lift,
+    periodic_response_matrix,
+)
 from .lti import (
     RationalTransferFunction,
     SystemSpecError,
@@ -52,14 +58,20 @@ def _write_csv(path, header, rows):
     _write_lines(path, header, (",".join(map(str, row)) for row in rows))
 
 
+def _trace_lines(rows):
+    # mu and beta are floats, so !r is the shortest round-trip form of _fmt;
+    # the batches of a settled hold share their mu and beta objects, whose
+    # text is formatted once per run of such rows
+    mu_prev = beta_prev = text = None
+    for update, batch, mu, beta in rows:
+        if mu is not mu_prev or beta is not beta_prev:
+            mu_prev, beta_prev, text = mu, beta, f"{mu!r},{beta!r}"
+        yield f"{update},{batch},{text}"
+
+
 def write_trace_csv(trace, path):
     """Write the per-batch trace as CSV with header updateIndex,batchIndex,mu,beta."""
-    # mu and beta are floats, so !r is the shortest round-trip form of _fmt
-    _write_lines(
-        path,
-        "updateIndex,batchIndex,mu,beta",
-        (f"{update},{batch},{mu!r},{beta!r}" for update, batch, mu, beta in trace.rows),
-    )
+    _write_lines(path, "updateIndex,batchIndex,mu,beta", _trace_lines(trace.rows))
 
 
 def write_update_snapshots(trace, outdir, updates=None):
@@ -80,7 +92,10 @@ def write_update_snapshots(trace, outdir, updates=None):
         record = trace.updates[upd - 1]
         for tag, vec in (("u", record.u), ("y", record.y)):
             name = f"{tag}_update_{upd:05d}.csv"
-            _write_csv(os.path.join(outdir, name), "k,value", enumerate(map(_fmt, vec)))
+            # tolist() gives Python floats, whose !r is _fmt of each sample
+            values = np.asarray(vec, dtype=float).tolist()
+            _write_lines(os.path.join(outdir, name), "k,value",
+                         (f"{k},{v!r}" for k, v in enumerate(values)))
             written.append(name)
     return written
 
@@ -191,7 +206,8 @@ def cmd_sweep(args):
 
 def cmd_estimate(args):
     _, ss = _load(args)
-    plant = new_session(ss, args.n, RESET_FREE, settled=args.ideal_plant)
+    # every option is checked before the plant builds its N x N matrices
+    _batch_length(args.n)
     default_tol = 1e-8 if args.ideal_plant else 1e-4
     config = PowerIterationConfig(
         n_update=args.n_update,
@@ -200,6 +216,7 @@ def cmd_estimate(args):
         convergence_tol=args.tol if args.tol is not None else default_tol,
         rng_seed=args.seed,
     )
+    plant = new_session(ss, args.n, RESET_FREE, settled=args.ideal_plant)
     out = _outdir(args)
     if config.shift is None:
         config = dataclasses.replace(config, shift=select_shift(plant, args.n, args.seed))

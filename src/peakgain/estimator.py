@@ -148,9 +148,13 @@ def _iterate(plant, config, mode, hold, shift):
     """Power iteration z = reverse(y) + shift * u, renormalized to power one.
 
     Each input is applied ``hold`` times (the same array object every time)
-    and the last batch is the readout. ``shift`` None probes the plant for
-    one; a shift of 0 is the reset-based baseline, where a vanishing update
-    means the plant returned a zero batch and ends the run with estimate 0.
+    and the last batch is the readout. Within a hold, a batch whose output
+    has the same float64 bytes as the batch before it shares that batch's
+    ``mu`` and ``beta`` objects: a settled plant repeats its output, and the
+    readouts of the same u and y are the same floats. ``shift`` None probes
+    the plant for one; a shift of 0 is the reset-based baseline, where a
+    vanishing update means the plant returned a zero batch and ends the run
+    with estimate 0.
     """
     n = plant.N
     if plant.mode != mode:
@@ -163,9 +167,13 @@ def _iterate(plant, config, mode, hold, shift):
     sqrt_n = np.sqrt(n)
     beta_prev = None
     for update in range(1, config.max_updates + 1):
+        y_prev = None
         for _ in range(hold):
             record = plant.apply_batch(u)
-            mu, beta = _readouts(u, record.y, n)
+            y_bytes = record.y.tobytes()
+            if y_bytes != y_prev:
+                mu, beta = _readouts(u, record.y, n)
+                y_prev = y_bytes
             trace.rows.append((update, record.j, mu, beta))
         trace.updates.append(UpdateRecord(u.copy(), record.y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:

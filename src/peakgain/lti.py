@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 
+# an upper bound on the spectral radius below this certifies a stable A
+_STABLE_BELOW = 1.0 - 1e-12
+
+
 def spectral_radius(A, tol=1e-10, max_squarings=200):
     """Spectral radius of a square matrix by normalized repeated squaring.
 
@@ -37,6 +41,14 @@ def spectral_radius(A, tol=1e-10, max_squarings=200):
     Raises RuntimeError if the estimate has not stabilized after
     ``max_squarings`` squarings.
     """
+    return _gelfand(A, 0.0, tol, max_squarings)
+
+
+def _gelfand(A, accept_below, tol=1e-10, max_squarings=200):
+    # the Gelfand sequence of spectral_radius, returned early at its first
+    # estimate below accept_below: each estimate ||A^(2^k)||_F^(1/2^k) is an
+    # upper bound on the spectral radius and does not increase with k, except
+    # that rounding in the squarings can raise it by about n eps in all
     P = np.array(A, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {P.shape}")
@@ -54,6 +66,8 @@ def spectral_radius(A, tol=1e-10, max_squarings=200):
             raise RuntimeError("spectral radius iteration produced a non-finite norm")
         acc += weight * math.log(t)
         est = math.exp(acc)
+        if est < accept_below:
+            return est
         if est_prev is not None and abs(est - est_prev) <= tol * max(est, 1e-300):
             return est
         est_prev = est
@@ -91,7 +105,10 @@ class StateSpace:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has non-finite entries")
         if n > 0:
-            rho = spectral_radius(A)
+            # stops at the first upper bound on the spectral radius that is
+            # below one by more than rounding can move it; an unstable A runs
+            # to the converged spectral_radius(A)
+            rho = _gelfand(A, _STABLE_BELOW)
             if rho >= 1.0:
                 raise ValueError(
                     f"unstable state matrix: spectral radius {rho:.8g} is not < 1"

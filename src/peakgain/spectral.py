@@ -261,8 +261,17 @@ def _certified(diag, squares, beta, end, theta, tol):
 
 
 def _count_below(diag, squares, x):
-    # number of eigenvalues below x: the negative pivots of T - x I = L D L^T
-    return np.count_nonzero(np.less(_pivots(diag, squares, x), 0.0))
+    # number of eigenvalues below x: the negative pivots of T - x I = L D L^T,
+    # by the recurrence of _pivots without keeping the pivots
+    count = 0
+    pivot = 1.0
+    for a, b in zip(diag, squares):
+        pivot = (a - x) - b / pivot
+        if pivot == 0.0:
+            pivot = -_TINY
+        if pivot < 0.0:
+            count += 1
+    return count
 
 
 def _pivots(diag, squares, x):

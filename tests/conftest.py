@@ -5,12 +5,17 @@ import numpy as np
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
+    EstimateTrace,
+    EstimationError,
     RationalTransferFunction,
     StateSpace,
     lift,
+    select_shift,
     simulate,
     tf_to_ss,
+    time_reverse,
 )
+from peakgain.estimator import UpdateRecord, _readouts, init_input
 from peakgain.plant import BatchRecord
 
 # Bundled demo plant: a lightly damped two-pole resonance behind 50 samples of
@@ -92,6 +97,44 @@ class LiftedReferenceSession:
         record = BatchRecord(j=self.batch_counter, y=y)
         self.batch_counter += 1
         return record
+
+
+def iterate_reading_every_batch(plant, config, reset_based=False):
+    """Reference power iteration: ``_readouts`` on every batch of every hold.
+
+    The loop of ``peakgain.estimator`` without its shared readouts of a
+    repeated output; reset-free with the config's hold and shift (None
+    probes), or the reset-based baseline with hold 1 and shift 0. The
+    estimator's traces must equal this one bit for bit.
+    """
+    hold, shift = (1, 0.0) if reset_based else (config.n_update, config.shift)
+    n = plant.N
+    if shift is None:
+        shift = select_shift(plant, n, config.rng_seed)
+    trace = EstimateTrace()
+    u = init_input(n, config.rng_seed)
+    sqrt_n = np.sqrt(n)
+    beta_prev = None
+    for update in range(1, config.max_updates + 1):
+        for _ in range(hold):
+            record = plant.apply_batch(u)
+            mu, beta = _readouts(u, record.y, n)
+            trace.rows.append((update, record.j, mu, beta))
+        trace.updates.append(UpdateRecord(u.copy(), record.y.copy(), mu, beta))
+        if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
+            trace.converged = True
+            break
+        beta_prev = beta
+        z = time_reverse(record.y) + shift * u
+        z_norm = float(np.linalg.norm(z))
+        if z_norm == 0.0:
+            if shift != 0.0:
+                raise EstimationError("update vector vanished")
+            trace.zero_output = True
+            trace.converged = True
+            break
+        u = z * (sqrt_n / z_norm)
+    return trace
 
 
 def random_stable_statespace(rng, n_max=6):

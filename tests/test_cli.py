@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_PEAK_GAIN
-from peakgain import cli
+from peakgain import EstimateTrace, cli
 from peakgain.cli import main
+from peakgain.estimator import UpdateRecord
 
 DEMO_SYSTEM = "num = 0, 5, 4\nden = 10, -5, 6\ndelay = 50\n"
 LOW_PASS = "num = 1\nden = 1, -0.5\n"
@@ -142,16 +143,24 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "knob",
-        [("--tol", "nan"), ("--n-update", "0"), ("--max-updates", "0")],
-        ids=["tol", "n-update", "max-updates"],
+        [("--tol", "nan"), ("--n-update", "0"), ("--max-updates", "0"), ("--seed", "-1"),
+         ("--shift", "0")],
+        ids=["tol", "n-update", "max-updates", "seed", "shift"],
     )
     def test_bad_knob_exits_1_before_probing(self, knob, low_pass_file, tmp_path, monkeypatch):
+        # the knobs are checked before the plant builds its lifted matrices
+        # (N x N, 128 MB at this N), let alone probes it
         def no_probe(*args, **kwargs):
             raise AssertionError("the shift probe ran before the knobs were validated")
 
+        def no_lift(*args, **kwargs):
+            raise AssertionError("the plant was built before the knobs were validated")
+
         monkeypatch.setattr(cli, "select_shift", no_probe)
+        monkeypatch.setattr("peakgain.plant.lift", no_lift)
         out = tmp_path / "est"
-        assert main(["estimate", "--system", low_pass_file, *knob, "--out", str(out)]) == 1
+        argv = ["estimate", "--system", low_pass_file, "--n", "4096", *knob, "--out", str(out)]
+        assert main(argv) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("plant", [[], ["--ideal-plant"]], ids=["session", "settled"])
@@ -195,6 +204,69 @@ class TestEstimate:
         assert main(args + [str(out2)]) in (0, 2)
         for name in ("trace.csv", "u_update_00001.csv", "y_update_00002.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_bad_batch_length_is_reported_before_a_bad_knob(self, low_pass_file, tmp_path,
+                                                             capsys):
+        code = main(["estimate", "--system", low_pass_file, "--n", "0", "--seed", "-1",
+                     "--out", str(tmp_path / "est")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: batch length must be at least 1, got 0\n"
+
+
+# one value of each kind whose shortest round-trip text is easy to get wrong
+AWKWARD_FLOATS = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3)
+
+
+def per_row_lines(header, rows):
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+class TestCsvWriters:
+    def test_trace_csv_matches_per_row_formatting(self, tmp_path):
+        trace = EstimateTrace()
+        values = list(AWKWARD_FLOATS)
+        batch = 0
+        for update, mu in enumerate(values, start=1):
+            beta = values[-update]
+            # a hold of three rows sharing objects, one equal in value but
+            # held by distinct objects, and one sharing only mu
+            copies = [(mu, beta), (mu, beta), (float(repr(mu)), float(repr(beta))),
+                      (mu, float(repr(beta)))]
+            for m, b in copies:
+                trace.rows.append((update, batch, m, b))
+                batch += 1
+        assert trace.rows[2][2] == trace.rows[1][2] and trace.rows[2][2] is not trace.rows[1][2]
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(trace, path)
+        expected = per_row_lines(
+            "updateIndex,batchIndex,mu,beta",
+            [(u, j, repr(float(m)), repr(float(b))) for u, j, m, b in trace.rows],
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_trace_csv_formats_each_row_of_a_changing_pair(self, tmp_path):
+        # a run shares mu but not beta, or holds equal but distinct values:
+        # every row still gets its own text
+        mu = 1.5
+        trace = EstimateTrace(rows=[(1, 0, mu, 0.25), (1, 1, mu, -0.0), (1, 2, mu, 1e300),
+                                    (2, 3, 0.0, 0.0), (2, 4, -0.0, -0.0)])
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(trace, path)
+        assert path.read_text().splitlines()[1:] == [
+            "1,0,1.5,0.25", "1,1,1.5,-0.0", "1,2,1.5,1e+300", "2,3,0.0,0.0", "2,4,-0.0,-0.0"]
+
+    def test_snapshots_match_per_row_formatting(self, tmp_path):
+        u = np.array(AWKWARD_FLOATS)
+        y = -u[::-1]
+        trace = EstimateTrace(updates=[UpdateRecord(u, y, 1.0, 2.0)] * 3)
+        written = cli.write_update_snapshots(trace, tmp_path)
+        assert written == ["u_update_00001.csv", "y_update_00001.csv",
+                           "u_update_00002.csv", "y_update_00002.csv",
+                           "u_update_00003.csv", "y_update_00003.csv"]
+        for name in written:
+            vec = u if name.startswith("u") else y
+            expected = per_row_lines("k,value", [(k, repr(float(v))) for k, v in enumerate(vec)])
+            assert (tmp_path / name).read_bytes() == expected.encode()
 
 
 class TestOracle:

@@ -1,7 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import delayed_resonator, random_stable_statespace, slow_pole
+from conftest import (
+    delayed_resonator,
+    iterate_reading_every_batch,
+    random_stable_statespace,
+    slow_pole,
+)
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
@@ -21,6 +28,7 @@ from peakgain import (
     tf_to_ss,
     time_reverse,
 )
+from peakgain import estimator
 from peakgain.estimator import init_input
 from peakgain.plant import BatchRecord
 
@@ -448,3 +456,121 @@ class TestSelectShift:
         with pytest.raises(ValueError, match="probe length 9 differs from the plant's batch length 8"):
             select_shift(session, 9, rng_seed=0)
         assert session.batch_counter == 0
+
+
+def trace_bits(trace):
+    """Everything a trace holds, with every float as its exact bits."""
+    rows = [(update, j, mu.hex(), beta.hex()) for update, j, mu, beta in trace.rows]
+    updates = [(r.u.tobytes(), r.y.tobytes(), r.mu.hex(), r.beta.hex()) for r in trace.updates]
+    return rows, updates, trace.estimate.hex(), trace.converged, trace.zero_output
+
+
+class OutputLog:
+    """Plant wrapper that logs the bytes of every output it returns."""
+
+    def __init__(self, plant):
+        self._plant = plant
+        self.N = plant.N
+        self.mode = plant.mode
+        self.outputs = []
+
+    def apply_batch(self, u):
+        record = self._plant.apply_batch(u)
+        self.outputs.append(record.y.tobytes())
+        return record
+
+
+def demo_session(N, **kwargs):
+    return new_session(tf_to_ss(delayed_resonator()), N, RESET_FREE, **kwargs)
+
+
+def noisy_demo_session(N):
+    rng = np.random.default_rng(5)
+    return demo_session(N, noise=lambda n: 1e-3 * rng.standard_normal(n))
+
+
+CLI_CONFIG = dict(n_update=10, convergence_tol=1e-4)
+
+
+class TestSharedReadouts:
+    """The estimator reads out each distinct output of a hold once.
+
+    Its traces must equal, bit for bit, those of the reference loop that
+    calls ``_readouts`` on every batch; the plants are opened twice, so both
+    loops see the same outputs.
+    """
+
+    CASES = {
+        "demo-50-seed0": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=0)),
+        "demo-50-seed7": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=7)),
+        "demo-256": (lambda: demo_session(256), dict(CLI_CONFIG, rng_seed=1)),
+        "slow-pole": (lambda: new_session(slow_pole(), 50, RESET_FREE),
+                      dict(CLI_CONFIG, rng_seed=3)),
+        "settled": (lambda: demo_session(50, settled=True),
+                    dict(n_update=4, convergence_tol=1e-9, rng_seed=2)),
+        "noise": (lambda: noisy_demo_session(50),
+                  dict(n_update=10, shift=2.0, max_updates=30, rng_seed=0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_trace_equals_reading_every_batch(self, case, monkeypatch):
+        make_plant, knobs = self.CASES[case]
+        config = PowerIterationConfig(**knobs)
+        expected = iterate_reading_every_batch(make_plant(), config)
+        readouts = estimator._readouts
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return readouts(*args)
+
+        monkeypatch.setattr(estimator, "_readouts", counted)
+        plant = OutputLog(make_plant())
+        trace = iterate_reset_free(plant, config)
+        assert trace_bits(trace) == trace_bits(expected)
+        # one readout per batch whose output differs from the batch before it
+        # in the same hold, and a repeat shares that batch's float objects
+        rows = trace.rows
+        outputs = plant.outputs[rows[0][1]:]  # past the shift probe's batches
+        assert len(outputs) == len(rows)
+        repeats = [i for i in range(1, len(rows))
+                   if rows[i][0] == rows[i - 1][0] and outputs[i] == outputs[i - 1]]
+        assert len(calls) == len(rows) - len(repeats)
+        for i in range(1, len(rows)):
+            shared = rows[i][2] is rows[i - 1][2] and rows[i][3] is rows[i - 1][3]
+            assert shared == (i in repeats)
+        if case in ("slow-pole", "noise"):
+            assert not repeats
+        else:
+            assert repeats
+
+    def test_reset_based_equals_reading_every_batch(self):
+        config = PowerIterationConfig(max_updates=40, convergence_tol=1e-12, rng_seed=4)
+        make = lambda: new_session(low_pass(), 8, RESET_PER_BATCH)  # noqa: E731
+        expected = iterate_reading_every_batch(make(), config, reset_based=True)
+        assert trace_bits(iterate_reset_based(make(), config)) == trace_bits(expected)
+
+    def test_distinct_outputs_of_one_hold_are_each_read_out(self):
+        # a plant whose output alternates inside a hold, with -0.0 against
+        # 0.0: equal in value, different in bytes, so each batch is read out
+        outputs = [np.array([0.0, 1.0, 2.0]), np.array([-0.0, 1.0, 2.0])]
+        batches = itertools.count()
+        plant = RecordingPlant(lambda u: outputs[next(batches) % 2].copy(), 3)
+        config = PowerIterationConfig(n_update=5, shift=1.0, max_updates=3,
+                                      convergence_tol=1e-30)
+        trace = iterate_reset_free(plant, config)
+        rows = trace.rows
+        assert len(rows) == 15
+        assert all(rows[i][2] is not rows[i - 1][2] for i in range(1, len(rows)))
+
+    def test_a_new_hold_is_read_out_even_if_its_output_repeats(self):
+        # the same output for every input: only the first batch of each hold
+        # is read out, since beta = u . reverse(y) / N changes with u
+        y = np.array([0.5, -1.0, 2.0, 0.25])
+        config = PowerIterationConfig(n_update=3, shift=1.0, max_updates=6,
+                                      convergence_tol=1e-30)
+        make = lambda: RecordingPlant(lambda u: y.copy(), 4)  # noqa: E731
+        expected = iterate_reading_every_batch(make(), config)
+        trace = iterate_reset_free(make(), config)
+        assert trace_bits(trace) == trace_bits(expected)
+        assert len({beta for _, _, _, beta in trace.rows}) == 6

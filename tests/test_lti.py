@@ -251,10 +251,65 @@ class TestSpectralRadius:
             spectral_radius(np.diag([0.5, 0.2]), max_squarings=1)
 
 
+def rotation(radius, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return radius * np.array([[c, -s], [s, c]])
+
+
+NEAR_MARGINAL = {
+    "pole-0.9999": [[0.9999]],
+    "pole-1-1e-9": [[1.0 - 1e-9]],
+    "pole-1-1e-13": [[1.0 - 1e-13]],
+    "pole-1": [[1.0]],
+    "pole-1.0000001": [[1.0000001]],
+    "pole--1": [[-1.0]],
+    "rotation-1": rotation(1.0, 0.3),
+    "rotation-0.9999": rotation(0.9999, 0.01),
+    "rotation-1-1e-9": rotation(1.0 - 1e-9, 2.0),
+    "companion-0.9999": [[2 * 0.9999 * np.cos(0.01), -0.9999**2], [1.0, 0.0]],
+    "jordan-0.9999": [[0.9999, 1.0], [0.0, 0.9999]],
+    "jordan-1": [[1.0, 1.0], [0.0, 1.0]],
+    "diag-0.9999-1": np.diag([0.9999, 1.0]),
+    "non-normal-0.5": [[0.5, 100.0], [0.0, 0.5]],
+}
+
+
 class TestStateSpaceValidation:
     def test_unstable_rejected(self):
         with pytest.raises(ValueError, match="spectral radius"):
             StateSpace([[1.0]], [1.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("name", list(NEAR_MARGINAL))
+    def test_stability_decision_is_that_of_spectral_radius(self, name):
+        # the check stops at the first bound safely below one; it must accept
+        # and reject exactly what the converged spectral radius does, with
+        # the same message
+        A = np.asarray(NEAR_MARGINAL[name], dtype=float)
+        n = A.shape[0]
+        rho = spectral_radius(A)
+        if rho < 1.0:
+            assert StateSpace(A, np.ones(n), np.ones(n), 0.0).n == n
+        else:
+            message = f"unstable state matrix: spectral radius {rho:.8g} is not < 1"
+            with pytest.raises(ValueError) as info:
+                StateSpace(A, np.ones(n), np.ones(n), 0.0)
+            assert str(info.value) == message
+
+    def test_stability_decision_on_random_scaled_matrices(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            A = rng.standard_normal((n, n))
+            A *= (1.0 + rng.choice([-1e-3, -1e-7, -1e-10, 0.0, 1e-10, 1e-7])) / max(
+                float(np.max(np.abs(np.linalg.eigvals(A)))), 1e-300)
+            rho = spectral_radius(A)
+            try:
+                StateSpace(A, np.ones(n), np.ones(n), 0.0)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == f"unstable state matrix: spectral radius {rho:.8g} is not < 1"
+                accepted = False
+            assert accepted == (rho < 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["A", "B", "C", "D"])

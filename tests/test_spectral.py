@@ -26,6 +26,7 @@ from peakgain import (
     tf_to_ss,
     time_reverse,
 )
+from peakgain import spectral
 from peakgain.lifting import impulse_response
 
 SQRT8 = 2.0 * np.sqrt(2.0)
@@ -349,6 +350,34 @@ class TestLanczosResetBasedGain:
             # a strided column view gives the same bits as the owned array
             column = lift(ss, 257).J[:, 0]
             assert np.float64(max_gain_reset_based(column)).tobytes() == first
+
+    def test_sturm_count_equals_the_negative_pivots(self):
+        # the count runs the pivot recurrence itself; it must count exactly
+        # the negative pivots of the list, zero pivots nudged to -tiny included
+        rng = np.random.default_rng(8)
+        cases = [([0.0] * 6, [0.0] + [1.0] * 5, [0.0, 1.0, -1.0, 2.0])]
+        for k in (1, 2, 7, 64, 600):
+            diag = rng.standard_normal(k).tolist()
+            squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
+            shifts = [*np.linspace(-4.0, 4.0, 41).tolist(), *diag[:5], 0.0, -0.0]
+            cases.append((diag, squares, shifts))
+        for diag, squares, shifts in cases:
+            for x in shifts:
+                pivots = spectral._pivots(diag, squares, x)
+                expected = int(np.count_nonzero(np.less(pivots, 0.0)))
+                assert spectral._count_below(diag, squares, x) == expected
+
+    @pytest.mark.parametrize("N", [3, 64, 257, 600])
+    def test_gain_is_bitwise_that_of_the_pivot_list_count(self, N, monkeypatch,
+                                                          demo_and_slow_realizations):
+        def count_from_pivots(diag, squares, x):
+            return np.count_nonzero(np.less(spectral._pivots(diag, squares, x), 0.0))
+
+        columns = [impulse_response(ss, N) for ss in demo_and_slow_realizations.values()]
+        gains = [max_gain_reset_based(h) for h in columns]
+        monkeypatch.setattr(spectral, "_count_below", count_from_pivots)
+        expected = [max_gain_reset_based(h) for h in columns]
+        assert [g.hex() for g in gains] == [g.hex() for g in expected]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
