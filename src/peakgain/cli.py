@@ -21,7 +21,6 @@ import numpy as np
 
 from .estimator import PowerIterationConfig, iterate_reset_free, select_shift
 from .lifting import (
-    _batch_length,
     circulant_coefficients,
     impulse_response,
     lift,
@@ -30,6 +29,7 @@ from .lifting import (
 from .lti import (
     RationalTransferFunction,
     SystemSpecError,
+    _count,
     hinf_peak,
     parse_system_file,
     tf_to_ss,
@@ -78,7 +78,8 @@ def write_update_snapshots(trace, outdir, updates=None):
     """Write u and y snapshots for selected updates as k,value CSV files.
 
     Defaults to the initial input, the first post-update input and the final
-    one (deduplicated for short runs). Returns the written file names.
+    one (deduplicated for short runs). Each update is an integer from 1 to
+    the trace's update count, else ValueError. Returns the written file names.
     """
     count = len(trace.updates)
     if count == 0:
@@ -87,7 +88,8 @@ def write_update_snapshots(trace, outdir, updates=None):
         updates = sorted({1, min(2, count), count})
     written = []
     for upd in updates:
-        if not 1 <= upd <= count:
+        upd = _count(upd, "snapshot update", 1)
+        if upd > count:
             raise ValueError(f"no update {upd} in a trace of {count} updates")
         record = trace.updates[upd - 1]
         for tag, vec in (("u", record.u), ("y", record.y)):
@@ -107,13 +109,8 @@ def _load(args):
     return sys_obj, sys_obj
 
 
-def _at_least(flag, value, low):
-    # called before _outdir, so a rejected size leaves no output directory behind
-    if value < low:
-        raise SystemSpecError(f"{flag} must be at least {low}, got {value}")
-
-
 def _outdir(args):
+    # each command checks its sizes first, so a rejected size leaves no directory behind
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -121,7 +118,7 @@ def _outdir(args):
 def cmd_analyze(args):
     _, ss = _load(args)
     N = args.n
-    _at_least("--n", N, 1)
+    _count(N, "--n", 1)
     out = _outdir(args)
     a = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(a)
@@ -173,9 +170,9 @@ def cmd_analyze(args):
 
 def cmd_sweep(args):
     sys_obj, ss = _load(args)
-    _at_least("--n-start", args.n_start, 1)
-    _at_least("--n-doublings", args.n_doublings, 0)
-    _at_least("--grid", args.grid, 2)
+    _count(args.n_start, "--n-start", 1)
+    _count(args.n_doublings, "--n-doublings", 0)
+    _count(args.grid, "--grid", 2)
     out = _outdir(args)
     oracle, _ = hinf_peak(sys_obj, args.grid)
     schedule = [args.n_start * 2**k for k in range(args.n_doublings + 1)]
@@ -207,7 +204,7 @@ def cmd_sweep(args):
 def cmd_estimate(args):
     _, ss = _load(args)
     # every option is checked before the plant builds its N x N matrices
-    _batch_length(args.n)
+    _count(args.n, "batch length", 1)
     default_tol = 1e-8 if args.ideal_plant else 1e-4
     config = PowerIterationConfig(
         n_update=args.n_update,
@@ -235,7 +232,7 @@ def cmd_estimate(args):
 
 def cmd_oracle(args):
     sys_obj, _ = _load(args)
-    _at_least("--grid", args.grid, 2)
+    _count(args.grid, "--grid", 2)
     out = _outdir(args)
     gain, omega = hinf_peak(sys_obj, args.grid)
     rows = [

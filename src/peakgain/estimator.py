@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lifting import _batch_length
+from .lti import _count
 from .plant import RESET_FREE, RESET_PER_BATCH, relative_batch_change
 from .spectral import time_reverse
 
@@ -51,6 +51,12 @@ class EstimationError(RuntimeError):
     """Raised when an iteration cannot proceed (degenerate update vector)."""
 
 
+def _real(value, name):
+    """Check a real knob: a real number (numpy floats and integers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class PowerIterationConfig:
     """Knobs of the power iterations.
@@ -59,8 +65,9 @@ class PowerIterationConfig:
     shift the scalar added to the reversed response before renormalizing,
     None to probe the plant for a scale; convergence is declared when the
     gain readout moves less than convergence_tol between consecutive
-    updates. rng_seed, a non-negative integer, seeds the random start input
-    and the shift probe. The batch length is the plant's N.
+    updates. rng_seed, a nonnegative integer, seeds the random start input
+    and the shift probe. The batch length is the plant's N. The knobs are
+    checked in this order; counts come back as int.
     """
 
     n_update: int = 1
@@ -70,23 +77,20 @@ class PowerIterationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_update", "max_updates"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        _rng_seed(self.rng_seed)
-        if self.n_update < 1:
-            raise ValueError(f"n_update must be at least 1, got {self.n_update}")
-        if self.shift is not None and not math.isfinite(self.shift):
-            raise ValueError(f"shift must be finite, got {self.shift!r}")
-        if self.shift is not None and self.shift == 0.0:
-            raise ValueError("shift must be nonzero (or None to auto-select)")
-        if self.max_updates < 1:
-            raise ValueError(f"max_updates must be at least 1, got {self.max_updates}")
+        self.n_update = _count(self.n_update, "n_update", 1)
+        if self.shift is not None:
+            _real(self.shift, "shift")
+            if not math.isfinite(self.shift):
+                raise ValueError(f"shift must be finite, got {self.shift!r}")
+            if self.shift == 0.0:
+                raise ValueError("shift must be nonzero (or None to auto-select)")
+        self.max_updates = _count(self.max_updates, "max_updates", 1)
+        _real(self.convergence_tol, "convergence_tol")
         if not 0.0 < self.convergence_tol < math.inf:
             raise ValueError(
                 f"convergence_tol must be positive and finite, got {self.convergence_tol!r}"
             )
+        self.rng_seed = _count(self.rng_seed, "rng_seed", 0)
 
 
 class UpdateRecord(NamedTuple):
@@ -122,17 +126,10 @@ class EstimateTrace:
         return self.updates[-1].beta
 
 
-def _rng_seed(seed):
-    """Check a seed: a non-negative integer (numpy integers included, bool not)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
 def init_input(n, rng_seed):
     """Seeded random start vector scaled to input power one (||u||^2 = n)."""
-    n = _batch_length(n)
-    rng = np.random.default_rng(_rng_seed(rng_seed))
+    n = _count(n, "batch length", 1)
+    rng = np.random.default_rng(_count(rng_seed, "rng_seed", 0))
     u = rng.standard_normal(n)
     return u * (np.sqrt(n) / np.linalg.norm(u))
 
@@ -274,9 +271,11 @@ def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
     not a bounded estimate of the settled gain. A zero probe output falls
     back to 1.0 with a warning. A probe still unsettled after
     ``max_probe_batches`` batches past the first warns and returns the gain
-    of its last batch. ``n`` must be the plant's batch length; any other
-    value raises ValueError before a batch is applied.
+    of its last batch. ``max_probe_batches`` must be a nonnegative integer
+    (numpy integers included, bool not), and ``n`` the plant's batch length;
+    any other value raises ValueError before a batch is applied.
     """
+    max_probe_batches = _count(max_probe_batches, "max_probe_batches", 0)
     if n != plant.N:
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
     u = init_input(n, rng_seed)

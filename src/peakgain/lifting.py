@@ -23,13 +23,12 @@ about 1e-14 for the sequential loop, and is larger on realizations whose
 powers are ill-conditioned.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lti import StateSpace
+from .lti import StateSpace, _count
 
 __all__ = [
     "LiftedBatchSystem",
@@ -62,15 +61,6 @@ class LiftedBatchSystem:
     J: np.ndarray
 
 
-def _batch_length(N):
-    """Check a batch length: an integer (numpy integers included, bool not) of at least 1."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ValueError(f"batch length must be an integer, got {N!r}")
-    if N < 1:
-        raise ValueError(f"batch length must be at least 1, got {N}")
-    return int(N)
-
-
 def lower_toeplitz(column):
     """Read-only view of the lower-triangular Toeplitz matrix with this first column.
 
@@ -88,7 +78,7 @@ def lift(ss, N):
     """Build the batch representation of a StateSpace over blocks of N samples."""
     if not isinstance(ss, StateSpace):
         raise TypeError("lift expects a StateSpace")
-    N = _batch_length(N)
+    N = _count(N, "batch length", 1)
     A, B, C = ss.A, ss.B, ss.C
     F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
     blocks = list(_krylov(A, B, N))
@@ -145,7 +135,7 @@ def impulse_response(ss, N):
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("impulse_response expects a StateSpace")
-    N = _batch_length(N)
+    N = _count(N, "batch length", 1)
     return _markov(_krylov(ss.A, ss.B, N), ss.C, ss.D, N)
 
 
@@ -186,7 +176,7 @@ def circulant_coefficients(ss, N):
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("circulant_coefficients expects a StateSpace")
-    N = _batch_length(N)
+    N = _count(N, "batch length", 1)
     AN = np.linalg.matrix_power(ss.A, N)
     w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
     h = _markov(_krylov(ss.A, w, N + 1), ss.C, ss.D, N + 1)

@@ -28,6 +28,26 @@ __all__ = [
 _STABLE_BELOW = 1.0 - 1e-12
 
 
+def _count(value, name, low):
+    """Check a count: an integer (numpy integers included, bool not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        kind = "a nonnegative integer" if low == 0 else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
+def _samples(v, N, what):
+    """Check a sample vector: N finite samples, returned as a flat float array."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != N:
+        raise ValueError(f"{what} must have length {N}, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite (NaN or inf sample)")
+    return v
+
+
 def spectral_radius(A, tol=1e-10, max_squarings=200):
     """Spectral radius of a square matrix by normalized repeated squaring.
 
@@ -38,10 +58,11 @@ def spectral_radius(A, tol=1e-10, max_squarings=200):
     leaves comfortable margin over the 1e-8 relative accuracy the rest of the
     package relies on.
 
-    Raises RuntimeError if the estimate has not stabilized after
-    ``max_squarings`` squarings.
+    ``max_squarings`` must be an integer (numpy integers included, bool not)
+    of at least 1, else ValueError. Raises RuntimeError if the estimate has
+    not stabilized after that many squarings.
     """
-    return _gelfand(A, 0.0, tol, max_squarings)
+    return _gelfand(A, 0.0, tol, _count(max_squarings, "max_squarings", 1))
 
 
 def _gelfand(A, accept_below, tol=1e-10, max_squarings=200):
@@ -141,8 +162,7 @@ class RationalTransferFunction:
             raise ValueError(f"non-finite coefficient in num {num} or den {den}")
         if not den or den[0] == 0.0:
             raise ValueError("denominator must have a nonzero leading coefficient")
-        if isinstance(delay, bool) or not isinstance(delay, numbers.Integral) or delay < 0:
-            raise ValueError(f"delay must be a nonnegative integer sample count, got {delay!r}")
+        delay = _count(delay, "delay", 0)
         if len(den) > 1:
             mags = np.abs(np.roots(den))
             bad = np.sort(mags[mags >= 1.0])[::-1]
@@ -153,7 +173,7 @@ class RationalTransferFunction:
                 )
         self.num = num
         self.den = den
-        self.delay = int(delay)
+        self.delay = delay
 
     def __repr__(self):
         return (
@@ -222,11 +242,12 @@ def simulate(ss, x0, u):
     This per-sample loop is the sample-exact reference. Plant sessions apply
     whole batches through the lifted matrices instead, and the tests compare
     them against chained ``simulate`` calls within a rounding tolerance.
+
+    ``x0`` must hold ``ss.n`` finite entries and ``u`` finite samples of any
+    length, else ValueError, as at a plant session.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape != (ss.n,):
-        raise ValueError(f"initial state must have length {ss.n}, got {x.shape}")
-    u = np.asarray(u, dtype=float).reshape(-1)
+    x = _samples(x0, ss.n, "initial state").copy()
+    u = _samples(u, np.size(u), "input")
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
     y = np.empty(u.shape[0])
     for k in range(u.shape[0]):
@@ -283,11 +304,7 @@ def hinf_peak(sys, grid_size=100001):
     ``grid_size`` must be an integer (numpy integers included, bool not) of
     at least 2, else ValueError.
     """
-    if isinstance(grid_size, bool) or not isinstance(grid_size, numbers.Integral):
-        raise ValueError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    N = int(grid_size)
+    N = _count(grid_size, "grid_size", 2)
     om = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
     if isinstance(sys, StateSpace):
         from .lifting import circulant_coefficients  # lifting imports this module

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import _batch_length, circulant_coefficients, lift
-from .lti import StateSpace
+from .lifting import circulant_coefficients, lift
+from .lti import StateSpace, _count, _samples
 
 __all__ = [
     "RESET_FREE",
@@ -59,16 +59,6 @@ class BatchRecord:
     y: np.ndarray
 
 
-def _batch_samples(v, N, what):
-    """Validate one batch: N finite samples, returned as a flat float array."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != N:
-        raise ValueError(f"{what} must have length {N}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} must be finite (NaN or inf sample)")
-    return v
-
-
 class PlantSession:
     """Stateful experiment handle over a hidden system.
 
@@ -88,20 +78,13 @@ class PlantSession:
     def __init__(self, ss, N, mode, x0=None, noise=None, settled=False):
         if not isinstance(ss, StateSpace):
             raise TypeError("PlantSession expects a StateSpace")
-        N = _batch_length(N)
+        N = _count(N, "batch length", 1)
         if mode not in (RESET_FREE, RESET_PER_BATCH):
             raise ValueError(f"unknown mode {mode!r}")
         if settled and (mode != RESET_FREE or x0 is not None):
             raise ValueError("a settled plant is reset-free and has no transient: "
                              "settled=True takes neither reset-per-batch mode nor x0")
-        if x0 is None:
-            x = np.zeros(ss.n)
-        else:
-            x = np.asarray(x0, dtype=float).reshape(-1).copy()
-            if x.shape != (ss.n,):
-                raise ValueError(f"initial state must have length {ss.n}, got {x.shape}")
-            if not np.isfinite(x).all():
-                raise ValueError("initial state must be finite (NaN or inf entry)")
+        x = np.zeros(ss.n) if x0 is None else _samples(x0, ss.n, "initial state").copy()
         if mode == RESET_PER_BATCH and np.any(x != 0.0):
             raise ValueError("reset-per-batch sessions start every batch at rest; "
                              "a nonzero initial state is rejected")
@@ -127,7 +110,7 @@ class PlantSession:
         u = np.asarray(u, dtype=float).reshape(-1)
         held = u.tobytes()
         if held != self._held:
-            u = _batch_samples(u, self.N, "input batch")
+            u = _samples(u, self.N, "input batch")
             self._held = held
             if self._a_bins is not None:
                 self._settled_y = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
@@ -136,7 +119,7 @@ class PlantSession:
             else:
                 self._Ju, self._Gu, self._settled_y = self._J @ u, self._G @ u, None
         # drawn before the state moves, so a bad draw leaves the session as it was
-        noise = None if self._noise is None else _batch_samples(
+        noise = None if self._noise is None else _samples(
             self._noise(self.N), self.N, "noise draw")
         if self._settled_y is not None:
             y = self._settled_y.copy()
@@ -154,9 +137,8 @@ class PlantSession:
         return record
 
 
-def new_session(ss, N, mode, x0=None, noise=None, settled=False):
-    """Open an experiment session on a simulated plant."""
-    return PlantSession(ss, N, mode, x0=x0, noise=noise, settled=settled)
+# opens an experiment session on a simulated plant
+new_session = PlantSession
 
 
 def relative_batch_change(y_prev, y_curr):

@@ -122,6 +122,26 @@ class TestConfigValidation:
         config = PowerIterationConfig(n_update=np.int32(2), max_updates=np.int64(7))
         assert (config.n_update, config.max_updates) == (2, 7)
 
+    @pytest.mark.parametrize("knob", ["shift", "convergence_tol"])
+    @pytest.mark.parametrize("value", [True, "1e-8", 1e-8j, [1e-8]])
+    def test_rejects_non_real_knobs(self, knob, value):
+        with pytest.raises(ValueError, match=f"^{knob} must be a real number"):
+            PowerIterationConfig(**{knob: value})
+
+    def test_rejects_missing_tolerance(self):
+        with pytest.raises(ValueError, match="^convergence_tol must be a real number, got None"):
+            PowerIterationConfig(convergence_tol=None)
+
+    def test_accepts_numpy_reals(self):
+        config = PowerIterationConfig(shift=np.float32(2.0), convergence_tol=np.float64(1e-6))
+        assert (config.shift, config.convergence_tol) == (2.0, 1e-6)
+
+    def test_first_bad_knob_in_field_order_is_reported(self):
+        with pytest.raises(ValueError, match="^n_update"):
+            PowerIterationConfig(n_update=0, rng_seed=-1)
+        with pytest.raises(ValueError, match="^convergence_tol"):
+            PowerIterationConfig(convergence_tol=0.0, rng_seed=-1)
+
 
 class TestResetFreeIteration:
     def test_converges_to_top_reversed_eigenvalue_at_dc(self):
