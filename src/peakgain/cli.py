@@ -79,18 +79,20 @@ def write_update_snapshots(trace, outdir, updates=None):
 
     Defaults to the initial input, the first post-update input and the final
     one (deduplicated for short runs). Each update is an integer from 1 to
-    the trace's update count, else ValueError. Returns the written file names.
+    the trace's update count, else ValueError; all are checked before any
+    file is written. Returns the written file names.
     """
     count = len(trace.updates)
     if count == 0:
         return []
     if updates is None:
         updates = sorted({1, min(2, count), count})
-    written = []
+    updates = [_count(upd, "snapshot update", 1) for upd in updates]
     for upd in updates:
-        upd = _count(upd, "snapshot update", 1)
         if upd > count:
             raise ValueError(f"no update {upd} in a trace of {count} updates")
+    written = []
+    for upd in updates:
         record = trace.updates[upd - 1]
         for tag, vec in (("u", record.u), ("y", record.y)):
             name = f"{tag}_update_{upd:05d}.csv"
@@ -123,13 +125,14 @@ def cmd_analyze(args):
     a = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(a)
     rev = reversed_spectrum(lam)
-    lifted = lift(ss, N)
-    M = periodic_response_matrix(lifted)
-    residual, _ = diagonalization_residual(M)
-    j_is_zero = not lifted.J[:, 0].any()
+    # J is freed once M is built, so at most two N x N arrays are alive:
+    # J and M, then M and its transform in the residual
+    residual, _ = diagonalization_residual(periodic_response_matrix(lift(ss, N)))
+    h = impulse_response(ss, N)  # the first column of J, bit for bit
+    j_is_zero = not h.any()
     gain_reset_free = float(np.abs(lam).max())
     rev_top = float(rev.max())
-    gain_reset_based = max_gain_reset_based(lifted.J[:, 0])
+    gain_reset_based = max_gain_reset_based(h)
 
     _write_csv(
         os.path.join(out, "coefficients.csv"),

@@ -21,14 +21,13 @@ batch length of every iteration is the plant's ``N``.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .lti import _count
+from .lti import _count, _real, _tolerance
 from .plant import RESET_FREE, RESET_PER_BATCH, relative_batch_change
 from .spectral import time_reverse
 
@@ -49,12 +48,6 @@ _SETTLE_TOL = 1e-8
 
 class EstimationError(RuntimeError):
     """Raised when an iteration cannot proceed (degenerate update vector)."""
-
-
-def _real(value, name):
-    """Check a real knob: a real number (numpy floats and integers included, bool not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -85,11 +78,7 @@ class PowerIterationConfig:
             if self.shift == 0.0:
                 raise ValueError("shift must be nonzero (or None to auto-select)")
         self.max_updates = _count(self.max_updates, "max_updates", 1)
-        _real(self.convergence_tol, "convergence_tol")
-        if not 0.0 < self.convergence_tol < math.inf:
-            raise ValueError(
-                f"convergence_tol must be positive and finite, got {self.convergence_tol!r}"
-            )
+        _tolerance(self.convergence_tol, "convergence_tol")
         self.rng_seed = _count(self.rng_seed, "rng_seed", 0)
 
 

@@ -156,12 +156,16 @@ def periodic_response_matrix(lb):
     """Map from one input period to the settled output period.
 
     Returns M = H (I - F)^-1 G + J via a factorized solve; the inverse is
-    never formed explicitly.
+    never formed explicitly. J is added into the product in place, the same
+    elementwise sum, so the only N x N array allocated is M itself: with
+    lb.J the workspace is two N x N arrays, plus the N x n solution X.
     """
     if not isinstance(lb, LiftedBatchSystem):
         raise TypeError("periodic_response_matrix expects a LiftedBatchSystem")
     X = _solve_fixed_point(lb.F, lb.G, "periodic_response_matrix")
-    return lb.H @ X + lb.J
+    M = lb.H @ X
+    M += lb.J
+    return M
 
 
 def circulant_coefficients(ss, N):

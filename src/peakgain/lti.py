@@ -38,6 +38,19 @@ def _count(value, name, low):
     return int(value)
 
 
+def _real(value, name):
+    """Check a real knob: a real number (numpy floats and integers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _tolerance(value, name):
+    """Check a tolerance: a real number that is positive and finite."""
+    _real(value, name)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _samples(v, N, what):
     """Check a sample vector: N finite samples, returned as a flat float array."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -58,10 +71,12 @@ def spectral_radius(A, tol=1e-10, max_squarings=200):
     leaves comfortable margin over the 1e-8 relative accuracy the rest of the
     package relies on.
 
-    ``max_squarings`` must be an integer (numpy integers included, bool not)
-    of at least 1, else ValueError. Raises RuntimeError if the estimate has
-    not stabilized after that many squarings.
+    ``tol`` must be a positive, finite real number and ``max_squarings`` an
+    integer (numpy integers included, bool not) of at least 1, else
+    ValueError. Raises RuntimeError if the estimate has not stabilized after
+    that many squarings.
     """
+    _tolerance(tol, "tol")
     return _gelfand(A, 0.0, tol, _count(max_squarings, "max_squarings", 1))
 
 

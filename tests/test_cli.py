@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,24 @@ class TestAnalyze:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["analyze", "--system", str(tmp_path / "nope.txt"), "--n", "4"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", [DEMO_SYSTEM, "num = 1e-4\nden = 1, -0.9999\n"],
+                             ids=["demo", "slow"])
+    def test_holds_at_most_two_square_arrays(self, system, tmp_path):
+        # J and M while M is built, then M and its half-width complex
+        # transform: about 2 N^2 doubles, where four would take 3.5 N^2
+        path = tmp_path / "system.txt"
+        path.write_text(system)
+        N = 1024
+        tracemalloc.start()
+        try:
+            code = main(["analyze", "--system", str(path), "--n", str(N),
+                         "--out", str(tmp_path / "analysis")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2.5 * 8 * N * N
 
 
 class TestSweep:
@@ -267,6 +287,13 @@ class TestCsvWriters:
             vec = u if name.startswith("u") else y
             expected = per_row_lines("k,value", [(k, repr(float(v))) for k, v in enumerate(vec)])
             assert (tmp_path / name).read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("bad", [5, 0, 2.5])
+    def test_snapshots_check_every_update_before_writing(self, bad, tmp_path):
+        trace = EstimateTrace(updates=[UpdateRecord(np.ones(2), np.ones(2), 1.0, 1.0)] * 3)
+        with pytest.raises(ValueError, match="update"):
+            cli.write_update_snapshots(trace, tmp_path, updates=[1, bad])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracle:

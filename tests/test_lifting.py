@@ -74,6 +74,14 @@ def test_impulse_response_is_the_first_column_of_j():
         assert np.array_equal(impulse_response(ss, N), lift(ss, N).J[:, 0])
 
 
+@pytest.mark.parametrize("N", [1, 50, 513, 2048])
+@pytest.mark.parametrize("plant", ["demo", "slow"])
+def test_impulse_response_is_the_first_column_of_a_long_j(plant, N):
+    # analyze takes h from impulse_response so that J can be freed early
+    ss = tf_to_ss(delayed_resonator()) if plant == "demo" else slow_pole()
+    assert np.array_equal(impulse_response(ss, N), lift(ss, N).J[:, 0])
+
+
 def test_impulse_response_matches_long_division():
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -209,6 +217,16 @@ def test_periodic_response_of_unit_delay_is_cyclic_shift():
     for _ in range(20):
         y, x = simulate(ss, x, [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(response, y, atol=1e-12)
+
+
+def test_periodic_response_is_the_plain_sum_bit_for_bit():
+    # M is H X with J added in place: the same elementwise sum as H X + J
+    rng = np.random.default_rng(7)
+    systems = [random_stable_statespace(rng) for _ in range(5)] + [slow_pole()]
+    for ss, N in zip(systems, (1, 2, 17, 64, 300, 513)):
+        lb = lift(ss, N)
+        X = np.linalg.solve(np.eye(ss.n) - lb.F, lb.G)
+        assert np.array_equal(periodic_response_matrix(lb), lb.H @ X + lb.J)
 
 
 def test_circulant_coefficients_of_static_gain():

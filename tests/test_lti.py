@@ -250,6 +250,17 @@ class TestSpectralRadius:
         with pytest.raises(RuntimeError):
             spectral_radius(np.diag([0.5, 0.2]), max_squarings=1)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1e-3"])
+    def test_bad_tolerance_rejected(self, tol):
+        # checked before any squaring, so a NaN tol cannot run out the cap
+        with pytest.raises(ValueError, match="^tol must be"):
+            spectral_radius(np.diag([0.5, 0.2]), tol=tol)
+
+    def test_tolerance_accepts_numpy_reals(self):
+        expected = spectral_radius(np.diag([0.5, 0.2]), tol=1e-9)
+        for tol in (np.float64(1e-9), np.float32(1e-9)):
+            assert spectral_radius(np.diag([0.5, 0.2]), tol=tol) == pytest.approx(expected)
+
 
 def rotation(radius, angle):
     c, s = np.cos(angle), np.sin(angle)

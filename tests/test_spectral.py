@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,27 @@ class TestDiagonalization:
         scale = np.abs(T).max()
         assert np.abs(diag - np.diag(T)).max() <= 1e-12 * scale
         assert abs(max_off - np.abs(T - np.diag(np.diag(T))).max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N", [1, 2, 255, 256, 257, 600, 1024])
+    def test_blocked_maximum_equals_the_unblocked_one(self, N):
+        rng = np.random.default_rng(N)
+        M = rng.standard_normal((N, N))
+        T = np.fft.ifft(np.fft.rfft(M, axis=1), axis=0)
+        q = np.arange(N // 2 + 1)
+        T[q, q] = 0.0
+        max_off, _ = diagonalization_residual(M)
+        assert max_off == float(np.abs(T).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_matrix_rejected(self, bad, row):
+        # at N = 600 the last block of rows is a partial one
+        M = circulant(np.random.default_rng(0).standard_normal(600))
+        M[row, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                diagonalization_residual(M)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty matrix"):
