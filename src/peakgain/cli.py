@@ -125,10 +125,14 @@ def cmd_analyze(args):
     a = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(a)
     rev = reversed_spectrum(lam)
-    # J is freed once M is built, so at most two N x N arrays are alive:
-    # J and M, then M and its transform in the residual
-    residual, _ = diagonalization_residual(periodic_response_matrix(lift(ss, N)))
-    h = impulse_response(ss, N)  # the first column of J, bit for bit
+    # h is the first column of J, and J is freed once M is built, so at most
+    # two N x N arrays are alive: J and M, then M and its transform in the
+    # residual
+    lb = lift(ss, N)
+    h = lb.J[:, 0].copy()
+    M = periodic_response_matrix(lb)
+    del lb
+    residual, _ = diagonalization_residual(M)
     j_is_zero = not h.any()
     gain_reset_free = float(np.abs(lam).max())
     rev_top = float(rev.max())

@@ -8,6 +8,12 @@ row-reversed periodic response matrix, whose dominant eigenvalue is the peak
 gain over the batch frequency grid. The reset-based baseline re-applies the
 time-reversed output directly, one from-rest experiment per iteration.
 
+A hold's readout is its last batch, unless that batch still moves and the
+hold's last four batches extrapolate, by Aitken's rule for one geometric
+transient mode, to a settled output; the same rule settles the shift probe.
+The hold's last trace row and update record then carry the extrapolated
+output's readouts.
+
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
 converged input this equals the dominant eigenvalue exactly; the shift steers
@@ -22,6 +28,7 @@ batch length of every iteration is the plant's ``N``.
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,7 +49,7 @@ __all__ = [
 ]
 
 
-# relative change at which the shift probe's held output counts as settled
+# relative change at which a held output, or its extrapolated limit, counts as settled
 _SETTLE_TOL = 1e-8
 
 
@@ -130,17 +137,54 @@ def _readouts(u, y, n):
     return mu, beta
 
 
+def _aitken(y0, y1, y2):
+    # limit y2 + d r / (1 - r) of a geometric mode with contraction r, or None
+    d_prev, d = y1 - y0, y2 - y1
+    if not d_prev.any():
+        return None
+    r = float(d @ d_prev) / float(d_prev @ d_prev)
+    return y2 + d * (r / (1.0 - r)) if -1.0 < r < 1.0 else None
+
+
+def _settled(window, tol):
+    """The settled output of a held input from its last outputs, or None.
+
+    ``window`` holds the last (at most four) outputs of one hold, oldest
+    first. The last batch is accepted as measured once its
+    relative_batch_change is below ``tol``. Otherwise each run of three
+    batches is extrapolated to its limit y_j + d_j r / (1 - r), where d_j is
+    the last batch change and r = d_j . d_{j-1} / ||d_{j-1}||^2 its
+    contraction (Aitken's rule, exact for a single geometric transient
+    mode); only -1 < r < 1 gives a limit, and the last limit is accepted
+    when the one before it agrees to ``tol``.
+    """
+    if len(window) > 1 and relative_batch_change(window[-2], window[-1]) < tol:
+        return window[-1]
+    if len(window) < 4:
+        return None
+    y0, y1, y2, y3 = window[-4], window[-3], window[-2], window[-1]
+    prev_limit, limit = _aitken(y0, y1, y2), _aitken(y1, y2, y3)
+    if prev_limit is None or limit is None or relative_batch_change(prev_limit, limit) >= tol:
+        return None
+    return limit
+
+
 def _iterate(plant, config, mode, hold, shift):
     """Power iteration z = reverse(y) + shift * u, renormalized to power one.
 
     Each input is applied ``hold`` times (the same array object every time)
-    and the last batch is the readout. Within a hold, a batch whose output
+    and read out at the last batch. Within a hold, a batch whose output
     has the same float64 bytes as the batch before it shares that batch's
     ``mu`` and ``beta`` objects: a settled plant repeats its output, and the
-    readouts of the same u and y are the same floats. ``shift`` None probes
+    readouts of the same u and y are the same floats. A last batch that
+    differs from the one before it is read out through ``_settled`` on the
+    hold's last four outputs: the measured batch if it has settled, else
+    their extrapolated limit if two limits agree, else the measured batch
+    again. That readout, possibly extrapolated, gives the hold's last trace
+    row, its ``UpdateRecord`` and the next update. ``shift`` None probes
     the plant for one; a shift of 0 is the reset-based baseline, where a
     vanishing update means the plant returned a zero batch and ends the run
-    with estimate 0.
+    with estimate 0 (its hold of 1 is never extrapolated).
     """
     n = plant.N
     if plant.mode != mode:
@@ -153,20 +197,26 @@ def _iterate(plant, config, mode, hold, shift):
     sqrt_n = np.sqrt(n)
     beta_prev = None
     for update in range(1, config.max_updates + 1):
+        window = deque(maxlen=4)
         y_prev = None
-        for _ in range(hold):
+        for batch in range(1, hold + 1):
             record = plant.apply_batch(u)
-            y_bytes = record.y.tobytes()
+            y = record.y
+            window.append(y)
+            y_bytes = y.tobytes()
             if y_bytes != y_prev:
-                mu, beta = _readouts(u, record.y, n)
+                if batch == hold and y_prev is not None:
+                    settled = _settled(window, _SETTLE_TOL)
+                    y = y if settled is None else settled
+                mu, beta = _readouts(u, y, n)
                 y_prev = y_bytes
             trace.rows.append((update, record.j, mu, beta))
-        trace.updates.append(UpdateRecord(u.copy(), record.y.copy(), mu, beta))
+        trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
             break
         beta_prev = beta
-        z = time_reverse(record.y) + shift * u
+        z = time_reverse(y) + shift * u
         z_norm = float(np.linalg.norm(z))
         if z_norm == 0.0:
             if shift != 0.0:
@@ -184,12 +234,15 @@ def _iterate(plant, config, mode, hold, shift):
 def iterate_reset_free(plant, config):
     """Shifted power iteration on a continuously operated plant.
 
-    Holds the current input for ``config.n_update`` batches, measures the last
-    batch, forms z = reverse(y) + shift * u and renormalizes z to input power
-    one. With a positive shift of roughly the plant's peak gain the iterate
-    settles on the positive dominant eigendirection instead of flipping sign
-    every step. Stops when beta moves less than the tolerance between
-    updates, or flags the trace as non-converged at max_updates.
+    Holds the current input for ``config.n_update`` batches and reads out y:
+    the last batch, or, when it still moves, the settled output that
+    ``_settled`` extrapolates from the hold's last four batches (the hold's
+    last trace row then carries the extrapolated readout). It forms
+    z = reverse(y) + shift * u and renormalizes z to input power one. With
+    a positive shift of roughly the plant's peak gain the iterate settles
+    on the positive dominant eigendirection instead of flipping sign every
+    step. Stops when beta moves less than the tolerance between updates, or
+    flags the trace as non-converged at max_updates.
     """
     return _iterate(plant, config, RESET_FREE, config.n_update, config.shift)
 
@@ -209,37 +262,25 @@ def iterate_reset_based(plant, config):
 def _settled_output(plant, u, tol, max_batches):
     """Hold ``u`` on a reset-free plant and return its settled output batch.
 
-    After each batch the measured output is accepted once its
-    relative_batch_change is below ``tol``. Otherwise the held batches are
-    extrapolated to their limit, y_j + d_j r / (1 - r), where d_j is the
-    last batch change and r = d_j . d_{j-1} / ||d_{j-1}||^2 its contraction
-    (Aitken's rule, exact for a single geometric transient mode); only
-    0 <= r < 1 gives a limit, and two consecutive limits that agree to
-    ``tol`` are returned. An all-zero batch never counts as settled, so a
-    dead time longer than the batch is waited out. After ``max_batches``
-    batches past the first it warns, unless the output is still all zero,
-    and returns the last batch.
+    After each batch the last (at most four) outputs go through
+    ``_settled``, which returns the measured batch once it has settled or an
+    extrapolated limit once two agree. An all-zero batch never counts as
+    settled and starts the window afresh, so a dead time longer than the
+    batch is waited out. After ``max_batches`` batches past the first it
+    warns, unless the output is still all zero, and returns the last batch.
     """
-    y = plant.apply_batch(u).y
-    change = math.inf
-    d = limit = None
+    window = deque([plant.apply_batch(u).y], maxlen=4)
     for _ in range(max_batches):
-        prev, y = y, plant.apply_batch(u).y
+        y = plant.apply_batch(u).y
         if not y.any():
-            d = limit = None
-            continue
-        change = relative_batch_change(prev, y)
-        if change < tol:
-            return y
-        d_prev, d = d, y - prev
-        prev_limit, limit = limit, None
-        if d_prev is not None and d_prev.any():
-            r = float(d @ d_prev) / float(d_prev @ d_prev)
-            if 0.0 <= r < 1.0:
-                limit = y + d * (r / (1.0 - r))
-                if prev_limit is not None and relative_batch_change(prev_limit, limit) < tol:
-                    return limit
+            window.clear()
+        window.append(y)
+        settled = _settled(window, tol)
+        if settled is not None:
+            return settled
+    y = window[-1]
     if y.any():
+        change = relative_batch_change(window[-2], y) if len(window) > 1 else math.inf
         warnings.warn(
             f"shift probe did not settle within {max_batches} batches "
             f"(last relative_batch_change {change:.3g}); using the unsettled gain"
@@ -252,7 +293,8 @@ def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
 
     Applies a random unit-power batch and returns the observed gain
     ||y|| / ||u||, floored at 1e-6. On a reset-free plant the batch is held
-    until ``_settled_output`` accepts: either a measured batch that moved
+    until ``_settled_output`` accepts, by the rule of ``_settled`` that the
+    iteration reads out its holds with: either a measured batch that moved
     less than 1e-8 (relative) from the one before, or, for a slow
     transient, the extrapolated limit of the held batches once two
     consecutive limits agree to 1e-8. A reset-per-batch plant is

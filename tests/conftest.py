@@ -10,6 +10,7 @@ from peakgain import (
     RationalTransferFunction,
     StateSpace,
     lift,
+    relative_batch_change,
     select_shift,
     simulate,
     tf_to_ss,
@@ -99,13 +100,41 @@ class LiftedReferenceSession:
         return record
 
 
+def end_of_hold_readout(outputs, tol=1e-8):
+    """The readout of one hold's outputs: the last batch or its Aitken limit.
+
+    A plain restatement of the estimator's rule. The last batch is kept if it
+    repeats the batch before it byte for byte or moved less than ``tol``
+    (relative) from it. Otherwise the last two runs of three batches y0, y1,
+    y2 are each extrapolated to y2 + d1 r / (1 - r), with d0 = y1 - y0,
+    d1 = y2 - y1 and r = d1 . d0 / d0 . d0 for -1 < r < 1, and the second
+    limit is the readout when the two agree to ``tol``; else the last batch.
+    """
+    last = outputs[-1]
+    if len(outputs) < 2 or last.tobytes() == outputs[-2].tobytes():
+        return last
+    if relative_batch_change(outputs[-2], last) < tol or len(outputs) < 4:
+        return last
+    limits = []
+    for y0, y1, y2 in (outputs[-4:-1], outputs[-3:]):
+        d0, d1 = y1 - y0, y2 - y1
+        if not d0.any():
+            return last
+        r = float(d1 @ d0) / float(d0 @ d0)
+        if not -1.0 < r < 1.0:
+            return last
+        limits.append(y2 + d1 * (r / (1.0 - r)))
+    return limits[1] if relative_batch_change(*limits) < tol else last
+
+
 def iterate_reading_every_batch(plant, config, reset_based=False):
     """Reference power iteration: ``_readouts`` on every batch of every hold.
 
     The loop of ``peakgain.estimator`` without its shared readouts of a
     repeated output; reset-free with the config's hold and shift (None
-    probes), or the reset-based baseline with hold 1 and shift 0. The
-    estimator's traces must equal this one bit for bit.
+    probes), or the reset-based baseline with hold 1 and shift 0. Each hold
+    is read out through ``end_of_hold_readout``. The estimator's traces must
+    equal this one bit for bit.
     """
     hold, shift = (1, 0.0) if reset_based else (config.n_update, config.shift)
     n = plant.N
@@ -116,16 +145,22 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
     sqrt_n = np.sqrt(n)
     beta_prev = None
     for update in range(1, config.max_updates + 1):
+        outputs = []
         for _ in range(hold):
             record = plant.apply_batch(u)
+            outputs.append(record.y)
             mu, beta = _readouts(u, record.y, n)
             trace.rows.append((update, record.j, mu, beta))
-        trace.updates.append(UpdateRecord(u.copy(), record.y.copy(), mu, beta))
+        y = end_of_hold_readout(outputs)
+        if y is not record.y:
+            mu, beta = _readouts(u, y, n)
+            trace.rows[-1] = (update, record.j, mu, beta)
+        trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
             break
         beta_prev = beta
-        z = time_reverse(record.y) + shift * u
+        z = time_reverse(y) + shift * u
         z_norm = float(np.linalg.norm(z))
         if z_norm == 0.0:
             if shift != 0.0:

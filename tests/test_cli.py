@@ -3,13 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import DEMO_PEAK_GAIN
-from peakgain import EstimateTrace, cli
+from conftest import DEMO_PEAK_GAIN, slow_pole
+from peakgain import (
+    EstimateTrace,
+    circulant_coefficients,
+    circulant_eigenvalues,
+    cli,
+    reversed_spectrum,
+)
 from peakgain.cli import main
 from peakgain.estimator import UpdateRecord
 
 DEMO_SYSTEM = "num = 0, 5, 4\nden = 10, -5, 6\ndelay = 50\n"
 LOW_PASS = "num = 1\nden = 1, -0.5\n"
+SLOW_POLE = "num = 1e-4\nden = 1, -0.9999\n"
 
 
 @pytest.fixture
@@ -206,6 +213,19 @@ class TestEstimate:
         # the batch-grid peak gain, well below the true peak
         assert abs(beta - 1.9199846942226348) < 2e-2
         assert beta < DEMO_PEAK_GAIN
+
+    def test_slow_pole_run_reaches_the_grid_target(self, tmp_path, capsys):
+        # a 200-batch time constant against a hold of 10: the extrapolated
+        # readouts settle each hold, where the measured ones stopped 0.19% low
+        path = tmp_path / "slow.txt"
+        path.write_text(SLOW_POLE)
+        assert main(["estimate", "--system", str(path), "--out", str(tmp_path / "est")]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                       if " = " in line)
+        target = reversed_spectrum(circulant_eigenvalues(circulant_coefficients(slow_pole(), 50)))
+        assert printed["converged"] == "true"
+        assert abs(float(printed["beta"]) - target.max()) < 1e-6
+        assert int(printed["batches"]) < 400
 
     def test_non_convergence_exits_2(self, low_pass_file, tmp_path):
         out = tmp_path / "est"

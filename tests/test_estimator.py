@@ -445,6 +445,14 @@ class TestSelectShift:
         assert session.batch_counter <= 10
         assert shift == pytest.approx(settled_gain(ss, 50, 0), abs=1e-10)
 
+    def test_negative_contraction_probe_is_extrapolated(self):
+        # at odd N the per-batch contraction (-0.999)^N is negative, about -0.95
+        ss = tf_to_ss(RationalTransferFunction((1e-3,), (1.0, 0.999)))
+        session = new_session(ss, 51, RESET_FREE)
+        shift = select_shift(session, 51, rng_seed=0)
+        assert session.batch_counter <= 10
+        assert shift == pytest.approx(settled_gain(ss, 51, 0), abs=1e-10)
+
     @pytest.mark.parametrize("N", [8, 16])
     def test_dead_time_longer_than_batch_is_waited_out(self, N, recwarn):
         # the demo's 50-sample dead time spans several all-zero batches
@@ -594,3 +602,108 @@ class TestSharedReadouts:
         trace = iterate_reset_free(make(), config)
         assert trace_bits(trace) == trace_bits(expected)
         assert len({beta for _, _, _, beta in trace.rows}) == 6
+
+
+def two_slow_poles():
+    """Real poles at 0.9999 and 0.999 with unit DC gain: two slow transient modes."""
+    den = tuple(np.polymul([1.0, -0.9999], [1.0, -0.999]))
+    return tf_to_ss(RationalTransferFunction((1e-7,), den))
+
+
+def hold_readouts(ss, N, **knobs):
+    """Run the reset-free iteration on a transient session and list its holds.
+
+    Each hold gives (update record, last measured output, the one before it),
+    the outputs as float64 bytes.
+    """
+    plant = OutputLog(new_session(ss, N, RESET_FREE))
+    trace = iterate_reset_free(plant, PowerIterationConfig(**knobs))
+    last = {update: j for update, j, _, _ in trace.rows}
+    return [(record, plant.outputs[last[k]], plant.outputs[last[k] - 1])
+            for k, record in enumerate(trace.updates, 1)]
+
+
+def settled_error(ss, N, record):
+    """Relative distance of a readout from the settled plant's output for its input."""
+    settled = new_session(ss, N, RESET_FREE, settled=True).apply_batch(record.u).y
+    return float(np.linalg.norm(record.y - settled) / np.linalg.norm(settled))
+
+
+class TestSettledReadout:
+    """A hold whose last batch still moves is read out through ``_settled``."""
+
+    def test_settled_batch_is_returned_as_measured(self):
+        y = np.array([1.0, 2.0, 3.0])
+        window = [y + 1.0, y + 1e-3, y * (1.0 + 1e-12), y]
+        assert estimator._settled(window, 1e-8) is y
+
+    @pytest.mark.parametrize("r", [0.999, 0.5, -0.5, -0.999])
+    def test_one_geometric_mode_is_extrapolated_to_its_limit(self, r):
+        s, a = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.2])
+        window = [s + a * r**j for j in range(4)]
+        limit = estimator._settled(window, 1e-8)
+        assert limit is not None
+        # the batch changes lose digits to cancellation: r / (1 - r) scales
+        # their rounding up to about 1e3 at r = 0.999
+        assert np.abs(limit - s).max() < 1e-10
+
+    def test_two_modes_and_short_windows_are_rejected(self):
+        s = np.array([1.0, -2.0, 0.5])
+        a, b = np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.2, 0.0])
+        window = [s + a * 0.9**j + b * 0.5**j for j in range(4)]
+        assert estimator._settled(window, 1e-8) is None
+        assert estimator._settled(window[1:], 1e-8) is None
+        assert estimator._settled(window[:1], 1e-8) is None
+
+    @pytest.mark.parametrize("N, seed", [(50, 0), (50, 3), (256, 1)])
+    def test_slow_pole_readouts_are_settled_outputs(self, N, seed):
+        holds = hold_readouts(slow_pole(), N, **CLI_CONFIG, rng_seed=seed)
+        extrapolated = [r for r, last, _ in holds if r.y.tobytes() != last]
+        assert extrapolated
+        for record in extrapolated:
+            assert settled_error(slow_pole(), N, record) <= 1e-8
+
+    def test_random_system_readouts_are_settled_outputs(self):
+        # short batches keep the transient of these fast plants alive for a
+        # few batches of each hold
+        rng = np.random.default_rng(21)
+        count = 0
+        for seed in range(20):
+            ss = random_stable_statespace(rng)
+            N = int(rng.integers(2, 9))
+            holds = hold_readouts(ss, N, n_update=10, shift=1.0, max_updates=40,
+                                  convergence_tol=1e-30, rng_seed=seed)
+            for record, last, _ in holds:
+                if record.y.tobytes() != last:
+                    assert settled_error(ss, N, record) <= 1e-8
+                    count += 1
+        assert count >= 20
+
+    def test_two_slow_pole_readouts_beat_the_raw_batch(self):
+        # Aitken's rule is exact for one mode only: with the 0.999 mode still
+        # alive, two limits can agree to 1e-8 while both are 1e-7 off, yet
+        # the extrapolated readout is far closer than the measured batch
+        ss, N = two_slow_poles(), 50
+        holds = hold_readouts(ss, N, **CLI_CONFIG, rng_seed=0)
+        extrapolated = [(r, last) for r, last, _ in holds if r.y.tobytes() != last]
+        assert extrapolated
+        for record, last in extrapolated:
+            error = settled_error(ss, N, record)
+            raw = settled_error(ss, N, record._replace(y=np.frombuffer(last)))
+            assert error <= 1e-6
+            assert error <= 1e-3 * raw
+
+    def test_multi_mode_holds_fall_back_to_the_raw_batch(self):
+        holds = hold_readouts(slow_pole_pair(), 50, n_update=10, shift=1.0,
+                              max_updates=20, convergence_tol=1e-30)
+        assert len(holds) == 20
+        for record, last, before in holds:
+            assert last != before  # still moving, so the rule was asked
+            assert record.y.tobytes() == last
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_demo_holds_are_never_extrapolated(self, seed):
+        holds = hold_readouts(tf_to_ss(delayed_resonator()), 50, **CLI_CONFIG, rng_seed=seed)
+        for record, last, before in holds:
+            assert last == before  # each hold ends in a repeated output
+            assert record.y.tobytes() == last
