@@ -1,12 +1,12 @@
 """The reset-free power iteration running on the simulated plant.
 
 The estimator never sees the model: it applies input batches to a session and
-reads output batches back. Each input is held for a few batches so the plant
-settles, then the measured output is reversed in time, a shifted copy of the
-input is added, and the sum is rescaled to input power one. The gain readout
-converges to the peak gain over the batch frequency grid, and the converged
-input itself turns into a sinusoid at the peak frequency: the experiment
-designs itself.
+reads output batches back. Each input is held until the plant's output
+settles (at most n_update batches), then the settled output is reversed in
+time, a shifted copy of the input is added, and the sum is rescaled to input
+power one. The gain readout converges to the peak gain over the batch
+frequency grid, and the converged input itself turns into a sinusoid at the
+peak frequency: the experiment designs itself.
 """
 
 import numpy as np

@@ -59,14 +59,9 @@ def _write_csv(path, header, rows):
 
 
 def _trace_lines(rows):
-    # mu and beta are floats, so !r is the shortest round-trip form of _fmt;
-    # the batches of a settled hold share their mu and beta objects, whose
-    # text is formatted once per run of such rows
-    mu_prev = beta_prev = text = None
+    # mu and beta are floats, so !r is the shortest round-trip form of _fmt
     for update, batch, mu, beta in rows:
-        if mu is not mu_prev or beta is not beta_prev:
-            mu_prev, beta_prev, text = mu, beta, f"{mu!r},{beta!r}"
-        yield f"{update},{batch},{text}"
+        yield f"{update},{batch},{mu!r},{beta!r}"
 
 
 def write_trace_csv(trace, path):
@@ -305,7 +300,8 @@ def _parser():
     estimate.add_argument("--system", required=True)
     estimate.add_argument("--n", type=int, default=50, help="batch length")
     estimate.add_argument(
-        "--n-update", type=int, default=10, help="batches to hold each input"
+        "--n-update", type=int, default=10,
+        help="hold each input until its output settles, for at most this many batches"
     )
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument(

@@ -8,11 +8,15 @@ row-reversed periodic response matrix, whose dominant eigenvalue is the peak
 gain over the batch frequency grid. The reset-based baseline re-applies the
 time-reversed output directly, one from-rest experiment per iteration.
 
-A hold's readout is its last batch, unless that batch still moves and the
-hold's last four batches extrapolate, by Aitken's rule for one geometric
-transient mode, to a settled output; the same rule settles the shift probe.
-The hold's last trace row and update record then carry the extrapolated
-output's readouts.
+Each input is held until its output settles: from the hold's second batch
+on, its last (at most four) batches go through one rule, ``_settled``, which
+accepts a batch that moved less than 1e-8 (relative) from the one before it,
+or else their extrapolated limit by Aitken's rule for one geometric transient
+mode. An all-zero batch restarts that window, so a dead time longer than the
+batch is waited out. The hold ends at the first batch the rule accepts, or at
+the hold's cap, and its readout is that settled or extrapolated output, else
+its last batch. The shift probe and every update hold through this one loop,
+``_hold``. The hold's last trace row and update record carry the readout.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
@@ -61,7 +65,8 @@ class EstimationError(RuntimeError):
 class PowerIterationConfig:
     """Knobs of the power iterations.
 
-    n_update is the number of batches each input is held (reset-free only);
+    n_update is the most batches each input is held (reset-free only): a
+    hold ends earlier, from its second batch on, once its output settles;
     shift the scalar added to the reversed response before renormalizing,
     None to probe the plant for a scale; convergence is declared when the
     gain readout moves less than convergence_tol between consecutive
@@ -169,22 +174,44 @@ def _settled(window, tol):
     return limit
 
 
+def _hold(plant, u, cap, on_batch=None):
+    """Apply ``u`` until its output settles or ``cap`` batches have run.
+
+    After each batch the hold's last (at most four) outputs go through
+    ``_settled``, which can accept from the second batch on. An all-zero
+    batch never counts as settled and starts the window afresh, so a dead
+    time longer than the batch is waited out. Only the window is kept;
+    ``on_batch``, if given, sees every batch record as it arrives. Returns
+    (y, change): the settled or extrapolated output and None, or, for a hold
+    that did not settle, its last batch and that batch's
+    relative_batch_change (inf when the window holds that batch alone).
+    """
+    window = deque(maxlen=4)
+    for _ in range(cap):
+        record = plant.apply_batch(u)
+        if on_batch is not None:
+            on_batch(record)
+        if not record.y.any():
+            window.clear()
+        window.append(record.y)
+        settled = _settled(window, _SETTLE_TOL)
+        if settled is not None:
+            return settled, None
+    y = window[-1]
+    return y, relative_batch_change(window[-2], y) if len(window) > 1 else math.inf
+
+
 def _iterate(plant, config, mode, hold, shift):
     """Power iteration z = reverse(y) + shift * u, renormalized to power one.
 
-    Each input is applied ``hold`` times (the same array object every time)
-    and read out at the last batch. Within a hold, a batch whose output
-    has the same float64 bytes as the batch before it shares that batch's
-    ``mu`` and ``beta`` objects: a settled plant repeats its output, and the
-    readouts of the same u and y are the same floats. A last batch that
-    differs from the one before it is read out through ``_settled`` on the
-    hold's last four outputs: the measured batch if it has settled, else
-    their extrapolated limit if two limits agree, else the measured batch
-    again. That readout, possibly extrapolated, gives the hold's last trace
-    row, its ``UpdateRecord`` and the next update. ``shift`` None probes
-    the plant for one; a shift of 0 is the reset-based baseline, where a
-    vanishing update means the plant returned a zero batch and ends the run
-    with estimate 0 (its hold of 1 is never extrapolated).
+    Each input is applied through ``_hold`` with ``hold`` as its cap (the
+    same array object every time), and every batch gives a trace row of its
+    own readouts. The hold's readout, possibly extrapolated, replaces the
+    readouts of its last row and gives its ``UpdateRecord`` and the next
+    update. ``shift`` None probes the plant for one; a shift of 0 is the
+    reset-based baseline, where a vanishing update means the plant returned
+    a zero batch and ends the run with estimate 0 (its hold of 1 is never
+    extrapolated).
     """
     n = plant.N
     if plant.mode != mode:
@@ -197,20 +224,10 @@ def _iterate(plant, config, mode, hold, shift):
     sqrt_n = np.sqrt(n)
     beta_prev = None
     for update in range(1, config.max_updates + 1):
-        window = deque(maxlen=4)
-        y_prev = None
-        for batch in range(1, hold + 1):
-            record = plant.apply_batch(u)
-            y = record.y
-            window.append(y)
-            y_bytes = y.tobytes()
-            if y_bytes != y_prev:
-                if batch == hold and y_prev is not None:
-                    settled = _settled(window, _SETTLE_TOL)
-                    y = y if settled is None else settled
-                mu, beta = _readouts(u, y, n)
-                y_prev = y_bytes
-            trace.rows.append((update, record.j, mu, beta))
+        y, _ = _hold(plant, u, hold, lambda record: trace.rows.append(
+            (update, record.j, *_readouts(u, record.y, n))))
+        mu, beta = _readouts(u, y, n)
+        trace.rows[-1] = (update, trace.rows[-1][1], mu, beta)
         trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
@@ -234,10 +251,13 @@ def _iterate(plant, config, mode, hold, shift):
 def iterate_reset_free(plant, config):
     """Shifted power iteration on a continuously operated plant.
 
-    Holds the current input for ``config.n_update`` batches and reads out y:
-    the last batch, or, when it still moves, the settled output that
-    ``_settled`` extrapolates from the hold's last four batches (the hold's
-    last trace row then carries the extrapolated readout). It forms
+    Holds the current input until its output settles, for at most
+    ``config.n_update`` batches, and reads out y: the first batch, from the
+    second on, that moved less than 1e-8 from the one before it, or the
+    settled output that ``_settled`` extrapolates from the hold's last four
+    batches, or else the hold's last batch (the hold's last trace row
+    carries the readout). An all-zero batch restarts the settle check, so
+    a dead time longer than the batch is waited out. It forms
     z = reverse(y) + shift * u and renormalizes z to input power one. With
     a positive shift of roughly the plant's peak gain the iterate settles
     on the positive dominant eigendirection instead of flipping sign every
@@ -259,42 +279,13 @@ def iterate_reset_based(plant, config):
     return _iterate(plant, config, RESET_PER_BATCH, 1, 0.0)
 
 
-def _settled_output(plant, u, tol, max_batches):
-    """Hold ``u`` on a reset-free plant and return its settled output batch.
-
-    After each batch the last (at most four) outputs go through
-    ``_settled``, which returns the measured batch once it has settled or an
-    extrapolated limit once two agree. An all-zero batch never counts as
-    settled and starts the window afresh, so a dead time longer than the
-    batch is waited out. After ``max_batches`` batches past the first it
-    warns, unless the output is still all zero, and returns the last batch.
-    """
-    window = deque([plant.apply_batch(u).y], maxlen=4)
-    for _ in range(max_batches):
-        y = plant.apply_batch(u).y
-        if not y.any():
-            window.clear()
-        window.append(y)
-        settled = _settled(window, tol)
-        if settled is not None:
-            return settled
-    y = window[-1]
-    if y.any():
-        change = relative_batch_change(window[-2], y) if len(window) > 1 else math.inf
-        warnings.warn(
-            f"shift probe did not settle within {max_batches} batches "
-            f"(last relative_batch_change {change:.3g}); using the unsettled gain"
-        )
-    return y
-
-
 def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
     Applies a random unit-power batch and returns the observed gain
     ||y|| / ||u||, floored at 1e-6. On a reset-free plant the batch is held
-    until ``_settled_output`` accepts, by the rule of ``_settled`` that the
-    iteration reads out its holds with: either a measured batch that moved
+    through ``_hold``, the loop that holds every update of the iteration,
+    until the rule of ``_settled`` accepts: either a measured batch that moved
     less than 1e-8 (relative) from the one before, or, for a slow
     transient, the extrapolated limit of the held batches once two
     consecutive limits agree to 1e-8. A reset-per-batch plant is
@@ -311,7 +302,12 @@ def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
     u = init_input(n, rng_seed)
     if plant.mode == RESET_FREE:
-        y = _settled_output(plant, u, _SETTLE_TOL, max_probe_batches)
+        y, change = _hold(plant, u, max_probe_batches + 1)
+        if change is not None and y.any():
+            warnings.warn(
+                f"shift probe did not settle within {max_probe_batches} batches "
+                f"(last relative_batch_change {change:.3g}); using the unsettled gain"
+            )
     else:
         y = plant.apply_batch(u).y
     gain = float(np.linalg.norm(y) / np.linalg.norm(u))

@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from peakgain import (
@@ -101,39 +103,43 @@ class LiftedReferenceSession:
 
 
 def end_of_hold_readout(outputs, tol=1e-8):
-    """The readout of one hold's outputs: the last batch or its Aitken limit.
+    """The readout of a hold's outputs so far: the last batch, its Aitken limit or None.
 
-    A plain restatement of the estimator's rule. The last batch is kept if it
-    repeats the batch before it byte for byte or moved less than ``tol``
-    (relative) from it. Otherwise the last two runs of three batches y0, y1,
-    y2 are each extrapolated to y2 + d1 r / (1 - r), with d0 = y1 - y0,
-    d1 = y2 - y1 and r = d1 . d0 / d0 . d0 for -1 < r < 1, and the second
-    limit is the readout when the two agree to ``tol``; else the last batch.
+    A plain restatement of the estimator's rule. The last batch is the
+    readout once it moved less than ``tol`` (relative) from the batch before
+    it. Otherwise the last two runs of three batches y0, y1, y2 are each
+    extrapolated to y2 + d1 r / (1 - r), with d0 = y1 - y0, d1 = y2 - y1 and
+    r = d1 . d0 / d0 . d0 for -1 < r < 1, and the second limit is the
+    readout when the two agree to ``tol``. Else the hold has not settled:
+    None.
     """
+    if len(outputs) < 2:
+        return None
     last = outputs[-1]
-    if len(outputs) < 2 or last.tobytes() == outputs[-2].tobytes():
+    if relative_batch_change(outputs[-2], last) < tol:
         return last
-    if relative_batch_change(outputs[-2], last) < tol or len(outputs) < 4:
-        return last
+    if len(outputs) < 4:
+        return None
     limits = []
     for y0, y1, y2 in (outputs[-4:-1], outputs[-3:]):
         d0, d1 = y1 - y0, y2 - y1
         if not d0.any():
-            return last
+            return None
         r = float(d1 @ d0) / float(d0 @ d0)
         if not -1.0 < r < 1.0:
-            return last
+            return None
         limits.append(y2 + d1 * (r / (1.0 - r)))
-    return limits[1] if relative_batch_change(*limits) < tol else last
+    return limits[1] if relative_batch_change(*limits) < tol else None
 
 
 def iterate_reading_every_batch(plant, config, reset_based=False):
-    """Reference power iteration: ``_readouts`` on every batch of every hold.
+    """Reference power iteration: one plain loop per hold, ``_readouts`` on every batch.
 
-    The loop of ``peakgain.estimator`` without its shared readouts of a
-    repeated output; reset-free with the config's hold and shift (None
-    probes), or the reset-based baseline with hold 1 and shift 0. Each hold
-    is read out through ``end_of_hold_readout``. The estimator's traces must
+    Reset-free with the config's hold cap and shift (None probes), or the
+    reset-based baseline with hold 1 and shift 0. After each batch the
+    hold's outputs since its last all-zero batch go through
+    ``end_of_hold_readout``, and the hold ends at the first readout it
+    gives, else at the cap with its last batch. The estimator's traces must
     equal this one bit for bit.
     """
     hold, shift = (1, 0.0) if reset_based else (config.n_update, config.shift)
@@ -148,13 +154,17 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
         outputs = []
         for _ in range(hold):
             record = plant.apply_batch(u)
+            if not record.y.any():
+                outputs = []
             outputs.append(record.y)
-            mu, beta = _readouts(u, record.y, n)
-            trace.rows.append((update, record.j, mu, beta))
-        y = end_of_hold_readout(outputs)
-        if y is not record.y:
-            mu, beta = _readouts(u, y, n)
-            trace.rows[-1] = (update, record.j, mu, beta)
+            trace.rows.append((update, record.j, *_readouts(u, record.y, n)))
+            y = end_of_hold_readout(outputs)
+            if y is not None:
+                break
+        else:
+            y = record.y
+        mu, beta = _readouts(u, y, n)
+        trace.rows[-1] = (update, record.j, mu, beta)
         trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
@@ -170,6 +180,16 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
             break
         u = z * (sqrt_n / z_norm)
     return trace
+
+
+def hold_blocks(trace, per_batch):
+    """Split ``per_batch``, one entry per trace row, into the holds of the trace.
+
+    Each hold's extent is the run of its rows' updateIndex.
+    """
+    assert len(per_batch) == len(trace.rows)
+    return [[per_batch[i] for i, _ in rows]
+            for _, rows in itertools.groupby(enumerate(trace.rows), key=lambda r: r[1][0])]
 
 
 def random_stable_statespace(rng, n_max=6):

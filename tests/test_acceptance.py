@@ -11,6 +11,7 @@ import numpy as np
 from conftest import (
     DEMO_PEAK_GAIN,
     delayed_resonator,
+    hold_blocks,
     random_dc_dominant_statespace,
     random_stable_statespace,
     symmetric_eig_oracle,
@@ -206,14 +207,14 @@ def test_criterion_7_estimator_invariants():
         # input power one at every update
         for record in trace.updates:
             assert abs(float(record.u @ record.u) - N) < 1e-8
-        # hold semantics: bitwise-constant input within each update period
-        periods = len(trace.updates)
-        assert len(applied) == periods * 10
-        for period in range(periods):
-            block = applied[period * 10 : (period + 1) * 10]
-            for u in block[1:]:
-                assert np.array_equal(u, block[0])
-            assert np.array_equal(block[0], trace.updates[period].u)
+        # hold semantics: bitwise-constant input within each hold, whose
+        # extent is the run of its trace rows' updateIndex, 2 to 10 batches
+        holds = hold_blocks(trace, applied)
+        assert len(holds) == len(trace.updates) == 40
+        for block, record in zip(holds, trace.updates):
+            assert 2 <= len(block) <= 10
+            for u in block:
+                assert np.array_equal(u, record.u)
         # reset-based runner on the delayed plant terminates with zero
         session = new_session(ss, N, RESET_PER_BATCH)
         based = iterate_reset_based(session, PowerIterationConfig(rng_seed=0))
