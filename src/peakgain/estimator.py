@@ -12,11 +12,12 @@ Each input is held until its output settles: from the hold's second batch
 on, its last (at most four) batches go through one rule, ``_settled``, which
 accepts a batch that moved less than 1e-8 (relative) from the one before it,
 or else their extrapolated limit by Aitken's rule for one geometric transient
-mode. An all-zero batch restarts that window, so a dead time longer than the
-batch is waited out. The hold ends at the first batch the rule accepts, or at
-the hold's cap, and its readout is that settled or extrapolated output, else
-its last batch. The shift probe and every update hold through this one loop,
-``_hold``. The hold's last trace row and update record carry the readout.
+mode. An all-zero batch restarts the window, and an output within 1e-8 of
+the previous hold's readout is not accepted, so a dead time of whole batches
+is waited out. The hold ends at the first accepted batch or at the hold's
+cap, and its readout, which its last trace row and update record carry, is
+the settled or extrapolated output, else its last batch. The shift probe and
+every update hold through this one loop, ``_hold``.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
@@ -174,16 +175,18 @@ def _settled(window, tol):
     return limit
 
 
-def _hold(plant, u, cap, on_batch=None):
+def _hold(plant, u, cap, prev=None, on_batch=None):
     """Apply ``u`` until its output settles or ``cap`` batches have run.
 
     After each batch the hold's last (at most four) outputs go through
     ``_settled``, which can accept from the second batch on. An all-zero
-    batch never counts as settled and starts the window afresh, so a dead
-    time longer than the batch is waited out. Only the window is kept;
-    ``on_batch``, if given, sees every batch record as it arrives. Returns
-    (y, change): the settled or extrapolated output and None, or, for a hold
-    that did not settle, its last batch and that batch's
+    batch never counts as settled and starts the window afresh, and an
+    output within the settle tolerance of ``prev`` (the previous hold's
+    readout) is not accepted: a dead time of whole batches still shows rest
+    or the previous input's response, and is waited out. Only the window is
+    kept; ``on_batch``, if given, sees every batch record as it arrives.
+    Returns (y, change): the settled or extrapolated output and None, or,
+    for a hold that did not settle, its last batch and that batch's
     relative_batch_change (inf when the window holds that batch alone).
     """
     window = deque(maxlen=4)
@@ -195,7 +198,8 @@ def _hold(plant, u, cap, on_batch=None):
             window.clear()
         window.append(record.y)
         settled = _settled(window, _SETTLE_TOL)
-        if settled is not None:
+        if settled is not None and (
+                prev is None or relative_batch_change(prev, settled) >= _SETTLE_TOL):
             return settled, None
     y = window[-1]
     return y, relative_batch_change(window[-2], y) if len(window) > 1 else math.inf
@@ -205,13 +209,13 @@ def _iterate(plant, config, mode, hold, shift):
     """Power iteration z = reverse(y) + shift * u, renormalized to power one.
 
     Each input is applied through ``_hold`` with ``hold`` as its cap (the
-    same array object every time), and every batch gives a trace row of its
-    own readouts. The hold's readout, possibly extrapolated, replaces the
-    readouts of its last row and gives its ``UpdateRecord`` and the next
-    update. ``shift`` None probes the plant for one; a shift of 0 is the
-    reset-based baseline, where a vanishing update means the plant returned
-    a zero batch and ends the run with estimate 0 (its hold of 1 is never
-    extrapolated).
+    same array object every time) and the previous hold's readout as
+    ``prev``, and every batch gives a trace row of its own readouts. The
+    hold's readout gives its ``UpdateRecord`` and the next update; an
+    extrapolated one also replaces the readouts of the hold's last row.
+    ``shift`` None probes the plant for one; a shift of 0 is the reset-based
+    baseline, where a vanishing update means the plant returned a zero batch
+    and ends the run with estimate 0 (its hold of 1 is never extrapolated).
     """
     n = plant.N
     if plant.mode != mode:
@@ -223,11 +227,18 @@ def _iterate(plant, config, mode, hold, shift):
     u = init_input(n, config.rng_seed)
     sqrt_n = np.sqrt(n)
     beta_prev = None
+    y = last = None
+
+    def on_batch(record):
+        nonlocal last
+        last = record.y
+        trace.rows.append((update, record.j, *_readouts(u, last, n)))
+
     for update in range(1, config.max_updates + 1):
-        y, _ = _hold(plant, u, hold, lambda record: trace.rows.append(
-            (update, record.j, *_readouts(u, record.y, n))))
-        mu, beta = _readouts(u, y, n)
-        trace.rows[-1] = (update, trace.rows[-1][1], mu, beta)
+        y, _ = _hold(plant, u, hold, y, on_batch)
+        if y is not last:  # an extrapolated readout
+            trace.rows[-1] = (update, trace.rows[-1][1], *_readouts(u, y, n))
+        mu, beta = trace.rows[-1][2:]
         trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
@@ -251,18 +262,14 @@ def _iterate(plant, config, mode, hold, shift):
 def iterate_reset_free(plant, config):
     """Shifted power iteration on a continuously operated plant.
 
-    Holds the current input until its output settles, for at most
-    ``config.n_update`` batches, and reads out y: the first batch, from the
-    second on, that moved less than 1e-8 from the one before it, or the
-    settled output that ``_settled`` extrapolates from the hold's last four
-    batches, or else the hold's last batch (the hold's last trace row
-    carries the readout). An all-zero batch restarts the settle check, so
-    a dead time longer than the batch is waited out. It forms
-    z = reverse(y) + shift * u and renormalizes z to input power one. With
-    a positive shift of roughly the plant's peak gain the iterate settles
-    on the positive dominant eigendirection instead of flipping sign every
-    step. Stops when beta moves less than the tolerance between updates, or
-    flags the trace as non-converged at max_updates.
+    Holds the current input through ``_hold`` until its output settles, for
+    at most ``config.n_update`` batches, reads out y (the settled output,
+    else the hold's last batch), forms z = reverse(y) + shift * u and
+    renormalizes z to input power one. With a positive shift of roughly the
+    plant's peak gain the iterate settles on the positive dominant
+    eigendirection instead of flipping sign every step. Stops when beta
+    moves less than the tolerance between updates, or flags the trace as
+    non-converged at max_updates.
     """
     return _iterate(plant, config, RESET_FREE, config.n_update, config.shift)
 

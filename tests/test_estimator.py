@@ -322,6 +322,21 @@ class TestResetFreeIteration:
         assert len(first) > 2
         assert trace.updates[0].y.any()
 
+    @pytest.mark.parametrize("N", [16, 25])
+    def test_dead_time_longer_than_batch_is_waited_out_on_every_hold(self, N):
+        # after a settled hold the first batches of the next one still show
+        # the old input's settled response: each readout must be its own
+        # input's settled output, not the previous one's
+        ss = tf_to_ss(delayed_resonator())
+        config = PowerIterationConfig(n_update=10, shift=2.0, max_updates=2000,
+                                      convergence_tol=1e-9, rng_seed=0)
+        trace = iterate_reset_free(new_session(ss, N, RESET_FREE), config)
+        assert trace.converged and len(trace.updates) > 10
+        for record in trace.updates:
+            assert settled_error(ss, N, record) <= 1e-6
+        target = reversed_top(ss, N)
+        assert abs(trace.estimate - target) < 1e-6 * target
+
     def test_transient_plant_reaches_ideal_value(self):
         ss = tf_to_ss(delayed_resonator())
         N = 50
@@ -546,6 +561,7 @@ class TestSharedReadouts:
         "demo-50-seed0": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=0)),
         "demo-50-seed7": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=7)),
         "demo-256": (lambda: demo_session(256), dict(CLI_CONFIG, rng_seed=1)),
+        "demo-25": (lambda: demo_session(25), dict(CLI_CONFIG, rng_seed=0)),
         "slow-pole": (lambda: new_session(slow_pole(), 50, RESET_FREE),
                       dict(CLI_CONFIG, rng_seed=3)),
         "settled": (lambda: demo_session(50, settled=True),
