@@ -16,7 +16,6 @@ from peakgain import (
     PowerIterationConfig,
     circulant_coefficients,
     circulant_eigenvalues,
-    dominant_bin,
     iterate_reset_free,
     new_session,
     parse_system_file,
@@ -28,6 +27,12 @@ from peakgain import (
 tf = parse_system_file("demos/delayed_resonator.txt")
 ss = tf_to_ss(tf)
 N, n_update = 50, 10
+
+
+def dominant_bin(spectrum):
+    # strongest DFT bin folded to 0..N//2: bins m and N-m are conjugates
+    return int(np.argmax(np.abs(spectrum[: N // 2 + 1])))
+
 
 lam = circulant_eigenvalues(circulant_coefficients(ss, N))
 target = reversed_spectrum(lam).max()
@@ -55,9 +60,9 @@ for idx in (0, 1, 2, 4, 9, 24, len(trace.updates) - 1):
 u_first, u_second, u_last = (trace.updates[i].u for i in (0, 1, -1))
 print("\ndominant frequency bin of the input (grid peak is at "
       f"{dominant_bin(lam)}):")
-print(f"  initial random input: bin {dominant_bin(u_first)}")
-print(f"  after one update:     bin {dominant_bin(u_second)}")
-print(f"  converged input:      bin {dominant_bin(u_last)}")
+print(f"  initial random input: bin {dominant_bin(np.fft.fft(u_first))}")
+print(f"  after one update:     bin {dominant_bin(np.fft.fft(u_second))}")
+print(f"  converged input:      bin {dominant_bin(np.fft.fft(u_last))}")
 
 print("\nconverged input is a clean tone: first samples "
       f"{np.round(u_last[:5], 4)}")

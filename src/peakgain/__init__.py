@@ -15,6 +15,7 @@ from .estimator import (
     PowerIterationConfig,
     iterate_reset_based,
     iterate_reset_free,
+    relative_batch_change,
     select_shift,
 )
 from .lifting import (
@@ -37,15 +38,11 @@ from .plant import (
     RESET_FREE,
     RESET_PER_BATCH,
     new_session,
-    relative_batch_change,
 )
 from .spectral import (
-    circulant,
     circulant_eigenvalues,
     diagonalization_residual,
-    dominant_bin,
     max_gain_reset_based,
-    reversed_circulant,
     reversed_spectrum,
     time_reverse,
 )
@@ -61,11 +58,9 @@ __all__ = [
     "RationalTransferFunction",
     "StateSpace",
     "SystemSpecError",
-    "circulant",
     "circulant_coefficients",
     "circulant_eigenvalues",
     "diagonalization_residual",
-    "dominant_bin",
     "freq_response",
     "hinf_peak",
     "iterate_reset_based",
@@ -77,7 +72,6 @@ __all__ = [
     "parse_system_text",
     "periodic_response_matrix",
     "relative_batch_change",
-    "reversed_circulant",
     "reversed_spectrum",
     "select_shift",
     "simulate",

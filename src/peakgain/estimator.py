@@ -10,13 +10,14 @@ time-reversed output directly, one from-rest experiment per iteration.
 
 Each input is held until its output settles: from the hold's second batch
 on, its last (at most four) batches go through one rule, ``_settled``, which
-accepts a batch that moved less than 1e-8 (relative) from the one before it,
-or else their extrapolated limit by Aitken's rule for one geometric transient
-mode. An all-zero batch restarts the window, and an output within 1e-8 of
-the previous hold's readout is not accepted, so a dead time of whole batches
-is waited out. The hold ends at the first accepted batch or at the hold's
-cap, and its readout, which its last trace row and update record carry, is
-the settled or extrapolated output, else its last batch. The shift probe and
+accepts a batch that moved less than 1e-8 from the one before it, or else
+their extrapolated limit by Aitken's rule for one geometric transient mode.
+The settle test, ``relative_batch_change``, is defined here next to it.
+An all-zero batch restarts the window, and an output within 1e-8 of the
+previous hold's readout is not accepted, so a dead time of whole batches is
+waited out. The hold ends at the first accepted batch or at the hold's cap,
+and its readout, which its last trace row and update record carry, is the
+settled or extrapolated output, else its last batch. The shift probe and
 every update hold through this one loop, ``_hold``.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lti import _count, _real, _tolerance
-from .plant import RESET_FREE, RESET_PER_BATCH, relative_batch_change
+from .plant import RESET_FREE, RESET_PER_BATCH
 from .spectral import time_reverse
 
 __all__ = [
@@ -50,12 +51,15 @@ __all__ = [
     "init_input",
     "iterate_reset_free",
     "iterate_reset_based",
+    "relative_batch_change",
     "select_shift",
 ]
 
 
 # relative change at which a held output, or its extrapolated limit, counts as settled
 _SETTLE_TOL = 1e-8
+# batches past the first that the shift probe holds its input before it gives up
+_MAX_PROBE_BATCHES = 10000
 
 
 class EstimationError(RuntimeError):
@@ -143,6 +147,28 @@ def _readouts(u, y, n):
     return mu, beta
 
 
+def relative_batch_change(y_prev, y_curr):
+    """Relative change ||y_curr - y_prev|| / ||y_curr|| between two batch outputs.
+
+    Both are flattened to float64 first. Two zero batches give 0.0, and a
+    zero y_curr after a nonzero y_prev gives inf.
+    """
+    return _relative_change(np.asarray(y_prev, dtype=float).reshape(-1),
+                            np.asarray(y_curr, dtype=float).reshape(-1))
+
+
+def _relative_change(y_prev, y_curr):
+    # relative_batch_change of two flat float64 arrays, which is what every
+    # held batch and Aitken limit is: sqrt(v . v) is the float
+    # np.linalg.norm gives, without its per-call overhead
+    d = y_curr - y_prev
+    scale = math.sqrt(float(y_curr @ y_curr))
+    diff = math.sqrt(float(d @ d))
+    if scale == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / scale
+
+
 def _aitken(y0, y1, y2):
     # limit y2 + d r / (1 - r) of a geometric mode with contraction r, or None
     d_prev, d = y1 - y0, y2 - y1
@@ -164,13 +190,13 @@ def _settled(window, tol):
     mode); only -1 < r < 1 gives a limit, and the last limit is accepted
     when the one before it agrees to ``tol``.
     """
-    if len(window) > 1 and relative_batch_change(window[-2], window[-1]) < tol:
+    if len(window) > 1 and _relative_change(window[-2], window[-1]) < tol:
         return window[-1]
     if len(window) < 4:
         return None
     y0, y1, y2, y3 = window[-4], window[-3], window[-2], window[-1]
     prev_limit, limit = _aitken(y0, y1, y2), _aitken(y1, y2, y3)
-    if prev_limit is None or limit is None or relative_batch_change(prev_limit, limit) >= tol:
+    if prev_limit is None or limit is None or _relative_change(prev_limit, limit) >= tol:
         return None
     return limit
 
@@ -199,20 +225,21 @@ def _hold(plant, u, cap, prev=None, on_batch=None):
         window.append(record.y)
         settled = _settled(window, _SETTLE_TOL)
         if settled is not None and (
-                prev is None or relative_batch_change(prev, settled) >= _SETTLE_TOL):
+                prev is None or _relative_change(prev, settled) >= _SETTLE_TOL):
             return settled, None
     y = window[-1]
-    return y, relative_batch_change(window[-2], y) if len(window) > 1 else math.inf
+    return y, _relative_change(window[-2], y) if len(window) > 1 else math.inf
 
 
 def _iterate(plant, config, mode, hold, shift):
     """Power iteration z = reverse(y) + shift * u, renormalized to power one.
 
-    Each input is applied through ``_hold`` with ``hold`` as its cap (the
-    same array object every time) and the previous hold's readout as
-    ``prev``, and every batch gives a trace row of its own readouts. The
-    hold's readout gives its ``UpdateRecord`` and the next update; an
-    extrapolated one also replaces the readouts of the hold's last row.
+    Each input is applied through ``_hold`` with ``hold`` as its cap, the
+    most batches one input is held (``n_update``, or 1 for the reset-based
+    baseline), and the previous hold's readout as ``prev``; every batch
+    gives a trace row of its own readouts. The hold's readout gives its
+    ``UpdateRecord`` and the next update; an extrapolated one also replaces
+    the readouts of the hold's last row.
     ``shift`` None probes the plant for one; a shift of 0 is the reset-based
     baseline, where a vanishing update means the plant returned a zero batch
     and ends the run with estimate 0 (its hold of 1 is never extrapolated).
@@ -286,7 +313,7 @@ def iterate_reset_based(plant, config):
     return _iterate(plant, config, RESET_PER_BATCH, 1, 0.0)
 
 
-def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
+def select_shift(plant, n, rng_seed=0):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
     Applies a random unit-power batch and returns the observed gain
@@ -298,21 +325,18 @@ def select_shift(plant, n, rng_seed=0, max_probe_batches=10000):
     consecutive limits agree to 1e-8. A reset-per-batch plant is
     probed with one batch. The gain only sets the scale of the shift; it is
     not a bounded estimate of the settled gain. A zero probe output falls
-    back to 1.0 with a warning. A probe still unsettled after
-    ``max_probe_batches`` batches past the first warns and returns the gain
-    of its last batch. ``max_probe_batches`` must be a nonnegative integer
-    (numpy integers included, bool not), and ``n`` the plant's batch length;
-    any other value raises ValueError before a batch is applied.
+    back to 1.0 with a warning. A probe still unsettled after 10,000 batches
+    past the first warns and returns the gain of its last batch. ``n`` must
+    be the plant's batch length, else ValueError before a batch is applied.
     """
-    max_probe_batches = _count(max_probe_batches, "max_probe_batches", 0)
     if n != plant.N:
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
     u = init_input(n, rng_seed)
     if plant.mode == RESET_FREE:
-        y, change = _hold(plant, u, max_probe_batches + 1)
+        y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1)
         if change is not None and y.any():
             warnings.warn(
-                f"shift probe did not settle within {max_probe_batches} batches "
+                f"shift probe did not settle within {_MAX_PROBE_BATCHES} batches "
                 f"(last relative_batch_change {change:.3g}); using the unsettled gain"
             )
     else:

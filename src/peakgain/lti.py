@@ -26,6 +26,10 @@ __all__ = [
 
 # an upper bound on the spectral radius below this certifies a stable A
 _STABLE_BELOW = 1.0 - 1e-12
+# relative change between Gelfand estimates at which spectral_radius stops,
+# and the most squarings it runs before it gives up
+_GELFAND_TOL = 1e-10
+_MAX_SQUARINGS = 200
 
 
 def _count(value, name, low):
@@ -61,26 +65,21 @@ def _samples(v, N, what):
     return v
 
 
-def spectral_radius(A, tol=1e-10, max_squarings=200):
+def spectral_radius(A):
     """Spectral radius of a square matrix by normalized repeated squaring.
 
     Tracks the Gelfand sequence ||A^(2^k)||^(1/2^k) with the running power
     renormalized after every squaring, so only the magnitude of the dominant
     eigenvalue is ever resolved (no eigenvectors, no deflation) and the
-    iterates cannot overflow. Converges geometrically; the default tolerance
-    leaves comfortable margin over the 1e-8 relative accuracy the rest of the
-    package relies on.
-
-    ``tol`` must be a positive, finite real number and ``max_squarings`` an
-    integer (numpy integers included, bool not) of at least 1, else
-    ValueError. Raises RuntimeError if the estimate has not stabilized after
-    that many squarings.
+    iterates cannot overflow. Converges geometrically and stops once two
+    estimates agree to 1e-10 relative, comfortable margin over the 1e-8
+    relative accuracy the rest of the package relies on. Raises RuntimeError
+    if the estimate has not stabilized after 200 squarings.
     """
-    _tolerance(tol, "tol")
-    return _gelfand(A, 0.0, tol, _count(max_squarings, "max_squarings", 1))
+    return _gelfand(A, 0.0)
 
 
-def _gelfand(A, accept_below, tol=1e-10, max_squarings=200):
+def _gelfand(A, accept_below):
     # the Gelfand sequence of spectral_radius, returned early at its first
     # estimate below accept_below: each estimate ||A^(2^k)||_F^(1/2^k) is an
     # upper bound on the spectral radius and does not increase with k, except
@@ -93,7 +92,7 @@ def _gelfand(A, accept_below, tol=1e-10, max_squarings=200):
     acc = 0.0
     weight = 1.0
     est_prev = None
-    for _ in range(max_squarings):
+    for _ in range(_MAX_SQUARINGS):
         t = float(np.linalg.norm(P))
         if t == 0.0 or not math.isfinite(t):
             # an exact zero power means a nilpotent matrix
@@ -104,14 +103,14 @@ def _gelfand(A, accept_below, tol=1e-10, max_squarings=200):
         est = math.exp(acc)
         if est < accept_below:
             return est
-        if est_prev is not None and abs(est - est_prev) <= tol * max(est, 1e-300):
+        if est_prev is not None and abs(est - est_prev) <= _GELFAND_TOL * max(est, 1e-300):
             return est
         est_prev = est
         Q = P / t
         P = Q @ Q
         weight *= 0.5
     raise RuntimeError(
-        f"spectral radius estimate did not converge within {max_squarings} squarings"
+        f"spectral radius estimate did not converge within {_MAX_SQUARINGS} squarings"
     )
 
 

@@ -27,10 +27,11 @@ state: it is computed once per input and every batch returns a copy. A
 reset-free transient computes J u and G u once per input and runs
 y = H x + J u, x = F x + G u on every batch. Noise, if any, is drawn for
 every batch. The tests check the lifted modes bit for bit against a
-reference that runs all four products on every batch.
+reference that runs all four products on every batch. When an output has
+settled is the estimator's question, not the plant's: the settle test,
+``relative_batch_change``, lives in ``estimator``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
     "BatchRecord",
     "PlantSession",
     "new_session",
-    "relative_batch_change",
 ]
 
 RESET_FREE = "reset-free"
@@ -135,17 +135,3 @@ class PlantSession:
 
 # opens an experiment session on a simulated plant
 new_session = PlantSession
-
-
-def relative_batch_change(y_prev, y_curr):
-    """Relative change between consecutive batch outputs."""
-    # sqrt(v . v) of the flattened arrays is the float np.linalg.norm gives,
-    # without its per-call overhead: this runs on every held batch
-    y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
-    y_curr = np.asarray(y_curr, dtype=float).reshape(-1)
-    d = y_curr - y_prev
-    scale = math.sqrt(float(y_curr @ y_curr))
-    diff = math.sqrt(float(d @ d))
-    if scale == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / scale

@@ -18,13 +18,10 @@ import numpy as np
 
 __all__ = [
     "time_reverse",
-    "circulant",
     "circulant_eigenvalues",
     "diagonalization_residual",
-    "reversed_circulant",
     "reversed_spectrum",
     "max_gain_reset_based",
-    "dominant_bin",
 ]
 
 # relative Ritz residual bound at which the reset-based gain is accepted
@@ -41,14 +38,6 @@ _RESIDUAL_ROWS = 256
 def time_reverse(v):
     """Reverse a signal in time: output l is input N+1-l. Involutory."""
     return np.asarray(v)[::-1].copy()
-
-
-def circulant(a):
-    """Circulant matrix with first row a: entry (p, q) is a[(q - p) mod N]."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    N = a.shape[0]
-    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    return a[idx]
 
 
 def circulant_eigenvalues(a):
@@ -100,14 +89,6 @@ def diagonalization_residual(M):
     # the maximum of the block maxima is the maximum of |T| exactly
     block_max = [np.abs(T[i:i + _RESIDUAL_ROWS]).max() for i in range(0, N, _RESIDUAL_ROWS)]
     return float(np.max(block_max)), diag
-
-
-def reversed_circulant(a):
-    """Row-reversed circulant: T_N circ(a). Real symmetric by construction."""
-    R = circulant(a)[::-1, :].copy()
-    if not np.array_equal(R, R.T):
-        raise AssertionError("row-reversed circulant came out asymmetric: construction bug")
-    return R
 
 
 def reversed_spectrum(lam):
@@ -295,18 +276,3 @@ def _pivots(diag, squares, x):
             pivot = -_TINY
         out.append(pivot)
     return out
-
-
-def dominant_bin(values):
-    """Strongest DFT bin folded to 0..N//2; ties resolve to the smallest index.
-
-    ``values`` may be a complex spectrum or a real signal; a real signal is
-    transformed first. Conjugate symmetry makes bins m and N-m equivalent, so
-    only the folded index is reported.
-    """
-    v = np.asarray(values)
-    if not np.iscomplexobj(v):
-        v = circulant_eigenvalues(v)  # DFT of a real vector, same convention
-    mags = np.abs(v)
-    N = mags.shape[0]
-    return int(np.argmax(mags[: N // 2 + 1]))

@@ -289,6 +289,36 @@ def dft_matrix(N):
     return np.exp((-2j * np.pi / N) * np.outer(p, p)) / np.sqrt(N)
 
 
+def circulant(a):
+    """Dense circulant matrix with first row a: entry (p, q) is a[(q - p) mod N]."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    N = a.shape[0]
+    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
+    return a[idx]
+
+
+def reversed_circulant(a):
+    """Dense row-reversed circulant T_N circ(a), real symmetric by construction."""
+    R = circulant(a)[::-1, :].copy()
+    if not np.array_equal(R, R.T):
+        raise AssertionError("row-reversed circulant came out asymmetric: construction bug")
+    return R
+
+
+def dominant_bin(values):
+    """Strongest DFT bin folded to 0..N//2; ties resolve to the smallest index.
+
+    ``values`` may be a complex spectrum or a real signal; a real signal is
+    transformed first. Conjugate symmetry makes bins m and N-m equivalent, so
+    only the folded index is reported.
+    """
+    v = np.asarray(values)
+    if not np.iscomplexobj(v):
+        v = np.fft.fft(v)
+    mags = np.abs(v)
+    return int(np.argmax(mags[: mags.shape[0] // 2 + 1]))
+
+
 def symmetric_eig_oracle(S, return_vectors=False, max_sweeps=100):
     """Cyclic Jacobi eigensolver for a real symmetric matrix.
 

@@ -10,21 +10,22 @@ import numpy as np
 
 from conftest import (
     DEMO_PEAK_GAIN,
+    circulant,
     delayed_resonator,
+    dominant_bin,
     hold_blocks,
     random_dc_dominant_statespace,
     random_stable_statespace,
+    reversed_circulant,
     symmetric_eig_oracle,
 )
 from peakgain import (
     RESET_FREE,
     RESET_PER_BATCH,
     PowerIterationConfig,
-    circulant,
     circulant_coefficients,
     circulant_eigenvalues,
     diagonalization_residual,
-    dominant_bin,
     freq_response,
     iterate_reset_based,
     iterate_reset_free,
@@ -32,7 +33,6 @@ from peakgain import (
     max_gain_reset_based,
     new_session,
     periodic_response_matrix,
-    reversed_circulant,
     reversed_spectrum,
     tf_to_ss,
     time_reverse,

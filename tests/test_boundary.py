@@ -10,13 +10,11 @@ from peakgain import (
     RationalTransferFunction,
     hinf_peak,
     new_session,
-    select_shift,
     simulate,
     tf_to_ss,
 )
 from peakgain import cli
 from peakgain.estimator import UpdateRecord
-from peakgain.lti import spectral_radius
 
 
 def low_pass_tf():
@@ -33,12 +31,6 @@ COUNTS = {
     "max_updates": ("max_updates", 1, 3,
                     lambda v, _: PowerIterationConfig(max_updates=v).max_updates),
     "rng_seed": ("rng_seed", 0, 3, lambda v, _: PowerIterationConfig(rng_seed=v).rng_seed),
-    "max_probe_batches": (
-        "max_probe_batches", 0, 100,
-        lambda v, _: select_shift(new_session(tf_to_ss(low_pass_tf()), 8, RESET_FREE), 8,
-                                  rng_seed=0, max_probe_batches=v)),
-    "max_squarings": ("max_squarings", 1, 100,
-                      lambda v, _: spectral_radius(np.diag([0.5, 0.2]), max_squarings=v)),
     "snapshot update": (
         "snapshot update", 1, 2,
         lambda v, outdir: cli.write_update_snapshots(

@@ -433,12 +433,13 @@ class TestSelectShift:
         shift = select_shift(session, 50, rng_seed=0)
         assert 1e-6 < shift < 10.0
 
-    def test_unsettled_probe_warns_with_count_and_residual(self):
+    def test_unsettled_probe_warns_with_count_and_residual(self, monkeypatch):
         # a complex pole pair at radius 0.9999 needs thousands of batches of
         # 50 to settle, and scalar extrapolation cannot shortcut two modes
+        monkeypatch.setattr(estimator, "_MAX_PROBE_BATCHES", 5)
         session = new_session(slow_pole_pair(), 50, RESET_FREE)
         with pytest.warns(UserWarning, match=r"within 5 batches \(last relative_batch_change"):
-            shift = select_shift(session, 50, rng_seed=0, max_probe_batches=5)
+            shift = select_shift(session, 50, rng_seed=0)
         assert session.batch_counter == 6
         assert 0.0 < shift < 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    circulant,
     delayed_resonator,
     impulse_by_long_division,
     krylov_by_sequential_loop,
@@ -15,7 +16,6 @@ from conftest import (
 from peakgain import (
     RationalTransferFunction,
     StateSpace,
-    circulant,
     circulant_coefficients,
     lift,
     periodic_response_matrix,

@@ -503,4 +503,15 @@ def test_settling_detector():
     assert relative_batch_change([1.0, 1.0], [1.0, 1.5]) >= 1e-8
     assert relative_batch_change(np.zeros(3), np.zeros(3)) == 0.0
     assert relative_batch_change(np.ones(3), np.zeros(3)) == np.inf
-
+    # a 2-D array, an integer list and float32 samples give, bit for bit, the
+    # change of the same samples as flat float64 arrays
+    rng = np.random.default_rng(4)
+    prev, curr = rng.standard_normal(6), rng.standard_normal(6)
+    flat = relative_batch_change(prev, curr)
+    assert relative_batch_change(prev.reshape(2, 3), curr.reshape(3, 2)) == flat
+    ints_prev, ints_curr = [3, -1, 4, 1], [2, 7, -1, 8]
+    assert relative_batch_change(ints_prev, ints_curr) == relative_batch_change(
+        np.array(ints_prev, dtype=float), np.array(ints_curr, dtype=float))
+    prev32, curr32 = prev.astype(np.float32), curr.astype(np.float32)
+    assert relative_batch_change(prev32, curr32) == relative_batch_change(
+        prev32.astype(float), curr32.astype(float))

@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from conftest import (
+    circulant,
     delayed_resonator,
     dft_matrix,
+    dominant_bin,
     random_dc_dominant_statespace,
     random_stable_statespace,
+    reversed_circulant,
     slow_pole,
     symmetric_eig_oracle,
 )
 from peakgain import (
     RationalTransferFunction,
-    circulant,
     circulant_coefficients,
     circulant_eigenvalues,
     diagonalization_residual,
-    dominant_bin,
     freq_response,
     hinf_peak,
     lift,
     max_gain_reset_based,
     periodic_response_matrix,
-    reversed_circulant,
     reversed_spectrum,
     tf_to_ss,
     time_reverse,
