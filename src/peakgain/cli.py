@@ -120,18 +120,12 @@ def cmd_analyze(args):
     a = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(a)
     rev = reversed_spectrum(lam)
-    # h is the first column of J, and J is freed once M is built, so at most
-    # two N x N arrays are alive: J and M, then M and its transform in the
-    # residual
     lb = lift(ss, N)
-    h = lb.J[:, 0].copy()
-    M = periodic_response_matrix(lb)
-    del lb
-    residual, _ = diagonalization_residual(M)
-    j_is_zero = not h.any()
+    residual, _ = diagonalization_residual(periodic_response_matrix(lb))
+    j_is_zero = not lb.h.any()
     gain_reset_free = float(np.abs(lam).max())
     rev_top = float(rev.max())
-    gain_reset_based = max_gain_reset_based(h)
+    gain_reset_based = max_gain_reset_based(lb.h)
 
     _write_csv(
         os.path.join(out, "coefficients.csv"),
@@ -205,7 +199,7 @@ def cmd_sweep(args):
 
 def cmd_estimate(args):
     _, ss = _load(args)
-    # every option is checked before the plant builds its N x N matrices
+    # every option is checked before the plant lifts the system
     _count(args.n, "batch length", 1)
     default_tol = 1e-8 if args.ideal_plant else 1e-4
     config = PowerIterationConfig(

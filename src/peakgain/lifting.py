@@ -8,8 +8,8 @@ M = H (I - F)^-1 G + J. ``circulant_coefficients`` returns its first row a
 in closed form, O(N) floats, which is all the FFT paths (the spectrum, the
 steady-state plant, the state-space grid scan) need; ``impulse_response``
 returns the first column h of J from the same Markov-parameter recursion.
-``lift`` and the dense ``periodic_response_matrix`` serve the transient
-plant session and the diagonalization residual of ``analyze``.
+h fixes J, so ``lift`` keeps h and J is only an O(N) view; the dense
+``periodic_response_matrix`` serves the residual of ``analyze``.
 
 All of these walk one Krylov sequence v, A v, A^2 v, ... (v = B, w or, for
 H, C with A transposed) through one helper. Its first 512 steps are one
@@ -48,17 +48,22 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class LiftedBatchSystem:
-    """Batch form (F, G, H, J) over blocks of N samples.
+    """Batch form (F, G, H, J) over blocks of N samples, with J stored as h.
 
     F = A^N, G stacks A^(N-1)B ... B column-wise, H stacks C, CA, ...,
-    CA^(N-1) row-wise, and J is the lower-triangular Toeplitz matrix of
-    impulse-response coefficients D, CB, CAB, ...
+    CA^(N-1) row-wise, and h holds the impulse-response coefficients D, CB,
+    CAB, ... that make up the lower-triangular Toeplitz J.
     """
 
     F: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    J: np.ndarray
+    h: np.ndarray
+
+    @property
+    def J(self):
+        """Read-only N x N view of the single-batch response, O(N) memory."""
+        return lower_toeplitz(self.h)
 
 
 def lower_toeplitz(column):
@@ -84,10 +89,8 @@ def lift(ss, N):
     blocks = list(_krylov(A, B, N))
     h = _markov(blocks, C, ss.D, N)
     G = np.concatenate(blocks)[::-1].T.copy()
-    del blocks  # free the Krylov rows before the N x N J is built
     H = np.concatenate(list(_krylov(A.T, C, N)))
-    J = lower_toeplitz(h).copy()
-    return LiftedBatchSystem(F=F, G=G, H=H, J=J)
+    return LiftedBatchSystem(F=F, G=G, H=H, h=h)
 
 
 def _krylov(A, v, count):
@@ -156,9 +159,9 @@ def periodic_response_matrix(lb):
     """Map from one input period to the settled output period.
 
     Returns M = H (I - F)^-1 G + J via a factorized solve; the inverse is
-    never formed explicitly. J is added into the product in place, the same
-    elementwise sum, so the only N x N array allocated is M itself: with
-    lb.J the workspace is two N x N arrays, plus the N x n solution X.
+    never formed explicitly. The view lb.J is added into the product in
+    place, so the only N x N array allocated is M itself, plus the N x n
+    solution X.
     """
     if not isinstance(lb, LiftedBatchSystem):
         raise TypeError("periodic_response_matrix expects a LiftedBatchSystem")

@@ -6,7 +6,7 @@ entirely. One class, ``PlantSession``, gives three kinds of output:
 
 - reset-free: the state carries over from batch to batch exactly as on
   continuously operated hardware; a batch is y = H x + J u followed by
-  x = F x + G u, through the lifted (F, G, H, J) of ``lifting.lift``;
+  x = F x + G u, through the lifted (F, G, H, h) of ``lifting.lift``;
 - reset-per-batch: the state is zeroed before every batch, so y = J u;
 - settled (reset-free with ``settled=True``): no transient, every batch is
   the periodic response circ(a) u of ``lifting.circulant_coefficients``,
@@ -14,17 +14,18 @@ entirely. One class, ``PlantSession``, gives three kinds of output:
   the session keeps only the N // 2 + 1 bins conj(rfft(a)) and applies a
   batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
 
-The lifted modes build their matrices once when the session opens, about
-N^2 + 2 N n doubles for an n-state plant (J alone is 32 MB at N = 2048);
-the settled mode holds O(N). ``lti.simulate`` stays the sample-exact
-reference of the lifted modes, and the dense
-``periodic_response_matrix(lift(ss, N))`` that of the settled mode.
+The lifted modes hold about N (2 n + 1) + n^2 doubles for an n-state
+plant, J as its first column h; J u is the convolution of h and u cut to N
+samples, exactly zero where h is (a dead time). The settled mode holds
+O(N). ``lti.simulate`` stays the sample-exact reference of the lifted
+modes, and the dense ``periodic_response_matrix(lift(ss, N))`` that of the
+settled mode.
 
 An experiment holds one input until its output settles, so the session
-remembers the last input it applied by its float64 bytes and validates a
-new input once. A reset-per-batch or settled output does not depend on the
-state: it is computed once per input and every batch returns a copy. A
-reset-free transient computes J u and G u once per input and runs
+remembers the last input it applied by its float64 bytes, validates a new
+input once and computes its own output term once: circ(a) u when settled,
+else J u. A reset-per-batch or settled batch returns a copy of that term.
+A reset-free transient also computes G u once per input and runs
 y = H x + J u, x = F x + G u on every batch. Noise, if any, is drawn for
 every batch. The tests check the lifted modes bit for bit against a
 reference that runs all four products on every batch. When an output has
@@ -92,15 +93,13 @@ class PlantSession:
             self._a_bins = np.conj(np.fft.rfft(circulant_coefficients(ss, N)))
         else:
             lb = lift(ss, N)
-            self._F, self._G, self._H, self._J = lb.F, lb.G, lb.H, lb.J
+            self._F, self._G, self._H, self._h = lb.F, lb.G, lb.H, lb.h
             self._a_bins = None
         self._x = x
         self._noise = noise
-        # the held input: its float64 bytes, J u and G u of a reset-free
-        # transient, and the noiseless output of the modes whose output does
-        # not depend on the state (else None)
-        self._held = None
-        self._Ju = self._Gu = self._settled_y = None
+        # the held input: its float64 bytes, its own output term (circ(a) u
+        # or J u) and, for a reset-free transient only, G u (else None)
+        self._held = self._yu = self._Gu = None
         self.N = N
         self.mode = mode
         self.batch_counter = 0
@@ -113,18 +112,18 @@ class PlantSession:
             u = _samples(u, self.N, "input batch")
             self._held = held
             if self._a_bins is not None:
-                self._settled_y = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
-            elif self.mode == RESET_PER_BATCH:
-                self._settled_y = self._J @ u
+                self._yu = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
             else:
-                self._Ju, self._Gu = self._J @ u, self._G @ u
+                self._yu = np.convolve(self._h, u)[: self.N]
+                if self.mode == RESET_FREE:
+                    self._Gu = self._G @ u
         # drawn before the state moves, so a bad draw leaves the session as it was
         noise = None if self._noise is None else _samples(
             self._noise(self.N), self.N, "noise draw")
-        if self._settled_y is not None:
-            y = self._settled_y.copy()
+        if self._Gu is None:
+            y = self._yu.copy()
         else:
-            y = self._H @ self._x + self._Ju
+            y = self._H @ self._x + self._yu
             self._x = self._F @ self._x + self._Gu
         if noise is not None:
             y = y + noise

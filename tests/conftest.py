@@ -73,8 +73,9 @@ class LiftedReferenceSession:
     """Reference plant session: all four lifted products on every batch.
 
     Each batch is y = H x + J u followed by x = F x + G u (y = J u when the
-    plant is reset per batch), with no memo of the held input; the production
-    session's held-input shortcuts must reproduce it bit for bit.
+    plant is reset per batch), with J u = np.convolve(h, u)[:N] and no memo
+    of the held input; the production session's held-input shortcuts must
+    reproduce it bit for bit.
     """
 
     def __init__(self, ss, N, mode=RESET_FREE, x0=None, noise=None):
@@ -90,10 +91,11 @@ class LiftedReferenceSession:
         if u.shape != (self.N,) or not np.isfinite(u).all():
             raise ValueError(f"input batch must be {self.N} finite samples")
         lb = self._lifted
+        Ju = np.convolve(lb.h, u)[: self.N]
         if self.mode == RESET_PER_BATCH:
-            y = lb.J @ u
+            y = Ju
         else:
-            y = lb.H @ self._x + lb.J @ u
+            y = lb.H @ self._x + Ju
             self._x = lb.F @ self._x + lb.G @ u
         if self._noise is not None:
             y = y + np.asarray(self._noise(self.N), dtype=float).reshape(-1)

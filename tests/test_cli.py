@@ -175,8 +175,8 @@ class TestEstimate:
         ids=["tol", "n-update", "max-updates", "seed", "shift"],
     )
     def test_bad_knob_exits_1_before_probing(self, knob, low_pass_file, tmp_path, monkeypatch):
-        # the knobs are checked before the plant builds its lifted matrices
-        # (N x N, 128 MB at this N), let alone probes it
+        # the knobs are checked before the plant lifts the system, let alone
+        # probes it
         def no_probe(*args, **kwargs):
             raise AssertionError("the shift probe ran before the knobs were validated")
 

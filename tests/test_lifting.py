@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -52,18 +53,18 @@ def test_lower_toeplitz_view_matches_definition():
         assert np.array_equal(lower_toeplitz(column), expected)
 
 
-def test_lift_batch_response_is_an_owned_toeplitz_copy():
+def test_lift_keeps_the_batch_response_as_its_first_column():
     rng = np.random.default_rng(4)
     for _ in range(5):
         ss = random_stable_statespace(rng)
-        N = int(rng.integers(1, 40))
-        J = lift(ss, N).J
-        markov = [ss.D] + [
-            float(ss.C @ np.linalg.matrix_power(ss.A, k - 1) @ ss.B) for k in range(1, N)
-        ]
-        assert np.allclose(J, lower_toeplitz(markov), rtol=0.0, atol=1e-12)
-        assert np.array_equal(J, lower_toeplitz(J[:, 0]))
-        assert J.flags.c_contiguous and J.flags.owndata and J.flags.writeable
+        N = int(rng.integers(ss.n + 1, 40))
+        lb = lift(ss, N)
+        markov = markov_by_sequential_loop(ss.A, ss.B, ss.C, ss.D, N)
+        assert np.allclose(lb.h, markov, rtol=0.0, atol=1e-12)
+        assert lb.J.tobytes() == lower_toeplitz(lb.h).tobytes()
+        assert not lb.J.flags.writeable
+        # J is a view of h: no field is N x N once N exceeds the state count
+        assert all(np.size(getattr(lb, f.name)) < N * N for f in dataclasses.fields(lb))
 
 
 def test_impulse_response_is_the_first_column_of_j():
@@ -77,7 +78,7 @@ def test_impulse_response_is_the_first_column_of_j():
 @pytest.mark.parametrize("N", [1, 50, 513, 2048])
 @pytest.mark.parametrize("plant", ["demo", "slow"])
 def test_impulse_response_is_the_first_column_of_a_long_j(plant, N):
-    # analyze takes h from impulse_response so that J can be freed early
+    # sweep takes h from impulse_response, analyze and the plant from lift
     ss = tf_to_ss(delayed_resonator()) if plant == "demo" else slow_pole()
     assert np.array_equal(impulse_response(ss, N), lift(ss, N).J[:, 0])
 

@@ -70,11 +70,15 @@ def test_reset_output_is_history_independent():
 
 
 def test_delayed_resonator_reset_batches_are_silent():
-    session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_PER_BATCH)
+    # 50 samples of dead time: every reset batch at N = 50 is exact +0.0, and
+    # so are the first 50 samples of a reset-free run from rest
+    ss = tf_to_ss(delayed_resonator())
     rng = np.random.default_rng(2)
-    for _ in range(3):
-        record = session.apply_batch(rng.standard_normal(50))
-        assert np.all(record.y == 0.0)
+    for mode, N, silent in ((RESET_PER_BATCH, 50, 3), (RESET_FREE, 50, 1), (RESET_FREE, 25, 2)):
+        session = new_session(ss, N, mode)
+        for _ in range(silent):
+            record = session.apply_batch(rng.standard_normal(N))
+            assert record.y.tobytes() == np.zeros(N).tobytes()
 
 
 def test_reset_free_static_gain_every_batch():
@@ -399,11 +403,15 @@ def test_settled_session_rejects_reset_mode_and_initial_state(mode, x0):
 
 
 def test_settled_session_holds_no_dense_matrix():
+    # nor do the lifted sessions: J is kept as h, and G and H are N x n
     N = 256
-    plant = new_session(demo_plant(), N, RESET_FREE, settled=True)
-    plant.apply_batch(np.ones(N))
-    arrays = [v for v in vars(plant).values() if isinstance(v, np.ndarray)]
-    assert arrays and max(a.size for a in arrays) <= N
+    for mode, settled in ((RESET_FREE, True), (RESET_FREE, False), (RESET_PER_BATCH, False)):
+        plant = new_session(demo_plant(), N, mode, settled=settled)
+        plant.apply_batch(np.ones(N))
+        arrays = [v for v in vars(plant).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) < N * N
+        if settled:
+            assert max(a.size for a in arrays) <= N
 
 
 def test_settled_session_draws_noise_once_per_batch():
@@ -474,7 +482,7 @@ def test_batch_length_is_checked_at_every_entry_point(entry):
     ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
     # each entry point mapped to the batch length it ended up with
     build = {
-        "lift": lambda N: lift(ss, N).J.shape[0],
+        "lift": lambda N: lift(ss, N).h.shape[0],
         "circulant_coefficients": lambda N: circulant_coefficients(ss, N).shape[0],
         "PlantSession": lambda N: PlantSession(ss, N, RESET_FREE).N,
         "init_input": lambda N: init_input(N, 0).shape[0],
