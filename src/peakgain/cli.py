@@ -121,11 +121,13 @@ def cmd_analyze(args):
     lam = circulant_eigenvalues(a)
     rev = reversed_spectrum(lam)
     lb = lift(ss, N)
-    residual, _ = diagonalization_residual(periodic_response_matrix(lb))
-    j_is_zero = not lb.h.any()
+    h, M = lb.h, periodic_response_matrix(lb)
+    del lb  # its N x n G and H would sit beside the residual's N x N workspace
+    residual, _ = diagonalization_residual(M)
+    j_is_zero = not h.any()
     gain_reset_free = float(np.abs(lam).max())
     rev_top = float(rev.max())
-    gain_reset_based = max_gain_reset_based(lb.h)
+    gain_reset_based = max_gain_reset_based(h)
 
     _write_csv(
         os.path.join(out, "coefficients.csv"),

@@ -13,12 +13,13 @@ on, its last (at most four) batches go through one rule, ``_settled``, which
 accepts a batch that moved less than 1e-8 from the one before it, or else
 their extrapolated limit by Aitken's rule for one geometric transient mode.
 The settle test, ``relative_batch_change``, is defined here next to it.
-An all-zero batch restarts the window, and an output within 1e-8 of the
-previous hold's readout is not accepted, so a dead time of whole batches is
-waited out. The hold ends at the first accepted batch or at the hold's cap,
-and its readout, which its last trace row and update record carry, is the
-settled or extrapolated output, else its last batch. The shift probe and
-every update hold through this one loop, ``_hold``.
+One start rule waits out a dead time of whole batches: an output within
+1e-8 of the previous hold's readout, rest (all zeros) before the first, is
+never accepted. The hold ends at the first accepted batch or at the hold's
+cap, and its readout, which its last trace row and update record carry, is
+the settled or extrapolated output, else its last batch. The shift probe and
+every update hold through this one loop, ``_hold``, the estimator's only
+contact with the plant.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
@@ -201,31 +202,27 @@ def _settled(window, tol):
     return limit
 
 
-def _hold(plant, u, cap, prev=None, on_batch=None):
+def _hold(plant, u, cap, prev, on_batch=None):
     """Apply ``u`` until its output settles or ``cap`` batches have run.
 
     After each batch the hold's last (at most four) outputs go through
-    ``_settled``, which can accept from the second batch on. An all-zero
-    batch never counts as settled and starts the window afresh, and an
-    output within the settle tolerance of ``prev`` (the previous hold's
-    readout) is not accepted: a dead time of whole batches still shows rest
-    or the previous input's response, and is waited out. Only the window is
-    kept; ``on_batch``, if given, sees every batch record as it arrives.
-    Returns (y, change): the settled or extrapolated output and None, or,
-    for a hold that did not settle, its last batch and that batch's
-    relative_batch_change (inf when the window holds that batch alone).
+    ``_settled``, which can accept from the second batch on. An output
+    within the settle tolerance of ``prev``, the previous hold's readout
+    (all zeros before the first), is not accepted: a dead time of whole
+    batches still shows that readout, rest included, and is waited out.
+    Only the window is kept; ``on_batch``, if given, sees every batch record
+    as it arrives. Returns (y, change): the settled or extrapolated output
+    and None, or, for a hold that did not settle, its last batch and that
+    batch's relative_batch_change (inf when the hold ran one batch).
     """
     window = deque(maxlen=4)
     for _ in range(cap):
         record = plant.apply_batch(u)
         if on_batch is not None:
             on_batch(record)
-        if not record.y.any():
-            window.clear()
         window.append(record.y)
         settled = _settled(window, _SETTLE_TOL)
-        if settled is not None and (
-                prev is None or _relative_change(prev, settled) >= _SETTLE_TOL):
+        if settled is not None and _relative_change(prev, settled) >= _SETTLE_TOL:
             return settled, None
     y = window[-1]
     return y, _relative_change(window[-2], y) if len(window) > 1 else math.inf
@@ -236,10 +233,10 @@ def _iterate(plant, config, mode, hold, shift):
 
     Each input is applied through ``_hold`` with ``hold`` as its cap, the
     most batches one input is held (``n_update``, or 1 for the reset-based
-    baseline), and the previous hold's readout as ``prev``; every batch
-    gives a trace row of its own readouts. The hold's readout gives its
-    ``UpdateRecord`` and the next update; an extrapolated one also replaces
-    the readouts of the hold's last row.
+    baseline), and the previous hold's readout as ``prev``, rest before the
+    first; every batch gives a trace row of its own readouts. The hold's
+    readout gives its ``UpdateRecord`` and the next update; an extrapolated
+    one also replaces the readouts of the hold's last row.
     ``shift`` None probes the plant for one; a shift of 0 is the reset-based
     baseline, where a vanishing update means the plant returned a zero batch
     and ends the run with estimate 0 (its hold of 1 is never extrapolated).
@@ -253,8 +250,8 @@ def _iterate(plant, config, mode, hold, shift):
     trace = EstimateTrace()
     u = init_input(n, config.rng_seed)
     sqrt_n = np.sqrt(n)
-    beta_prev = None
-    y = last = None
+    beta_prev = last = None
+    y = np.zeros(n)
 
     def on_batch(record):
         nonlocal last
@@ -316,31 +313,27 @@ def iterate_reset_based(plant, config):
 def select_shift(plant, n, rng_seed=0):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
-    Applies a random unit-power batch and returns the observed gain
-    ||y|| / ||u||, floored at 1e-6. On a reset-free plant the batch is held
-    through ``_hold``, the loop that holds every update of the iteration,
-    until the rule of ``_settled`` accepts: either a measured batch that moved
-    less than 1e-8 (relative) from the one before, or, for a slow
-    transient, the extrapolated limit of the held batches once two
-    consecutive limits agree to 1e-8. A reset-per-batch plant is
-    probed with one batch. The gain only sets the scale of the shift; it is
-    not a bounded estimate of the settled gain. A zero probe output falls
-    back to 1.0 with a warning. A probe still unsettled after 10,000 batches
-    past the first warns and returns the gain of its last batch. ``n`` must
-    be the plant's batch length, else ValueError before a batch is applied.
+    Applies a random unit-power batch through ``_hold`` from rest, under the
+    start rule of every hold, and returns the gain ||y|| / ||u|| of its
+    readout, floored at 1e-6. A reset-free plant is held until ``_settled``
+    accepts (a batch that moved less than 1e-8, relative, from the one
+    before, or two extrapolated limits that agree to 1e-8), or for 10,000
+    batches past the first, after which it warns and uses the last batch; a
+    reset-per-batch plant is probed with one batch. The gain only sets the
+    scale of the shift; it is not a bounded estimate of the settled gain. A
+    zero probe output falls back to 1.0 with a warning. ``n`` must be the
+    plant's batch length, else ValueError before a batch is applied.
     """
     if n != plant.N:
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
     u = init_input(n, rng_seed)
-    if plant.mode == RESET_FREE:
-        y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1)
-        if change is not None and y.any():
-            warnings.warn(
-                f"shift probe did not settle within {_MAX_PROBE_BATCHES} batches "
-                f"(last relative_batch_change {change:.3g}); using the unsettled gain"
-            )
-    else:
-        y = plant.apply_batch(u).y
+    reset_free = plant.mode == RESET_FREE
+    y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1 if reset_free else 1, np.zeros(n))
+    if reset_free and change is not None and y.any():
+        warnings.warn(
+            f"shift probe did not settle within {_MAX_PROBE_BATCHES} batches "
+            f"(last relative_batch_change {change:.3g}); using the unsettled gain"
+        )
     gain = float(np.linalg.norm(y) / np.linalg.norm(u))
     if gain == 0.0:
         warnings.warn("probe batch produced zero output; falling back to shift 1.0")

@@ -275,9 +275,12 @@ def freq_response(sys, omega):
 
     ``omega`` is in radians per sample and may be a scalar or an array; the
     response is 2*pi periodic, so negative frequencies are fine. Both system
-    representations agree to rounding, which the tests check.
+    representations agree to rounding, which the tests check. ``omega``
+    must be finite, else ValueError.
     """
     om = np.asarray(omega, dtype=float)
+    if not np.isfinite(om).all():
+        raise ValueError("omega must be finite (NaN or inf frequency)")
     scalar = om.ndim == 0
     om = np.atleast_1d(om)
     if isinstance(sys, RationalTransferFunction):

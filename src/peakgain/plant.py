@@ -7,19 +7,20 @@ entirely. One class, ``PlantSession``, gives three kinds of output:
 - reset-free: the state carries over from batch to batch exactly as on
   continuously operated hardware; a batch is y = H x + J u followed by
   x = F x + G u, through the lifted (F, G, H, h) of ``lifting.lift``;
-- reset-per-batch: the state is zeroed before every batch, so y = J u;
+- reset-per-batch: the state is zeroed before every batch, so y = J u, and
+  the session keeps only h, the first column of J, from
+  ``lifting.impulse_response``;
 - settled (reset-free with ``settled=True``): no transient, every batch is
   the periodic response circ(a) u of ``lifting.circulant_coefficients``,
   as if the input had been held forever. The DFT diagonalizes circ(a), so
   the session keeps only the N // 2 + 1 bins conj(rfft(a)) and applies a
   batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
 
-The lifted modes hold about N (2 n + 1) + n^2 doubles for an n-state
-plant, J as its first column h; J u is the convolution of h and u cut to N
-samples, exactly zero where h is (a dead time). The settled mode holds
-O(N). ``lti.simulate`` stays the sample-exact reference of the lifted
-modes, and the dense ``periodic_response_matrix(lift(ss, N))`` that of the
-settled mode.
+J u is the convolution of h and u cut to N samples, exactly zero where h
+is (a dead time). A reset-free session holds about N (2 n + 1) + n^2
+doubles for an n-state plant, the other two O(N). ``lti.simulate`` stays
+the sample-exact reference of the first two kinds, and the dense
+``periodic_response_matrix(lift(ss, N))`` that of the settled kind.
 
 An experiment holds one input until its output settles, so the session
 remembers the last input it applied by its float64 bytes, validates a new
@@ -27,17 +28,17 @@ input once and computes its own output term once: circ(a) u when settled,
 else J u. A reset-per-batch or settled batch returns a copy of that term.
 A reset-free transient also computes G u once per input and runs
 y = H x + J u, x = F x + G u on every batch. Noise, if any, is drawn for
-every batch. The tests check the lifted modes bit for bit against a
-reference that runs all four products on every batch. When an output has
-settled is the estimator's question, not the plant's: the settle test,
-``relative_batch_change``, lives in ``estimator``.
+every batch. The tests check the first two kinds bit for bit against a
+reference that runs all four lifted products on every batch. When an
+output has settled is the estimator's question, not the plant's: the
+settle test, ``relative_batch_change``, lives in ``estimator``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import circulant_coefficients, lift
+from .lifting import circulant_coefficients, impulse_response, lift
 from .lti import StateSpace, _count, _samples
 
 __all__ = [
@@ -89,12 +90,14 @@ class PlantSession:
         if mode == RESET_PER_BATCH and np.any(x != 0.0):
             raise ValueError("reset-per-batch sessions start every batch at rest; "
                              "a nonzero initial state is rejected")
+        self._a_bins = None
         if settled:
             self._a_bins = np.conj(np.fft.rfft(circulant_coefficients(ss, N)))
+        elif mode == RESET_PER_BATCH:
+            self._h = impulse_response(ss, N)
         else:
             lb = lift(ss, N)
             self._F, self._G, self._H, self._h = lb.F, lb.G, lb.H, lb.h
-            self._a_bins = None
         self._x = x
         self._noise = noise
         # the held input: its float64 bytes, its own output term (circ(a) u

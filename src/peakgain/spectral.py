@@ -45,11 +45,13 @@ def circulant_eigenvalues(a):
 
     This is the FFT of a (same sign convention); for coefficients coming
     from ``circulant_coefficients`` it equals the system's frequency response
-    at z = exp(-2j*pi*m/N).
+    at z = exp(-2j*pi*m/N). ``a`` must be finite, else ValueError.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.shape[0] == 0:
         raise ValueError("empty coefficient vector: a circulant needs N >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("coefficient vector a has non-finite entries")
     return np.fft.fft(a)
 
 
@@ -97,12 +99,15 @@ def reversed_spectrum(lam):
     Entry 0 keeps lambda_0; for 0 < m < N/2 entry m is |lambda_m| and entry
     N-m is -|lambda_m|; for even N entry N/2 is -lambda_{N/2}. Requires the
     conjugate symmetry of a real coefficient vector, so lambda_0 (and
-    lambda_{N/2} for even N) must be real up to 1e-10 relative.
+    lambda_{N/2} for even N) must be real up to 1e-10 relative, and every
+    entry finite, else ValueError.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     N = lam.shape[0]
     if N == 0:
         raise ValueError("empty spectrum")
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum lam has non-finite entries")
     scale = 1.0 + float(np.abs(lam).max())
     for m in (0, N // 2) if N % 2 == 0 else (0,):
         if abs(lam[m].imag) > _IMAG_TOL * scale:

@@ -139,10 +139,10 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
 
     Reset-free with the config's hold cap and shift (None probes), or the
     reset-based baseline with hold 1 and shift 0. After each batch the
-    hold's outputs since its last all-zero batch go through
-    ``end_of_hold_readout``, and the hold ends at the first readout it gives
-    that is not within 1e-8 of the previous hold's, else at the cap with its
-    last batch. The estimator's traces must equal this one bit for bit.
+    hold's outputs go through ``end_of_hold_readout``, and the hold ends at
+    the first readout it gives that is not within 1e-8 of the previous
+    hold's (all zeros before the first), else at the cap with its last
+    batch. The estimator's traces must equal this one bit for bit.
     """
     hold, shift = (1, 0.0) if reset_based else (config.n_update, config.shift)
     n = plant.N
@@ -152,18 +152,15 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
     u = init_input(n, config.rng_seed)
     sqrt_n = np.sqrt(n)
     beta_prev = None
-    y = None
+    y = np.zeros(n)
     for update in range(1, config.max_updates + 1):
         previous, outputs = y, []
         for _ in range(hold):
             record = plant.apply_batch(u)
-            if not record.y.any():
-                outputs = []
             outputs.append(record.y)
             trace.rows.append((update, record.j, *_readouts(u, record.y, n)))
             y = end_of_hold_readout(outputs)
-            if y is not None and (previous is None
-                                  or relative_batch_change(previous, y) >= 1e-8):
+            if y is not None and relative_batch_change(previous, y) >= 1e-8:
                 break
         else:
             y = record.y

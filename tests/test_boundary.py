@@ -8,8 +8,11 @@ from peakgain import (
     EstimateTrace,
     PowerIterationConfig,
     RationalTransferFunction,
+    circulant_eigenvalues,
+    freq_response,
     hinf_peak,
     new_session,
+    reversed_spectrum,
     simulate,
     tf_to_ss,
 )
@@ -94,3 +97,27 @@ def test_samples_are_checked_at_every_entry_point(entry):
     if length is not None:
         with pytest.raises(ValueError, match=f"^{what} must have length {length}, got 2$"):
             call(np.ones(2))
+
+
+# each public function that takes real or complex values rather than a
+# count or a sample vector: the name its errors carry, and a call that feeds
+# it one non-finite value
+NON_FINITE = {
+    "circulant_eigenvalues": ("coefficient vector a",
+                              lambda bad: circulant_eigenvalues([1.0, bad, 0.0])),
+    "reversed_spectrum": ("spectrum lam", lambda bad: reversed_spectrum([bad, 1.0, 1.0])),
+    "reversed_spectrum imag": ("spectrum lam",
+                               lambda bad: reversed_spectrum([1.0, complex(1.0, bad), 2.0])),
+    "freq_response tf": ("omega", lambda bad: freq_response(low_pass_tf(), bad)),
+    "freq_response ss": ("omega",
+                         lambda bad: freq_response(tf_to_ss(low_pass_tf()), np.array([0.1, bad]))),
+}
+
+
+@pytest.mark.parametrize("entry", list(NON_FINITE))
+def test_non_finite_values_are_rejected(entry):
+    name, call = NON_FINITE[entry]
+    call(0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            call(bad)

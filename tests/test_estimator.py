@@ -647,6 +647,18 @@ class TestSettledReadout:
         assert estimator._settled(window[1:], 1e-8) is None
         assert estimator._settled(window[:1], 1e-8) is None
 
+    def test_zero_output_is_read_out_like_any_other(self):
+        # one start rule: an output within 1e-8 of the previous readout is
+        # not accepted, so zeros are waited out from rest and accepted at the
+        # second batch after a nonzero readout
+        u = np.ones(4)
+        plant = RecordingPlant(lambda u: np.zeros(4), 4)
+        y, change = estimator._hold(plant, u, 10, np.zeros(4))
+        assert plant.batch_counter == 10 and change == 0.0 and not y.any()
+        plant = RecordingPlant(lambda u: np.zeros(4), 4)
+        y, change = estimator._hold(plant, u, 10, np.ones(4))
+        assert plant.batch_counter == 2 and change is None and not y.any()
+
     @pytest.mark.parametrize("N, seed", [(50, 0), (50, 3), (256, 1)])
     def test_slow_pole_readouts_are_settled_outputs(self, N, seed):
         holds = hold_readouts(slow_pole(), N, **CLI_CONFIG, rng_seed=seed)

@@ -403,14 +403,15 @@ def test_settled_session_rejects_reset_mode_and_initial_state(mode, x0):
 
 
 def test_settled_session_holds_no_dense_matrix():
-    # nor do the lifted sessions: J is kept as h, and G and H are N x n
+    # nor does a reset-free transient: J is kept as h, and G and H are N x n;
+    # a reset-per-batch session keeps h alone, no F, G or H
     N = 256
     for mode, settled in ((RESET_FREE, True), (RESET_FREE, False), (RESET_PER_BATCH, False)):
         plant = new_session(demo_plant(), N, mode, settled=settled)
         plant.apply_batch(np.ones(N))
         arrays = [v for v in vars(plant).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.size for a in arrays) < N * N
-        if settled:
+        if settled or mode == RESET_PER_BATCH:
             assert max(a.size for a in arrays) <= N
 
 
