@@ -2,18 +2,18 @@
 
 The package estimates the peak frequency-response magnitude (the H-infinity
 norm) of a stable SISO plant purely from input/output batch experiments. The
-main algorithm operates the plant continuously, without resets: holding a
+algorithm operates the plant continuously, without resets: holding a
 periodic input makes the plant act as a circulant matrix on one input period,
 and a power iteration on its time-reversed (symmetric) counterpart converges
-to the peak gain over the batch frequency grid. The classical reset-based
-baseline and the spectral machinery to verify both are included.
+to the peak gain over the batch frequency grid. The spectral machinery to
+verify it is included, and so is the model value of the classical
+reset-based baseline, ``max_gain_reset_based``, for comparison.
 """
 
 from .estimator import (
     EstimateTrace,
     EstimationError,
     PowerIterationConfig,
-    iterate_reset_based,
     iterate_reset_free,
     relative_batch_change,
     select_shift,
@@ -36,7 +36,6 @@ from .lti import (
 )
 from .plant import (
     RESET_FREE,
-    RESET_PER_BATCH,
     new_session,
 )
 from .spectral import (
@@ -54,7 +53,6 @@ __all__ = [
     "EstimationError",
     "PowerIterationConfig",
     "RESET_FREE",
-    "RESET_PER_BATCH",
     "RationalTransferFunction",
     "StateSpace",
     "SystemSpecError",
@@ -63,7 +61,6 @@ __all__ = [
     "diagonalization_residual",
     "freq_response",
     "hinf_peak",
-    "iterate_reset_based",
     "iterate_reset_free",
     "lift",
     "max_gain_reset_based",

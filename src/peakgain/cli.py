@@ -296,7 +296,7 @@ def _parser():
     estimate.add_argument("--system", required=True)
     estimate.add_argument("--n", type=int, default=50, help="batch length")
     estimate.add_argument(
-        "--n-update", type=int, default=10,
+        "--n-update", type=int, default=PowerIterationConfig.n_update,
         help="hold each input until its output settles, for at most this many batches"
     )
     estimate.add_argument("--seed", type=int, default=0)

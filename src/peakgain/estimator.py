@@ -5,8 +5,9 @@ input, holds each input long enough for the response to settle, then reverses
 the measured output in time, adds a shifted copy of the input and renormalizes
 to input power one. That realizes a shifted power iteration on the symmetric
 row-reversed periodic response matrix, whose dominant eigenvalue is the peak
-gain over the batch frequency grid. The reset-based baseline re-applies the
-time-reversed output directly, one from-rest experiment per iteration.
+gain over the batch frequency grid. The plant is never reset: the
+classical reset-based iteration it improves on is not run here, and
+``spectral.max_gain_reset_based`` gives that baseline's model value.
 
 Each input is held until its output settles: from the hold's second batch
 on, its last (at most four) batches go through one rule, ``_settled``, which
@@ -27,10 +28,10 @@ converged input this equals the dominant eigenvalue exactly; the shift steers
 the iteration but never enters the readout, since the measured output contains
 no shift contribution.
 
-A plant is any object with a batch length ``N``, a ``mode`` and an
-``apply_batch(u)`` that returns a record with the batch index ``j`` and the
-measured output ``y``; the estimator reads nothing else from it, and the
-batch length of every iteration is the plant's ``N``.
+A plant is any object with a batch length ``N``, a ``mode`` equal to
+``RESET_FREE`` and an ``apply_batch(u)`` that returns a record with the
+batch index ``j`` and the measured output ``y``; the estimator reads nothing
+else from it, and the batch length of every iteration is the plant's ``N``.
 """
 
 import math
@@ -41,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lti import _count, _real, _tolerance
-from .plant import RESET_FREE, RESET_PER_BATCH
+from .lti import _count, _tolerance
+from .plant import RESET_FREE
 from .spectral import time_reverse
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "EstimationError",
     "init_input",
     "iterate_reset_free",
-    "iterate_reset_based",
     "relative_batch_change",
     "select_shift",
 ]
@@ -69,19 +69,19 @@ class EstimationError(RuntimeError):
 
 @dataclass
 class PowerIterationConfig:
-    """Knobs of the power iterations.
+    """Knobs of the power iteration.
 
-    n_update is the most batches each input is held (reset-free only): a
-    hold ends earlier, from its second batch on, once its output settles;
-    shift the scalar added to the reversed response before renormalizing,
-    None to probe the plant for a scale; convergence is declared when the
+    n_update is the most batches each input is held: a hold ends earlier,
+    from its second batch on, once its output settles; shift the positive
+    scalar added to the reversed response before renormalizing, None to
+    probe the plant for a scale; convergence is declared when the
     gain readout moves less than convergence_tol between consecutive
     updates. rng_seed, a nonnegative integer, seeds the random start input
     and the shift probe. The batch length is the plant's N. The knobs are
     checked in this order; counts come back as int.
     """
 
-    n_update: int = 1
+    n_update: int = 10
     shift: float | None = None
     max_updates: int = 1000
     convergence_tol: float = 1e-8
@@ -90,11 +90,9 @@ class PowerIterationConfig:
     def __post_init__(self):
         self.n_update = _count(self.n_update, "n_update", 1)
         if self.shift is not None:
-            _real(self.shift, "shift")
-            if not math.isfinite(self.shift):
-                raise ValueError(f"shift must be finite, got {self.shift!r}")
-            if self.shift == 0.0:
-                raise ValueError("shift must be nonzero (or None to auto-select)")
+            # the reversed spectrum comes in +-|lambda| pairs: a negative
+            # shift would steer the iteration to the negative end
+            _tolerance(self.shift, "shift")
         self.max_updates = _count(self.max_updates, "max_updates", 1)
         _tolerance(self.convergence_tol, "convergence_tol")
         self.rng_seed = _count(self.rng_seed, "rng_seed", 0)
@@ -121,13 +119,10 @@ class EstimateTrace:
     rows: list = field(default_factory=list)
     updates: list = field(default_factory=list)
     converged: bool = False
-    zero_output: bool = False
 
     @property
     def estimate(self):
-        """Final gain estimate (0.0 when the plant returned a zero batch)."""
-        if self.zero_output:
-            return 0.0
+        """Final gain estimate, the beta of the last update."""
         if not self.updates:
             raise ValueError("empty trace has no estimate")
         return self.updates[-1].beta
@@ -228,22 +223,27 @@ def _hold(plant, u, cap, prev, on_batch=None):
     return y, _relative_change(window[-2], y) if len(window) > 1 else math.inf
 
 
-def _iterate(plant, config, mode, hold, shift):
-    """Power iteration z = reverse(y) + shift * u, renormalized to power one.
+def iterate_reset_free(plant, config):
+    """Shifted power iteration on a continuously operated plant.
 
-    Each input is applied through ``_hold`` with ``hold`` as its cap, the
-    most batches one input is held (``n_update``, or 1 for the reset-based
-    baseline), and the previous hold's readout as ``prev``, rest before the
-    first; every batch gives a trace row of its own readouts. The hold's
-    readout gives its ``UpdateRecord`` and the next update; an extrapolated
-    one also replaces the readouts of the hold's last row.
-    ``shift`` None probes the plant for one; a shift of 0 is the reset-based
-    baseline, where a vanishing update means the plant returned a zero batch
-    and ends the run with estimate 0 (its hold of 1 is never extrapolated).
+    Holds the current input through ``_hold`` until its output settles, for
+    at most ``config.n_update`` batches, with the previous hold's readout as
+    ``prev`` (rest before the first); every batch gives a trace row of its
+    own readouts. The hold's readout y (the settled or extrapolated output,
+    else its last batch) gives its ``UpdateRecord``, an extrapolated one
+    also the readouts of the hold's last row. Then z = reverse(y) + shift * u
+    is renormalized to input power one; a vanishing z raises
+    ``EstimationError``. With a positive shift of roughly the plant's peak
+    gain the iterate settles on the positive dominant eigendirection instead
+    of flipping sign every step; ``config.shift`` None probes the plant for
+    one. Stops when beta moves less than the tolerance between updates, or
+    flags the trace as non-converged at max_updates. ``plant.mode`` must be
+    ``RESET_FREE``, else ValueError before a batch is applied.
     """
     n = plant.N
-    if plant.mode != mode:
-        raise ValueError(f"this iteration needs a {mode} plant, got {plant.mode}")
+    if plant.mode != RESET_FREE:
+        raise ValueError(f"this iteration needs a {RESET_FREE} plant, got {plant.mode}")
+    shift = config.shift
     if shift is None:
         shift = select_shift(plant, n, config.rng_seed)
 
@@ -259,7 +259,7 @@ def _iterate(plant, config, mode, hold, shift):
         trace.rows.append((update, record.j, *_readouts(u, last, n)))
 
     for update in range(1, config.max_updates + 1):
-        y, _ = _hold(plant, u, hold, y, on_batch)
+        y, _ = _hold(plant, u, config.n_update, y, on_batch)
         if y is not last:  # an extrapolated readout
             trace.rows[-1] = (update, trace.rows[-1][1], *_readouts(u, y, n))
         mu, beta = trace.rows[-1][2:]
@@ -271,43 +271,12 @@ def _iterate(plant, config, mode, hold, shift):
         z = time_reverse(y) + shift * u
         z_norm = float(np.linalg.norm(z))
         if z_norm == 0.0:
-            if shift != 0.0:
-                raise EstimationError(
-                    "update vector vanished: the reversed response exactly cancels "
-                    "the shifted input; retry with a different shift or seed"
-                )
-            trace.zero_output = True
-            trace.converged = True
-            break
+            raise EstimationError(
+                "update vector vanished: the reversed response exactly cancels "
+                "the shifted input; retry with a different shift or seed"
+            )
         u = z * (sqrt_n / z_norm)
     return trace
-
-
-def iterate_reset_free(plant, config):
-    """Shifted power iteration on a continuously operated plant.
-
-    Holds the current input through ``_hold`` until its output settles, for
-    at most ``config.n_update`` batches, reads out y (the settled output,
-    else the hold's last batch), forms z = reverse(y) + shift * u and
-    renormalizes z to input power one. With a positive shift of roughly the
-    plant's peak gain the iterate settles on the positive dominant
-    eigendirection instead of flipping sign every step. Stops when beta
-    moves less than the tolerance between updates, or flags the trace as
-    non-converged at max_updates.
-    """
-    return _iterate(plant, config, RESET_FREE, config.n_update, config.shift)
-
-
-def iterate_reset_based(plant, config):
-    """Baseline power iteration with a full reset before every batch.
-
-    The time-reversed output is renormalized and re-applied as the next
-    input; no shift and no hold. Only the single-batch response matrix is
-    visible to this scheme, so a plant with more dead time than the batch
-    length yields zero output: the run then terminates immediately with
-    estimate 0 and the zero_output flag set.
-    """
-    return _iterate(plant, config, RESET_PER_BATCH, 1, 0.0)
 
 
 def select_shift(plant, n, rng_seed=0):
@@ -315,21 +284,22 @@ def select_shift(plant, n, rng_seed=0):
 
     Applies a random unit-power batch through ``_hold`` from rest, under the
     start rule of every hold, and returns the gain ||y|| / ||u|| of its
-    readout, floored at 1e-6. A reset-free plant is held until ``_settled``
-    accepts (a batch that moved less than 1e-8, relative, from the one
-    before, or two extrapolated limits that agree to 1e-8), or for 10,000
-    batches past the first, after which it warns and uses the last batch; a
-    reset-per-batch plant is probed with one batch. The gain only sets the
-    scale of the shift; it is not a bounded estimate of the settled gain. A
-    zero probe output falls back to 1.0 with a warning. ``n`` must be the
-    plant's batch length, else ValueError before a batch is applied.
+    readout, floored at 1e-6. The input is held until ``_settled`` accepts
+    (a batch that moved less than 1e-8, relative, from the one before, or
+    two extrapolated limits that agree to 1e-8), or for 10,000 batches past
+    the first, after which it warns and uses the last batch. The gain only
+    sets the scale of the shift; it is not a bounded estimate of the
+    settled gain. A zero probe output falls back to 1.0 with a warning.
+    ``n`` must be the plant's batch length and ``plant.mode`` must be
+    ``RESET_FREE``, else ValueError before a batch is applied.
     """
     if n != plant.N:
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
+    if plant.mode != RESET_FREE:
+        raise ValueError(f"the shift probe needs a {RESET_FREE} plant, got {plant.mode}")
     u = init_input(n, rng_seed)
-    reset_free = plant.mode == RESET_FREE
-    y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1 if reset_free else 1, np.zeros(n))
-    if reset_free and change is not None and y.any():
+    y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1, np.zeros(n))
+    if change is not None and y.any():
         warnings.warn(
             f"shift probe did not settle within {_MAX_PROBE_BATCHES} batches "
             f"(last relative_batch_change {change:.3g}); using the unsettled gain"

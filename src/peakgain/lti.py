@@ -49,7 +49,7 @@ def _real(value, name):
 
 
 def _tolerance(value, name):
-    """Check a tolerance: a real number that is positive and finite."""
+    """Check a tolerance, or another positive knob: a real number that is positive and finite."""
     _real(value, name)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")

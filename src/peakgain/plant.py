@@ -2,55 +2,51 @@
 
 An estimator is only allowed to apply input batches and observe output
 batches. The simulated plant behind a session hides its state-space model
-entirely. One class, ``PlantSession``, gives three kinds of output:
+entirely. The plant is never reset: one class, ``PlantSession``, gives two
+kinds of reset-free output:
 
-- reset-free: the state carries over from batch to batch exactly as on
+- transient: the state carries over from batch to batch exactly as on
   continuously operated hardware; a batch is y = H x + J u followed by
   x = F x + G u, through the lifted (F, G, H, h) of ``lifting.lift``;
-- reset-per-batch: the state is zeroed before every batch, so y = J u, and
-  the session keeps only h, the first column of J, from
-  ``lifting.impulse_response``;
-- settled (reset-free with ``settled=True``): no transient, every batch is
-  the periodic response circ(a) u of ``lifting.circulant_coefficients``,
-  as if the input had been held forever. The DFT diagonalizes circ(a), so
-  the session keeps only the N // 2 + 1 bins conj(rfft(a)) and applies a
-  batch as irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
+- settled (``settled=True``): no transient, every batch is the periodic
+  response circ(a) u of ``lifting.circulant_coefficients``, as if the input
+  had been held forever. The DFT diagonalizes circ(a), so the session keeps
+  only the N // 2 + 1 bins conj(rfft(a)) and applies a batch as
+  irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
 
 J u is the convolution of h and u cut to N samples, exactly zero where h
-is (a dead time). A reset-free session holds about N (2 n + 1) + n^2
-doubles for an n-state plant, the other two O(N). ``lti.simulate`` stays
-the sample-exact reference of the first two kinds, and the dense
+is (a dead time). A transient session holds about N (2 n + 1) + n^2
+doubles for an n-state plant, a settled one O(N). ``lti.simulate`` stays
+the sample-exact reference of the transient kind, and the dense
 ``periodic_response_matrix(lift(ss, N))`` that of the settled kind.
 
 An experiment holds one input until its output settles, so the session
 remembers the last input it applied by its float64 bytes, validates a new
 input once and computes its own output term once: circ(a) u when settled,
-else J u. A reset-per-batch or settled batch returns a copy of that term.
-A reset-free transient also computes G u once per input and runs
-y = H x + J u, x = F x + G u on every batch. Noise, if any, is drawn for
-every batch. The tests check the first two kinds bit for bit against a
-reference that runs all four lifted products on every batch. When an
-output has settled is the estimator's question, not the plant's: the
-settle test, ``relative_batch_change``, lives in ``estimator``.
+else J u. A settled batch returns a copy of that term. A transient also
+computes G u once per input and runs y = H x + J u, x = F x + G u on every
+batch. Noise, if any, is drawn for every batch. The tests check both kinds
+bit for bit against references that recompute every batch from scratch.
+When an output has settled is the estimator's question, not the plant's:
+the settle test, ``relative_batch_change``, lives in ``estimator``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import circulant_coefficients, impulse_response, lift
+from .lifting import circulant_coefficients, lift
 from .lti import StateSpace, _count, _samples
 
 __all__ = [
     "RESET_FREE",
-    "RESET_PER_BATCH",
     "BatchRecord",
     "PlantSession",
     "new_session",
 ]
 
+# the one session mode: the plant is never reset between batches
 RESET_FREE = "reset-free"
-RESET_PER_BATCH = "reset-per-batch"
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,9 @@ class PlantSession:
     A session has a single owner: do not call apply_batch concurrently on one
     session, though distinct sessions can run in parallel.
 
-    ``settled=True`` gives the idealized reset-free plant with no transients,
-    for exercising estimator logic in isolation; it starts settled, so it
-    takes no ``x0``. ``noise`` may hold a callable
+    ``mode`` must be ``RESET_FREE``. ``settled=True`` gives the idealized
+    plant with no transients, for exercising estimator logic in isolation;
+    it starts settled, so it takes no ``x0``. ``noise`` may hold a callable
     ``noise(n_samples) -> array`` of N finite samples that is added to every
     measured batch; it is off by default and exploratory only.
     """
@@ -81,27 +77,21 @@ class PlantSession:
         if not isinstance(ss, StateSpace):
             raise TypeError("PlantSession expects a StateSpace")
         N = _count(N, "batch length", 1)
-        if mode not in (RESET_FREE, RESET_PER_BATCH):
-            raise ValueError(f"unknown mode {mode!r}")
-        if settled and (mode != RESET_FREE or x0 is not None):
-            raise ValueError("a settled plant is reset-free and has no transient: "
-                             "settled=True takes neither reset-per-batch mode nor x0")
+        if mode != RESET_FREE:
+            raise ValueError(f"unknown mode {mode!r}; the only mode is {RESET_FREE!r}")
+        if settled and x0 is not None:
+            raise ValueError("a settled plant has no transient: settled=True takes no x0")
         x = np.zeros(ss.n) if x0 is None else _samples(x0, ss.n, "initial state").copy()
-        if mode == RESET_PER_BATCH and np.any(x != 0.0):
-            raise ValueError("reset-per-batch sessions start every batch at rest; "
-                             "a nonzero initial state is rejected")
         self._a_bins = None
         if settled:
             self._a_bins = np.conj(np.fft.rfft(circulant_coefficients(ss, N)))
-        elif mode == RESET_PER_BATCH:
-            self._h = impulse_response(ss, N)
         else:
             lb = lift(ss, N)
             self._F, self._G, self._H, self._h = lb.F, lb.G, lb.H, lb.h
         self._x = x
         self._noise = noise
         # the held input: its float64 bytes, its own output term (circ(a) u
-        # or J u) and, for a reset-free transient only, G u (else None)
+        # or J u) and, for a transient only, G u (else None)
         self._held = self._yu = self._Gu = None
         self.N = N
         self.mode = mode
@@ -118,8 +108,7 @@ class PlantSession:
                 self._yu = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
             else:
                 self._yu = np.convolve(self._h, u)[: self.N]
-                if self.mode == RESET_FREE:
-                    self._Gu = self._G @ u
+                self._Gu = self._G @ u
         # drawn before the state moves, so a bad draw leaves the session as it was
         noise = None if self._noise is None else _samples(
             self._noise(self.N), self.N, "noise draw")

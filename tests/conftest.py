@@ -1,12 +1,12 @@
 """Shared builders and independent oracles for the test suite."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from peakgain import (
     RESET_FREE,
-    RESET_PER_BATCH,
     EstimateTrace,
     EstimationError,
     RationalTransferFunction,
@@ -29,6 +29,11 @@ DEMO_DEN = (10.0, -5.0, 6.0)
 DEMO_DELAY = 50
 DEMO_PEAK_GAIN = 1.9547706345854523
 DEMO_PEAK_OMEGA = 1.2077304677574847
+
+# The classical baseline's plant: the state is zeroed before every batch, so
+# a batch is y = J u. Only the reference sessions below run it; the package
+# runs the reset-free method alone.
+RESET_PER_BATCH = "reset-per-batch"
 
 
 def delayed_resonator():
@@ -134,11 +139,29 @@ def end_of_hold_readout(outputs, tol=1e-8):
     return limits[1] if relative_batch_change(*limits) < tol else None
 
 
+@dataclass
+class ReferenceTrace(EstimateTrace):
+    """The reference loop's trace: an ``EstimateTrace`` plus the baseline's zero stop.
+
+    ``zero_output`` is set when the reset-based baseline's plant returned a
+    zero batch; the run then ends converged with estimate 0.0.
+    """
+
+    zero_output: bool = False
+
+    @property
+    def estimate(self):
+        return 0.0 if self.zero_output else super().estimate
+
+
 def iterate_reading_every_batch(plant, config, reset_based=False):
     """Reference power iteration: one plain loop per hold, ``_readouts`` on every batch.
 
     Reset-free with the config's hold cap and shift (None probes), or the
-    reset-based baseline with hold 1 and shift 0. After each batch the
+    classical reset-based baseline (Oomen, van der Maas, Rojas & Hjalmarsson,
+    IEEE TCST 2014) on a ``RESET_PER_BATCH`` reference session, which
+    re-applies the renormalized reversed output: hold 1 and shift 0, and a
+    vanishing update means a zero batch and ends the run. After each batch the
     hold's outputs go through ``end_of_hold_readout``, and the hold ends at
     the first readout it gives that is not within 1e-8 of the previous
     hold's (all zeros before the first), else at the cap with its last
@@ -148,7 +171,7 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
     n = plant.N
     if shift is None:
         shift = select_shift(plant, n, config.rng_seed)
-    trace = EstimateTrace()
+    trace = ReferenceTrace()
     u = init_input(n, config.rng_seed)
     sqrt_n = np.sqrt(n)
     beta_prev = None

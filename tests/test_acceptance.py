@@ -10,10 +10,13 @@ import numpy as np
 
 from conftest import (
     DEMO_PEAK_GAIN,
+    RESET_PER_BATCH,
+    LiftedReferenceSession,
     circulant,
     delayed_resonator,
     dominant_bin,
     hold_blocks,
+    iterate_reading_every_batch,
     random_dc_dominant_statespace,
     random_stable_statespace,
     reversed_circulant,
@@ -21,13 +24,11 @@ from conftest import (
 )
 from peakgain import (
     RESET_FREE,
-    RESET_PER_BATCH,
     PowerIterationConfig,
     circulant_coefficients,
     circulant_eigenvalues,
     diagonalization_residual,
     freq_response,
-    iterate_reset_based,
     iterate_reset_free,
     lift,
     max_gain_reset_based,
@@ -215,9 +216,11 @@ def test_criterion_7_estimator_invariants():
             assert 2 <= len(block) <= 10
             for u in block:
                 assert np.array_equal(u, record.u)
-        # reset-based runner on the delayed plant terminates with zero
-        session = new_session(ss, N, RESET_PER_BATCH)
-        based = iterate_reset_based(session, PowerIterationConfig(rng_seed=0))
+        # the reset-based baseline, on the test-side reference plant,
+        # terminates with zero on the delayed plant
+        session = LiftedReferenceSession(ss, N, RESET_PER_BATCH)
+        based = iterate_reading_every_batch(session, PowerIterationConfig(rng_seed=0),
+                                            reset_based=True)
         assert based.zero_output
         assert based.estimate == 0.0
 

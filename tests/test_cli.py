@@ -171,8 +171,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "knob",
         [("--tol", "nan"), ("--n-update", "0"), ("--max-updates", "0"), ("--seed", "-1"),
-         ("--shift", "0")],
-        ids=["tol", "n-update", "max-updates", "seed", "shift"],
+         ("--shift", "0"), ("--shift", "-1")],
+        ids=["tol", "n-update", "max-updates", "seed", "shift", "negative-shift"],
     )
     def test_bad_knob_exits_1_before_probing(self, knob, low_pass_file, tmp_path, monkeypatch):
         # the knobs are checked before the plant lifts the system, let alone

@@ -1,9 +1,12 @@
 import collections
+import re
 
 import numpy as np
 import pytest
 
 from conftest import (
+    RESET_PER_BATCH,
+    LiftedReferenceSession,
     delayed_resonator,
     hold_blocks,
     iterate_reading_every_batch,
@@ -12,13 +15,11 @@ from conftest import (
 )
 from peakgain import (
     RESET_FREE,
-    RESET_PER_BATCH,
     EstimationError,
     PowerIterationConfig,
     RationalTransferFunction,
     circulant_coefficients,
     circulant_eigenvalues,
-    iterate_reset_based,
     iterate_reset_free,
     lift,
     max_gain_reset_based,
@@ -29,7 +30,7 @@ from peakgain import (
     tf_to_ss,
     time_reverse,
 )
-from peakgain import estimator
+from peakgain import cli, estimator
 from peakgain.estimator import init_input
 from peakgain.plant import BatchRecord
 
@@ -107,6 +108,20 @@ class TestConfigValidation:
     def test_rejects_non_finite_shift(self, shift):
         with pytest.raises(ValueError, match="shift"):
             PowerIterationConfig(shift=shift)
+
+    @pytest.mark.parametrize("shift", [-1.0, -1.918966281468787, -1e-300, -0.0, -2])
+    def test_rejects_non_positive_shift(self, shift):
+        # the reversed spectrum comes in +-|lambda| pairs, so a negative shift
+        # would steer the iteration to the negative end of it
+        message = f"^shift must be positive and finite, got {re.escape(repr(shift))}$"
+        with pytest.raises(ValueError, match=message):
+            PowerIterationConfig(shift=shift)
+
+    def test_default_hold_cap_can_settle(self):
+        # a hold settles from its second batch on, so a cap of 1 never does;
+        # the library and the CLI share one default
+        assert PowerIterationConfig().n_update == 10
+        assert cli._parser().parse_args(["estimate", "--system", "x"]).n_update == 10
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tolerance(self, tol):
@@ -270,10 +285,12 @@ class TestResetFreeIteration:
         assert len(trace.updates) == 3
 
     def test_mode_and_length_validation(self):
-        ss = low_pass()
-        reset_session = new_session(ss, 8, RESET_PER_BATCH)
+        reset_session = LiftedReferenceSession(low_pass(), 8, RESET_PER_BATCH)
         with pytest.raises(ValueError, match="reset-free"):
             iterate_reset_free(reset_session, PowerIterationConfig(shift=1.0))
+        with pytest.raises(ValueError, match="reset-free"):
+            iterate_reset_free(reset_session, PowerIterationConfig())
+        assert reset_session.batch_counter == 0
         # the batch length comes from the plant alone
         plant = RecordingPlant(lambda u: 0.5 * u, 9)
         iterate_reset_free(plant, PowerIterationConfig(shift=1.0, max_updates=3))
@@ -352,9 +369,12 @@ class TestResetFreeIteration:
 
 
 class TestResetBasedIteration:
+    """The classical baseline the paper compares against, on the test-side references."""
+
     def test_dead_time_longer_than_batch_terminates_with_zero(self):
-        session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_PER_BATCH)
-        trace = iterate_reset_based(session, PowerIterationConfig(rng_seed=0))
+        session = LiftedReferenceSession(tf_to_ss(delayed_resonator()), 50, RESET_PER_BATCH)
+        trace = iterate_reading_every_batch(session, PowerIterationConfig(rng_seed=0),
+                                            reset_based=True)
         assert trace.zero_output
         assert trace.converged
         assert trace.estimate == 0.0
@@ -366,8 +386,9 @@ class TestResetBasedIteration:
         # (every direction ties, so it cannot single out c itself)
         c = 1.9
         ss = tf_to_ss(RationalTransferFunction((c,), (1.0,)))
-        session = new_session(ss, 6, RESET_PER_BATCH)
-        trace = iterate_reset_based(session, PowerIterationConfig(rng_seed=4))
+        session = LiftedReferenceSession(ss, 6, RESET_PER_BATCH)
+        trace = iterate_reading_every_batch(session, PowerIterationConfig(rng_seed=4),
+                                            reset_based=True)
         assert trace.updates[0].mu == pytest.approx(c, abs=1e-12)
         assert all(abs(record.beta) <= c + 1e-12 for record in trace.updates)
         assert trace.converged
@@ -386,21 +407,16 @@ class TestResetBasedIteration:
             # assertion needs a clear gap
             if gain < 1e-6 or eigs[1] / gain > 0.994:
                 continue
-            session = new_session(ss, N, RESET_PER_BATCH)
+            session = LiftedReferenceSession(ss, N, RESET_PER_BATCH)
             config = PowerIterationConfig(
                 max_updates=30000, convergence_tol=1e-12, rng_seed=5
             )
-            trace = iterate_reset_based(session, config)
+            trace = iterate_reading_every_batch(session, config, reset_based=True)
             assert trace.converged
             expected = max_gain_reset_based(J[:, 0])
             assert abs(trace.estimate) == pytest.approx(expected, abs=1e-6 * (1 + expected))
             checked += 1
         assert checked >= 3
-
-    def test_mode_validation(self):
-        session = new_session(low_pass(), 8, RESET_FREE)
-        with pytest.raises(ValueError, match="reset-per-batch"):
-            iterate_reset_based(session, PowerIterationConfig())
 
 
 def slow_pole_pair():
@@ -501,11 +517,12 @@ class TestSelectShift:
         assert select_shift(session, 50, rng_seed=seed) == pytest.approx(shift, rel=1e-13)
         assert session.batch_counter == batches
 
-    def test_reset_probe_uses_single_batch(self):
+    def test_probe_rejects_a_reset_plant_before_any_batch(self):
         ss = tf_to_ss(RationalTransferFunction((1.5,), (1.0,)))
-        session = new_session(ss, 8, RESET_PER_BATCH)
-        assert select_shift(session, 8, rng_seed=0) == pytest.approx(1.5, abs=1e-9)
-        assert session.batch_counter == 1
+        session = LiftedReferenceSession(ss, 8, RESET_PER_BATCH)
+        with pytest.raises(ValueError, match="reset-free plant, got reset-per-batch"):
+            select_shift(session, 8, rng_seed=0)
+        assert session.batch_counter == 0
 
     @pytest.mark.parametrize("settled", [False, True], ids=["session", "steady"])
     def test_probe_length_must_match_the_plant(self, settled):
@@ -519,7 +536,7 @@ def trace_bits(trace):
     """Everything a trace holds, with every float as its exact bits."""
     rows = [(update, j, mu.hex(), beta.hex()) for update, j, mu, beta in trace.rows]
     updates = [(r.u.tobytes(), r.y.tobytes(), r.mu.hex(), r.beta.hex()) for r in trace.updates]
-    return rows, updates, trace.estimate.hex(), trace.converged, trace.zero_output
+    return rows, updates, trace.estimate.hex(), trace.converged
 
 
 class OutputLog:
@@ -588,12 +605,6 @@ class TestSharedReadouts:
         extents = collections.Counter(update for update, _, _, _ in trace.rows)
         assert len(extents) == len(trace.updates) > 1
         assert set(extents.values()) == {2}
-
-    def test_reset_based_equals_reading_every_batch(self):
-        config = PowerIterationConfig(max_updates=40, convergence_tol=1e-12, rng_seed=4)
-        make = lambda: new_session(low_pass(), 8, RESET_PER_BATCH)  # noqa: E731
-        expected = iterate_reading_every_batch(make(), config, reset_based=True)
-        assert trace_bits(iterate_reset_based(make(), config)) == trace_bits(expected)
 
 
 def two_slow_poles():

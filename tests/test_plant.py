@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    RESET_PER_BATCH,
     LiftedReferenceSession,
     SampleExactSession,
     delayed_resonator,
@@ -10,7 +11,6 @@ from conftest import (
 )
 from peakgain import (
     RESET_FREE,
-    RESET_PER_BATCH,
     RationalTransferFunction,
     circulant_coefficients,
     lift,
@@ -21,37 +21,32 @@ from peakgain import (
     tf_to_ss,
 )
 from peakgain.estimator import init_input
-from peakgain.plant import PlantSession
-
-
-def test_reset_mode_rejects_nonzero_initial_state():
-    ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
-    with pytest.raises(ValueError, match="rest"):
-        new_session(ss, 4, RESET_PER_BATCH, x0=[1.0])
-    session = new_session(ss, 4, RESET_PER_BATCH, x0=[0.0])
-    assert session.batch_counter == 0
+from peakgain.plant import BatchRecord, PlantSession
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_non_finite_initial_state_rejected(mode, bad):
+def test_non_finite_initial_state_rejected(bad):
     ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
     with pytest.raises(ValueError, match="finite"):
-        new_session(ss, 4, mode, x0=[bad])
+        new_session(ss, 4, RESET_FREE, x0=[bad])
 
 
 def test_unknown_mode_rejected():
+    # the plant is never reset: the reference sessions' reset-per-batch mode
+    # is unknown to the package
     ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0,)))
-    with pytest.raises(ValueError, match="mode"):
-        new_session(ss, 4, "warm")
+    for mode in ("warm", RESET_PER_BATCH):
+        with pytest.raises(ValueError, match="unknown mode"):
+            new_session(ss, 4, mode)
 
 
 def test_reset_batches_are_single_batch_responses():
+    # the baseline's reference plant applies the single-batch response J
     rng = np.random.default_rng(0)
     ss = random_stable_statespace(rng)
     N = 8
     J = lift(ss, N).J
-    session = new_session(ss, N, RESET_PER_BATCH)
+    session = SampleExactSession(ss, N, RESET_PER_BATCH)
     for _ in range(4):
         u = rng.standard_normal(N)
         record = session.apply_batch(u)
@@ -62,8 +57,8 @@ def test_reset_output_is_history_independent():
     rng = np.random.default_rng(1)
     ss = random_stable_statespace(rng)
     u = rng.standard_normal(6)
-    fresh = new_session(ss, 6, RESET_PER_BATCH).apply_batch(u)
-    warmed = new_session(ss, 6, RESET_PER_BATCH)
+    fresh = SampleExactSession(ss, 6, RESET_PER_BATCH).apply_batch(u)
+    warmed = SampleExactSession(ss, 6, RESET_PER_BATCH)
     for _ in range(5):
         warmed.apply_batch(rng.standard_normal(6))
     assert np.array_equal(warmed.apply_batch(u).y, fresh.y)
@@ -74,8 +69,10 @@ def test_delayed_resonator_reset_batches_are_silent():
     # so are the first 50 samples of a reset-free run from rest
     ss = tf_to_ss(delayed_resonator())
     rng = np.random.default_rng(2)
-    for mode, N, silent in ((RESET_PER_BATCH, 50, 3), (RESET_FREE, 50, 1), (RESET_FREE, 25, 2)):
-        session = new_session(ss, N, mode)
+    for session, silent in ((LiftedReferenceSession(ss, 50, RESET_PER_BATCH), 3),
+                            (new_session(ss, 50, RESET_FREE), 1),
+                            (new_session(ss, 25, RESET_FREE), 2)):
+        N = session.N
         for _ in range(silent):
             record = session.apply_batch(rng.standard_normal(N))
             assert record.y.tobytes() == np.zeros(N).tobytes()
@@ -96,7 +93,7 @@ def test_first_reset_free_batch_from_rest_matches_reset_batch():
     ss = random_stable_statespace(rng)
     u = rng.standard_normal(7)
     y_free = new_session(ss, 7, RESET_FREE).apply_batch(u).y
-    y_reset = new_session(ss, 7, RESET_PER_BATCH).apply_batch(u).y
+    y_reset = LiftedReferenceSession(ss, 7, RESET_PER_BATCH).apply_batch(u).y
     assert np.array_equal(y_free, y_reset)
 
 
@@ -116,10 +113,10 @@ def demo_plant():
     return tf_to_ss(delayed_resonator())
 
 
-def _worst_lifted_error(ss, N, mode, batches, switch_every, rng, x0=None):
+def _worst_lifted_error(ss, N, batches, switch_every, rng, x0=None):
     """Largest per-batch max|dy| / (1 + max|y|) of the lifted session against the reference."""
-    lifted = new_session(ss, N, mode, x0=x0)
-    reference = SampleExactSession(ss, N, mode, x0=x0)
+    lifted = new_session(ss, N, RESET_FREE, x0=x0)
+    reference = SampleExactSession(ss, N, RESET_FREE, x0=x0)
     worst = 0.0
     for j in range(batches):
         if j % switch_every == 0:
@@ -138,7 +135,7 @@ def _worst_lifted_error(ss, N, mode, batches, switch_every, rng, x0=None):
 )
 def test_lifted_session_matches_sample_exact_reference(plant, N, switch_every):
     rng = np.random.default_rng(N)
-    assert _worst_lifted_error(plant(), N, RESET_FREE, 1500, switch_every, rng) <= 1e-12
+    assert _worst_lifted_error(plant(), N, 1500, switch_every, rng) <= 1e-12
 
 
 def test_lifted_session_matches_reference_on_random_systems():
@@ -147,8 +144,7 @@ def test_lifted_session_matches_reference_on_random_systems():
         ss = random_stable_statespace(rng)
         N = int(rng.integers(1, 40))
         x0 = rng.standard_normal(ss.n)
-        assert _worst_lifted_error(ss, N, RESET_FREE, 200, 10, rng, x0=x0) <= 1e-12
-        assert _worst_lifted_error(ss, N, RESET_PER_BATCH, 20, 1, rng) <= 1e-12
+        assert _worst_lifted_error(ss, N, 200, 10, rng, x0=x0) <= 1e-12
 
 
 class CountingNoise:
@@ -163,11 +159,42 @@ class CountingNoise:
         return 1e-3 * self._rng.standard_normal(n)
 
 
-def twin_sessions(ss, N, mode=RESET_FREE, x0=None, noise_seed=None):
-    """A production session and the no-memo reference over the same plant and noise."""
+class FreshSettledReference:
+    """Settled reference plant: every batch on a fresh settled session, so no held-input memo.
+
+    The settled plant's state never moves, so ``_x`` stays at rest.
+    """
+
+    def __init__(self, ss, N, noise=None):
+        self._ss = ss
+        self._x = np.zeros(ss.n)
+        self._noise = noise
+        self.N = N
+        self.batch_counter = 0
+
+    def apply_batch(self, u):
+        y = new_session(self._ss, self.N, RESET_FREE, noise=self._noise,
+                        settled=True).apply_batch(u).y
+        record = BatchRecord(j=self.batch_counter, y=y)
+        self.batch_counter += 1
+        return record
+
+
+def twin_sessions(ss, N, settled=False, x0=None, noise_seed=None):
+    """A production session and a no-memo reference over the same plant and noise.
+
+    The reference of a transient session is ``LiftedReferenceSession``, that
+    of a settled one ``FreshSettledReference``.
+    """
     noises = [None, None] if noise_seed is None else [CountingNoise(noise_seed) for _ in range(2)]
-    return (new_session(ss, N, mode, x0=x0, noise=noises[0]),
-            LiftedReferenceSession(ss, N, mode, x0=x0, noise=noises[1]))
+    session = new_session(ss, N, RESET_FREE, x0=x0, noise=noises[0], settled=settled)
+    if settled:
+        return session, FreshSettledReference(ss, N, noise=noises[1])
+    return session, LiftedReferenceSession(ss, N, x0=x0, noise=noises[1])
+
+
+# the two kinds of session, by the ids of their cases
+KINDS = pytest.mark.parametrize("settled", [False, True], ids=["reset-free", "settled"])
 
 
 def apply_both(session, reference, u):
@@ -204,10 +231,10 @@ def test_input_switches_are_bitwise_the_reference(plant):
         apply_both(session, reference, u_j)
 
 
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_input_mutated_in_place_is_recomputed(mode):
+@KINDS
+def test_input_mutated_in_place_is_recomputed(settled):
     rng = np.random.default_rng(15)
-    session, reference = twin_sessions(demo_plant(), 50, mode)
+    session, reference = twin_sessions(demo_plant(), 50, settled)
     u = rng.standard_normal(50)
     for change in (None, 0.5, -2.0):
         if change is not None:
@@ -217,10 +244,10 @@ def test_input_mutated_in_place_is_recomputed(mode):
             apply_both(session, reference, u)
 
 
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_inputs_equal_in_value_reuse_the_held_input(mode):
+@KINDS
+def test_inputs_equal_in_value_reuse_the_held_input(settled):
     ints = np.random.default_rng(16).integers(-3, 4, 50)
-    session, reference = twin_sessions(demo_plant(), 50, mode)
+    session, reference = twin_sessions(demo_plant(), 50, settled)
     for u in (ints, ints.astype(float), ints.tolist(), ints.reshape(5, 10),
               ints.astype(np.float32), ints.astype(float).reshape(1, 50)):
         for _ in range(4):
@@ -228,10 +255,10 @@ def test_inputs_equal_in_value_reuse_the_held_input(mode):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_non_finite_input_after_a_held_one_still_raises(mode, bad):
+@KINDS
+def test_non_finite_input_after_a_held_one_still_raises(settled, bad):
     rng = np.random.default_rng(17)
-    session, reference = twin_sessions(demo_plant(), 50, mode)
+    session, reference = twin_sessions(demo_plant(), 50, settled)
     u = rng.standard_normal(50)
     held = u.copy()
     for _ in range(8):
@@ -249,14 +276,14 @@ def test_non_finite_input_after_a_held_one_still_raises(mode, bad):
 
 
 @pytest.mark.parametrize("noise_seed", [None, 18], ids=["clean", "noisy"])
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_random_systems_are_bitwise_the_reference(mode, noise_seed):
+@KINDS
+def test_random_systems_are_bitwise_the_reference(settled, noise_seed):
     rng = np.random.default_rng(19)
     for _ in range(6):
         ss = random_stable_statespace(rng)
         N = int(rng.integers(1, 30))
-        x0 = rng.standard_normal(ss.n) if mode == RESET_FREE else None
-        session, reference = twin_sessions(ss, N, mode, x0=x0, noise_seed=noise_seed)
+        x0 = None if settled else rng.standard_normal(ss.n)
+        session, reference = twin_sessions(ss, N, settled, x0=x0, noise_seed=noise_seed)
         for hold in (1, 15, 3, 40):
             u = rng.standard_normal(N)
             for _ in range(hold):
@@ -267,17 +294,17 @@ def test_random_systems_are_bitwise_the_reference(mode, noise_seed):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("mode", [RESET_FREE, RESET_PER_BATCH])
-def test_non_finite_batch_rejected_without_touching_the_session(mode, bad):
+@KINDS
+def test_non_finite_batch_rejected_without_touching_the_session(settled, bad):
     rng = np.random.default_rng(9)
     ss = random_stable_statespace(rng)
     N = 6
-    x0 = rng.standard_normal(ss.n) if mode == RESET_FREE else None
+    x0 = None if settled else rng.standard_normal(ss.n)
     u1, u2 = rng.standard_normal(N), rng.standard_normal(N)
     poisoned = u2.copy()
     poisoned[3] = bad
-    session = new_session(ss, N, mode, x0=x0)
-    clean = new_session(ss, N, mode, x0=x0)
+    session = new_session(ss, N, RESET_FREE, x0=x0, settled=settled)
+    clean = new_session(ss, N, RESET_FREE, x0=x0, settled=settled)
     session.apply_batch(u1)
     clean.apply_batch(u1)
     with pytest.raises(ValueError, match="finite"):
@@ -392,26 +419,26 @@ def test_settled_batches_are_fresh_copies():
 
 
 @pytest.mark.parametrize(
-    "mode, x0",
-    [(RESET_PER_BATCH, None), (RESET_FREE, [0.0]), (RESET_FREE, [1.0])],
+    "mode, x0, reason",
+    [(RESET_PER_BATCH, None, "unknown mode"), (RESET_FREE, [0.0], "settled"),
+     (RESET_FREE, [1.0], "settled")],
     ids=["reset-per-batch", "zero-x0", "x0"],
 )
-def test_settled_session_rejects_reset_mode_and_initial_state(mode, x0):
+def test_settled_session_rejects_reset_mode_and_initial_state(mode, x0, reason):
     ss = tf_to_ss(RationalTransferFunction((1.0,), (1.0, -0.5)))
-    with pytest.raises(ValueError, match="settled"):
+    with pytest.raises(ValueError, match=reason):
         new_session(ss, 4, mode, x0=x0, settled=True)
 
 
 def test_settled_session_holds_no_dense_matrix():
-    # nor does a reset-free transient: J is kept as h, and G and H are N x n;
-    # a reset-per-batch session keeps h alone, no F, G or H
+    # nor does a transient: J is kept as h, and G and H are N x n
     N = 256
-    for mode, settled in ((RESET_FREE, True), (RESET_FREE, False), (RESET_PER_BATCH, False)):
-        plant = new_session(demo_plant(), N, mode, settled=settled)
+    for settled in (True, False):
+        plant = new_session(demo_plant(), N, RESET_FREE, settled=settled)
         plant.apply_batch(np.ones(N))
         arrays = [v for v in vars(plant).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.size for a in arrays) < N * N
-        if settled or mode == RESET_PER_BATCH:
+        if settled:
             assert max(a.size for a in arrays) <= N
 
 
@@ -434,17 +461,16 @@ def test_settled_session_draws_noise_once_per_batch():
      lambda n: np.ones(1), lambda n: np.ones(n + 1), lambda n: np.ones(n - 1)],
     ids=["nan", "inf", "scalar", "length-1", "too-long", "too-short"],
 )
-@pytest.mark.parametrize("mode, settled", [(RESET_FREE, False), (RESET_PER_BATCH, False),
-                                           (RESET_FREE, True)],
-                         ids=["reset-free", "reset-per-batch", "settled"])
-def test_bad_noise_draw_rejected_without_touching_the_session(mode, settled, draw):
+@KINDS
+def test_bad_noise_draw_rejected_without_touching_the_session(settled, draw):
     rng = np.random.default_rng(24)
     ss = random_stable_statespace(rng)
     N = 6
     u1, u2 = rng.standard_normal(N), rng.standard_normal(N)
     draws = iter([np.zeros(N), draw(N)])
-    session = new_session(ss, N, mode, noise=lambda n: next(draws, np.zeros(n)), settled=settled)
-    clean = new_session(ss, N, mode, settled=settled)
+    session = new_session(ss, N, RESET_FREE, noise=lambda n: next(draws, np.zeros(n)),
+                          settled=settled)
+    clean = new_session(ss, N, RESET_FREE, settled=settled)
     assert session.apply_batch(u1).y.tobytes() == clean.apply_batch(u1).y.tobytes()
     with pytest.raises(ValueError, match="noise draw"):
         session.apply_batch(u2)
