@@ -11,11 +11,12 @@ matrix.
 import numpy as np
 
 from peakgain import (
+    RESET_FREE,
     circulant_coefficients,
     lift,
+    new_session,
     parse_system_file,
     periodic_response_matrix,
-    simulate,
     tf_to_ss,
 )
 
@@ -34,19 +35,21 @@ M = periodic_response_matrix(lifted)
 print(f"max |M| (settled periodic response): {np.abs(M).max():.6f}")
 print("-> continuous operation sees the plant fine")
 
-# M is circulant: each row is the previous row shifted right, so entry (p, q)
-# is a[(q - p) mod N]. Its first row a comes in closed form from the
-# state-space matrices.
-a = circulant_coefficients(ss, N)
-shifts = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-gap = np.abs(a[shifts] - M).max()
-print(f"\n||circ(a) - M||_max = {gap:.3e} (closed form vs. direct solve)")
+# M is circulant: each column is the previous column shifted down, so entry
+# (p, q) is c[(p - q) mod N]. Its first column c, the impulse response
+# periodized over N samples, comes in closed form from the state-space
+# matrices.
+c = circulant_coefficients(ss, N)
+shifts = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+gap = np.abs(c[shifts] - M).max()
+print(f"\n||circ(c) - M||_max = {gap:.3e} (closed form vs. direct solve)")
 
 # and the closed form is not a model shortcut: holding one input period on
-# the simulated plant settles to exactly M u
+# the simulated plant, which starts from rest and is never reset, settles to
+# exactly M u
 rng = np.random.default_rng(0)
 u = rng.standard_normal(N)
-x = np.zeros(ss.n)
+plant = new_session(ss, N, RESET_FREE)
 for batch in range(8):
-    y, x = simulate(ss, x, u)
+    y = plant.apply_batch(u).y
 print(f"after 8 held batches: ||y - M u|| = {np.linalg.norm(y - M @ u):.3e}")

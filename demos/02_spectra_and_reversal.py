@@ -29,14 +29,14 @@ N = 50
 
 M = periodic_response_matrix(lift(ss, N))
 max_off, diag = diagonalization_residual(M)
-print(f"F* M F off-diagonal residual: {max_off:.3e}")
+print(f"F M F* off-diagonal residual: {max_off:.3e}")
 
-omegas = -2.0 * np.pi * np.arange(N) / N
+omegas = 2.0 * np.pi * np.arange(N) / N
 response = freq_response(tf, omegas)
 print(f"diagonal vs frequency response samples: {np.abs(diag - response).max():.3e}")
 
-a = circulant_coefficients(ss, N)
-lam = circulant_eigenvalues(a)
+c = circulant_coefficients(ss, N)
+lam = circulant_eigenvalues(c)
 print(f"\npeak |lambda_m| over the N-point grid: {np.abs(lam).max():.9f}")
 peak = int(np.argmax(np.abs(lam[: N // 2 + 1])))
 print(f"attained at bin m = {peak} (omega = {2 * np.pi * peak / N:.4f} rad/sample)")
@@ -47,8 +47,8 @@ print(f"\nreversed-circulant top eigenvalue: {rev.max():.9f} (real, positive)")
 print("interior magnitudes appear as +/- pairs:")
 print(f"  rev[{peak}] = {rev[peak]:.6f}, rev[{N - peak}] = {rev[N - peak]:.6f}")
 
-# the row-reversed circulant: row p of circ(a) is a shifted right by p
-shifts = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-solved = np.linalg.eigvalsh(a[shifts][::-1])
+# the row-reversed circulant: column q of circ(c) is c shifted down by q
+shifts = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+solved = np.linalg.eigvalsh(c[shifts][::-1])
 predicted = np.sort(rev)
 print(f"\nfolding rules vs np.linalg.eigvalsh: {np.abs(solved - predicted).max():.3e}")

@@ -31,7 +31,6 @@ from .lti import (
     hinf_peak,
     parse_system_file,
     parse_system_text,
-    simulate,
     tf_to_ss,
 )
 from .plant import (
@@ -71,7 +70,6 @@ __all__ = [
     "relative_batch_change",
     "reversed_spectrum",
     "select_shift",
-    "simulate",
     "tf_to_ss",
     "time_reverse",
 ]

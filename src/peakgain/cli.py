@@ -117,8 +117,8 @@ def cmd_analyze(args):
     N = args.n
     _count(N, "--n", 1)
     out = _outdir(args)
-    a = circulant_coefficients(ss, N)
-    lam = circulant_eigenvalues(a)
+    c = circulant_coefficients(ss, N)
+    lam = circulant_eigenvalues(c)
     rev = reversed_spectrum(lam)
     lb = lift(ss, N)
     h, M = lb.h, periodic_response_matrix(lb)
@@ -131,8 +131,8 @@ def cmd_analyze(args):
 
     _write_csv(
         os.path.join(out, "coefficients.csv"),
-        "k,a",
-        [(k, _fmt(a[k])) for k in range(N)],
+        "k,c",
+        [(k, _fmt(c[k])) for k in range(N)],
     )
     _write_csv(
         os.path.join(out, "spectrum.csv"),
@@ -313,7 +313,8 @@ def _parser():
         "--tol",
         type=float,
         default=None,
-        help="convergence tolerance on beta (default 1e-4, or 1e-8 with --ideal-plant)",
+        help="absolute convergence tolerance on beta, in gain units "
+        "(default 1e-4, or 1e-8 with --ideal-plant)",
     )
     estimate.add_argument("--out", default="out")
     estimate.set_defaults(func=cmd_estimate)

@@ -76,9 +76,10 @@ class PowerIterationConfig:
     scalar added to the reversed response before renormalizing, None to
     probe the plant for a scale; convergence is declared when the
     gain readout moves less than convergence_tol between consecutive
-    updates. rng_seed, a nonnegative integer, seeds the random start input
-    and the shift probe. The batch length is the plant's N. The knobs are
-    checked in this order; counts come back as int.
+    updates, an absolute tolerance in the plant's gain units, not one
+    relative to the gain. rng_seed, a nonnegative integer, seeds the random
+    start input and the shift probe. The batch length is the plant's N. The
+    knobs are checked in this order; counts come back as int.
     """
 
     n_update: int = 10
@@ -284,12 +285,14 @@ def select_shift(plant, n, rng_seed=0):
 
     Applies a random unit-power batch through ``_hold`` from rest, under the
     start rule of every hold, and returns the gain ||y|| / ||u|| of its
-    readout, floored at 1e-6. The input is held until ``_settled`` accepts
-    (a batch that moved less than 1e-8, relative, from the one before, or
-    two extrapolated limits that agree to 1e-8), or for 10,000 batches past
-    the first, after which it warns and uses the last batch. The gain only
-    sets the scale of the shift; it is not a bounded estimate of the
-    settled gain. A zero probe output falls back to 1.0 with a warning.
+    readout. The input is held until ``_settled`` accepts (a batch that
+    moved less than 1e-8, relative, from the one before, or two
+    extrapolated limits that agree to 1e-8), or for 10,000 batches past the
+    first, after which it warns and uses the last batch. Every rule is
+    relative, so scaling the plant's output scales the shift by the same
+    factor. The gain only sets the scale of the shift; it is not a bounded
+    estimate of the settled gain. A zero probe output falls back to 1.0
+    with a warning.
     ``n`` must be the plant's batch length and ``plant.mode`` must be
     ``RESET_FREE``, else ValueError before a batch is applied.
     """
@@ -308,4 +311,4 @@ def select_shift(plant, n, rng_seed=0):
     if gain == 0.0:
         warnings.warn("probe batch produced zero output; falling back to shift 1.0")
         return 1.0
-    return max(gain, 1e-6)
+    return gain

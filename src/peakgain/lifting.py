@@ -4,10 +4,11 @@ Processing length-N input/output blocks turns the state recursion into a
 batch recursion x_{j+1} = F x_j + G u_j, y_j = H x_j + J u_j. Holding a
 periodic input drives the state to a fixed point, and the resulting map from
 one input period to the settled output period is the circulant matrix
-M = H (I - F)^-1 G + J. ``circulant_coefficients`` returns its first row a
-in closed form, O(N) floats, which is all the FFT paths (the spectrum, the
-steady-state plant, the state-space grid scan) need; ``impulse_response``
-returns the first column h of J from the same Markov-parameter recursion.
+M = H (I - F)^-1 G + J. ``circulant_coefficients`` returns its first column
+c in closed form, O(N) floats, whose FFT is the frequency response on the
+N-point grid: that is all the FFT paths (the spectrum, the steady-state
+plant, the state-space grid scan) need; ``impulse_response`` returns the
+first column h of J from the same Markov-parameter recursion.
 h fixes J, so ``lift`` keeps h and J is only an O(N) view; the dense
 ``periodic_response_matrix`` serves the residual of ``analyze``.
 
@@ -172,21 +173,24 @@ def periodic_response_matrix(lb):
 
 
 def circulant_coefficients(ss, N):
-    """Closed-form first-row coefficients a of the periodic batch response.
+    """Closed-form first column c of the periodic batch response.
 
-    Returns the length-N float array a with
-    a_0 = D + C A^(N-1) w and a_k = C A^(N-k-1) w for k = 1..N-1, where
-    w = (I - A^N)^-1 B: with h the N + 1 Markov parameters of (A, w, C, D),
-    a = [h_N + h_0, h_(N-1), ..., h_1]. The circulant built from these
-    coefficients equals periodic_response_matrix(lift(ss, N)) entry for entry,
-    which the test suite checks across random systems.
+    c is the impulse response periodized over N samples,
+    c_k = sum_{p >= 0} h_(k + pN), so M[p, q] = c[(p - q) mod N] and
+    fft(c)[m] is the frequency response at omega = 2*pi*m/N. In closed form
+    c_0 = D + C A^(N-1) w and c_k = C A^(k-1) w for k = 1..N-1, where
+    w = (I - A^N)^-1 B: with g the N + 1 Markov parameters of (A, w, C, D),
+    c = g[:N] with g_N added to c_0. c - h[:N] is the aliased tail of the
+    response, exactly what a single from-rest batch J cannot see. The
+    circulant built from c equals periodic_response_matrix(lift(ss, N))
+    entry for entry, which the test suite checks across random systems.
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("circulant_coefficients expects a StateSpace")
     N = _count(N, "batch length", 1)
     AN = np.linalg.matrix_power(ss.A, N)
     w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
-    h = _markov(_krylov(ss.A, w, N + 1), ss.C, ss.D, N + 1)
-    a = h[:0:-1].copy()
-    a[0] += h[0]
-    return a
+    g = _markov(_krylov(ss.A, w, N + 1), ss.C, ss.D, N + 1)
+    c = g[:N].copy()
+    c[0] += g[N]
+    return c

@@ -1,8 +1,8 @@
 """Discrete-time SISO LTI systems.
 
-State-space and rational transfer-function representations, exact sample-wise
-simulation, frequency response, a grid-based worst-case gain oracle, and the
-plain-text system file format used by the command line tools.
+State-space and rational transfer-function representations, frequency
+response, a grid-based worst-case gain oracle, and the plain-text system
+file format used by the command line tools.
 """
 
 import math
@@ -15,7 +15,6 @@ __all__ = [
     "RationalTransferFunction",
     "SystemSpecError",
     "tf_to_ss",
-    "simulate",
     "freq_response",
     "hinf_peak",
     "spectral_radius",
@@ -213,22 +212,12 @@ def tf_to_ss(tf):
     b[: len(tf.num)] = tf.num
     b = b / a[0]
     a = a / a[0]
-    if order == 0:
-        # static gain: realized with one inert state so n >= 1 holds
-        Ar = np.zeros((1, 1))
-        Br = np.zeros(1)
-        Cr = np.zeros(1)
-        Dr = b[0]
-        order = 1
-    else:
-        Ar = np.zeros((order, order))
-        Ar[0, :] = -a[1:]
-        if order > 1:
-            Ar[1:, :-1] = np.eye(order - 1)
-        Br = np.zeros(order)
-        Br[0] = 1.0
-        Cr = b[1:] - b[0] * a[1:]
-        Dr = b[0]
+    Ar = np.eye(order, k=-1)
+    Ar[:1, :] = -a[1:]
+    Br = np.zeros(order)
+    Br[:1] = 1.0
+    Cr = b[1:] - b[0] * a[1:]
+    Dr = b[0]
     d = tf.delay
     if d == 0:
         return StateSpace(Ar, Br, Cr, Dr)
@@ -244,30 +233,6 @@ def tf_to_ss(tf):
     C = np.zeros(nt)
     C[nt - 1] = 1.0
     return StateSpace(A, B, C, 0.0)
-
-
-def simulate(ss, x0, u):
-    """Run the state recursion over an input sequence.
-
-    Returns ``(y, x_final)`` so consecutive runs can be chained without any
-    reset: feeding the returned state into the next call reproduces one long
-    run bit for bit, because the per-sample operation order is fixed.
-
-    This per-sample loop is the sample-exact reference. Plant sessions apply
-    whole batches through the lifted matrices instead, and the tests compare
-    them against chained ``simulate`` calls within a rounding tolerance.
-
-    ``x0`` must hold ``ss.n`` finite entries and ``u`` finite samples of any
-    length, else ValueError, as at a plant session.
-    """
-    x = _samples(x0, ss.n, "initial state").copy()
-    u = _samples(u, np.size(u), "input")
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    y = np.empty(u.shape[0])
-    for k in range(u.shape[0]):
-        y[k] = C @ x + D * u[k]
-        x = A @ x + B * u[k]
-    return y, x
 
 
 def freq_response(sys, omega):
@@ -303,43 +268,41 @@ def freq_response(sys, omega):
 def hinf_peak(sys, grid_size=100001):
     """Worst-case gain and its frequency: dense grid plus local refinement.
 
-    Scans ``grid_size`` uniform frequencies over [0, 2*pi), then refines
-    around the winning point with golden-section steps until successive
-    estimates agree to 1e-10 relative. Every reported value is an actual
-    response magnitude, so the result is always a lower bound on the true
-    supremum. Returns ``(gain, omega)``.
+    A real system's gain is even in omega, so of the ``grid_size`` uniform
+    frequencies 2*pi*m/N over [0, 2*pi) only the N // 2 + 1 in [0, pi] are
+    scanned. The winning grid point is evaluated again directly, then
+    refined with golden-section steps until successive estimates agree to
+    1e-10 relative. Every reported value is an actual response magnitude, so
+    the result is always a lower bound on the true supremum. Returns
+    ``(gain, omega)``, omega in [0, pi] up to one refinement step.
 
-    A StateSpace grid is located from the circulant coefficients over
-    N = ``grid_size`` samples: their FFT is the response at
-    omega = -2*pi*m/N, so bin m belongs to grid point (-m) mod N. The winning
-    grid point is then evaluated again by a direct solve. The coefficients
-    take one Markov recursion of N + 1 steps, O(N n^2) for n states, which
-    ``lifting`` runs as one matrix product per 512 steps. At the default grid
-    and a few dozen states the recursion and the length-N FFT cost about
-    the same, and the refinement little.
+    A rational system's grid is its ``freq_response``. A StateSpace grid is
+    the real FFT of the circulant coefficients over N = ``grid_size``
+    samples, whose bin m is the response at 2*pi*m/N. They take one Markov
+    recursion of N + 1 steps, O(N n^2) for n states, which ``lifting`` runs
+    as one matrix product per 512 steps. At the default grid and a few
+    dozen states the recursion and the length-N FFT cost about the same,
+    and the refinement little.
 
     ``grid_size`` must be an integer (numpy integers included, bool not) of
     at least 2, else ValueError.
     """
     N = _count(grid_size, "grid_size", 2)
-    om = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    span = 2.0 * np.pi / N
+    om = np.arange(N // 2 + 1) * span
     if isinstance(sys, StateSpace):
         from .lifting import circulant_coefficients  # lifting imports this module
 
-        lam = np.fft.fft(circulant_coefficients(sys, N))
-        i = int(np.argmax(np.abs(lam[-np.arange(N) % N])))
-        best = abs(freq_response(sys, float(om[i])))
+        mag = np.abs(np.fft.rfft(circulant_coefficients(sys, N)))
     else:
         mag = np.abs(freq_response(sys, om))
-        i = int(np.argmax(mag))
-        best = float(mag[i])
-    best_w = float(om[i])
-    span = 2.0 * np.pi / N
-    lo, hi = best_w - span, best_w + span
 
     def f(w):
         return abs(freq_response(sys, float(w)))
 
+    best_w = float(om[int(np.argmax(mag))])
+    best = f(best_w)
+    lo, hi = best_w - span, best_w + span
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
@@ -361,7 +324,7 @@ def hinf_peak(sys, grid_size=100001):
         # is resolved fully, then apply the relative-change stop
         if (hi - lo) < 1e-12 and change < 1e-10 * max(best, 1e-300):
             break
-    return best, best_w % (2.0 * np.pi)
+    return best, best_w
 
 
 class SystemSpecError(ValueError):

@@ -9,21 +9,22 @@ kinds of reset-free output:
   continuously operated hardware; a batch is y = H x + J u followed by
   x = F x + G u, through the lifted (F, G, H, h) of ``lifting.lift``;
 - settled (``settled=True``): no transient, every batch is the periodic
-  response circ(a) u of ``lifting.circulant_coefficients``, as if the input
-  had been held forever. The DFT diagonalizes circ(a), so the session keeps
-  only the N // 2 + 1 bins conj(rfft(a)) and applies a batch as
-  irfft(conj(rfft(a)) * rfft(u)) in O(N log N) time.
+  response M u, the circular convolution of u with the first column c of
+  ``lifting.circulant_coefficients``, as if the input had been held
+  forever. The session keeps only the N // 2 + 1 bins rfft(c) and applies a
+  batch as irfft(rfft(c) * rfft(u)) in O(N log N) time.
 
 J u is the convolution of h and u cut to N samples, exactly zero where h
 is (a dead time). A transient session holds about N (2 n + 1) + n^2
-doubles for an n-state plant, a settled one O(N). ``lti.simulate`` stays
-the sample-exact reference of the transient kind, and the dense
-``periodic_response_matrix(lift(ss, N))`` that of the settled kind.
+doubles for an n-state plant, a settled one O(N). The tests keep a
+sample-by-sample simulation as the exact reference of the transient kind,
+and the dense ``periodic_response_matrix(lift(ss, N))`` is that of the
+settled kind.
 
 An experiment holds one input until its output settles, so the session
 remembers the last input it applied by its float64 bytes, validates a new
-input once and computes its own output term once: circ(a) u when settled,
-else J u. A settled batch returns a copy of that term. A transient also
+input once and computes its own output term once: M u when settled, else
+J u. A settled batch returns a copy of that term. A transient also
 computes G u once per input and runs y = H x + J u, x = F x + G u on every
 batch. Noise, if any, is drawn for every batch. The tests check both kinds
 bit for bit against references that recompute every batch from scratch.
@@ -82,16 +83,16 @@ class PlantSession:
         if settled and x0 is not None:
             raise ValueError("a settled plant has no transient: settled=True takes no x0")
         x = np.zeros(ss.n) if x0 is None else _samples(x0, ss.n, "initial state").copy()
-        self._a_bins = None
+        self._c_bins = None
         if settled:
-            self._a_bins = np.conj(np.fft.rfft(circulant_coefficients(ss, N)))
+            self._c_bins = np.fft.rfft(circulant_coefficients(ss, N))
         else:
             lb = lift(ss, N)
             self._F, self._G, self._H, self._h = lb.F, lb.G, lb.H, lb.h
         self._x = x
         self._noise = noise
-        # the held input: its float64 bytes, its own output term (circ(a) u
-        # or J u) and, for a transient only, G u (else None)
+        # the held input: its float64 bytes, its own output term (M u or
+        # J u) and, for a transient only, G u (else None)
         self._held = self._yu = self._Gu = None
         self.N = N
         self.mode = mode
@@ -104,8 +105,8 @@ class PlantSession:
         if held != self._held:
             u = _samples(u, self.N, "input batch")
             self._held = held
-            if self._a_bins is not None:
-                self._yu = np.fft.irfft(self._a_bins * np.fft.rfft(u), self.N)
+            if self._c_bins is not None:
+                self._yu = np.fft.irfft(self._c_bins * np.fft.rfft(u), self.N)
             else:
                 self._yu = np.convolve(self._h, u)[: self.N]
                 self._Gu = self._G @ u

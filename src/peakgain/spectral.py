@@ -1,7 +1,7 @@
 """Circulant / reversed-circulant spectra through the FFT.
 
 A circulant matrix is diagonalized by the unitary DFT matrix; its eigenvalues
-are the DFT of its first row, computed here with ``numpy.fft`` in
+are the DFT of its first column, computed here with ``numpy.fft`` in
 O(N log N). Reversing the row order of a circulant gives a real symmetric
 matrix whose spectrum is the circulant spectrum folded onto the real axis:
 index 0 keeps its value, interior conjugate pairs become a plus/minus
@@ -40,33 +40,36 @@ def time_reverse(v):
     return np.asarray(v)[::-1].copy()
 
 
-def circulant_eigenvalues(a):
-    """Spectrum of circ(a): lambda_m = sum_k a_k exp(-2j*pi*m*k/N).
+def circulant_eigenvalues(c):
+    """Spectrum of the circulant with first column c: its FFT.
 
-    This is the FFT of a (same sign convention); for coefficients coming
-    from ``circulant_coefficients`` it equals the system's frequency response
-    at z = exp(-2j*pi*m/N). ``a`` must be finite, else ValueError.
+    lambda_m = sum_k c_k exp(-2j*pi*m*k/N); for coefficients coming from
+    ``circulant_coefficients`` it equals the system's frequency response
+    G(exp(2j*pi*m/N)). ``c`` must be finite, else ValueError.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.shape[0] == 0:
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if c.shape[0] == 0:
         raise ValueError("empty coefficient vector: a circulant needs N >= 1")
-    if not np.isfinite(a).all():
-        raise ValueError("coefficient vector a has non-finite entries")
-    return np.fft.fft(a)
+    if not np.isfinite(c).all():
+        raise ValueError("coefficient vector c has non-finite entries")
+    return np.fft.fft(c)
 
 
 def diagonalization_residual(M):
-    """How diagonal F* M F is: (largest off-diagonal magnitude, diagonal).
+    """How diagonal F M F* is: (largest off-diagonal magnitude, diagonal).
 
-    F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N), so
-    F* M F is an FFT along the rows of M followed by an inverse FFT along its
-    columns, O(N^2 log N). M must be real, else ValueError: then column N-q
-    of F* M F is the conjugate of column q with its rows taken in the order
-    (-p) mod N, which maps diagonal entries onto diagonal entries, so only
-    the N//2 + 1 columns of a real FFT are transformed and the rest of the
-    diagonal follows by conjugate symmetry. Zero residual (to rounding) is
-    specific to circulant M; a generic symmetric matrix leaves a nonzero
-    residual. M must also be finite, else ValueError.
+    F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N).
+    For a circulant M with first column c the diagonal is fft(c), the
+    frequency response at 2*pi*m/N for ``circulant_coefficients``. M must be
+    real, else ValueError: then F M F* is the conjugate of F* M F, which is
+    an FFT along the rows of M followed by an inverse FFT along its columns,
+    O(N^2 log N), and has the same magnitudes. Column N-q of F* M F is the
+    conjugate of column q with its rows taken in the order (-p) mod N, which
+    maps diagonal entries onto diagonal entries, so only the N//2 + 1
+    columns of a real FFT are transformed and the rest of the diagonal
+    follows by conjugate symmetry. Zero residual (to rounding) is specific
+    to circulant M; a generic symmetric matrix leaves a nonzero residual. M
+    must also be finite, else ValueError.
 
     The workspace besides M is the N x (N//2 + 1) complex transform, about
     one more N x N array of doubles, and the magnitudes of 256 of its rows
@@ -87,7 +90,7 @@ def diagonalization_residual(M):
     q = np.arange(N // 2 + 1)
     half = T[q, q]
     T[q, q] = 0.0
-    diag = np.concatenate((half, half[(N + 1) // 2 - 1:0:-1].conj()))
+    diag = np.concatenate((half.conj(), half[(N + 1) // 2 - 1:0:-1]))
     # the maximum of the block maxima is the maximum of |T| exactly
     block_max = [np.abs(T[i:i + _RESIDUAL_ROWS]).max() for i in range(0, N, _RESIDUAL_ROWS)]
     return float(np.max(block_max)), diag

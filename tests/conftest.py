@@ -14,11 +14,11 @@ from peakgain import (
     lift,
     relative_batch_change,
     select_shift,
-    simulate,
     tf_to_ss,
     time_reverse,
 )
 from peakgain.estimator import UpdateRecord, _readouts, init_input
+from peakgain.lti import _samples
 from peakgain.plant import BatchRecord
 
 # Bundled demo plant: a lightly damped two-pole resonance behind 50 samples of
@@ -48,6 +48,28 @@ def slow_pole_tf():
 def slow_pole():
     """State-space realization of ``slow_pole_tf``."""
     return tf_to_ss(slow_pole_tf())
+
+
+def simulate(ss, x0, u):
+    """Run the state recursion over an input sequence, one sample at a time.
+
+    Returns ``(y, x_final)`` so consecutive runs can be chained without any
+    reset: feeding the returned state into the next call reproduces one long
+    run bit for bit, because the per-sample operation order is fixed. This
+    loop is the sample-exact reference that plant sessions, which apply whole
+    batches through the lifted matrices, are compared against.
+
+    ``x0`` must hold ``ss.n`` finite entries and ``u`` finite samples of any
+    length, else ValueError, as at a plant session.
+    """
+    x = _samples(x0, ss.n, "initial state").copy()
+    u = _samples(u, np.size(u), "input")
+    A, B, C, D = ss.A, ss.B, ss.C, ss.D
+    y = np.empty(u.shape[0])
+    for k in range(u.shape[0]):
+        y[k] = C @ x + D * u[k]
+        x = A @ x + B * u[k]
+    return y, x
 
 
 class SampleExactSession:
@@ -311,17 +333,17 @@ def dft_matrix(N):
     return np.exp((-2j * np.pi / N) * np.outer(p, p)) / np.sqrt(N)
 
 
-def circulant(a):
-    """Dense circulant matrix with first row a: entry (p, q) is a[(q - p) mod N]."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    N = a.shape[0]
-    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    return a[idx]
+def circulant(c):
+    """Dense circulant matrix with first column c: entry (p, q) is c[(p - q) mod N]."""
+    c = np.asarray(c, dtype=float).reshape(-1)
+    N = c.shape[0]
+    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    return c[idx]
 
 
-def reversed_circulant(a):
-    """Dense row-reversed circulant T_N circ(a), real symmetric by construction."""
-    R = circulant(a)[::-1, :].copy()
+def reversed_circulant(c):
+    """Dense row-reversed circulant T_N circulant(c), real symmetric by construction."""
+    R = circulant(c)[::-1, :].copy()
     if not np.array_equal(R, R.T):
         raise AssertionError("row-reversed circulant came out asymmetric: construction bug")
     return R

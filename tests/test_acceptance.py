@@ -89,7 +89,7 @@ def test_criterion_2_dft_diagonalization():
             M = periodic_response_matrix(lift(ss, N))
             max_off, diag = diagonalization_residual(M)
             assert max_off < 1e-8 * (1.0 + np.abs(diag).max())
-            omegas = -2.0 * np.pi * np.arange(N) / N
+            omegas = 2.0 * np.pi * np.arange(N) / N
             expected = freq_response(tf, omegas)
             assert np.abs(diag - expected).max() < 1e-8
 

@@ -25,7 +25,6 @@ PUBLIC_NAMES = {
     "relative_batch_change",
     "reversed_spectrum",
     "select_shift",
-    "simulate",
     "tf_to_ss",
     "time_reverse",
 }
@@ -39,4 +38,4 @@ def test_every_export_resolves():
 def test_exports_are_the_frozen_public_names():
     assert len(peakgain.__all__) == len(set(peakgain.__all__))
     assert set(peakgain.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 25
+    assert len(PUBLIC_NAMES) == 24

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import simulate
 from peakgain import (
     RESET_FREE,
     EstimateTrace,
@@ -13,7 +14,6 @@ from peakgain import (
     hinf_peak,
     new_session,
     reversed_spectrum,
-    simulate,
     tf_to_ss,
 )
 from peakgain import cli
@@ -103,7 +103,7 @@ def test_samples_are_checked_at_every_entry_point(entry):
 # count or a sample vector: the name its errors carry, and a call that feeds
 # it one non-finite value
 NON_FINITE = {
-    "circulant_eigenvalues": ("coefficient vector a",
+    "circulant_eigenvalues": ("coefficient vector c",
                               lambda bad: circulant_eigenvalues([1.0, bad, 0.0])),
     "reversed_spectrum": ("spectrum lam", lambda bad: reversed_spectrum([bad, 1.0, 1.0])),
     "reversed_spectrum imag": ("spectrum lam",

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import DEMO_PEAK_GAIN, slow_pole
+from conftest import DEMO_PEAK_GAIN, random_stable_tf, slow_pole
 from peakgain import (
     EstimateTrace,
     circulant_coefficients,
     circulant_eigenvalues,
     cli,
+    freq_response,
+    parse_system_file,
     reversed_spectrum,
 )
 from peakgain.cli import main
@@ -60,9 +62,32 @@ class TestAnalyze:
         assert header == ["m", "omega", "lambdaRe", "lambdaIm", "lambdaAbs", "lambdaReversed"]
         assert len(rows) == 50
         header, rows = read_csv(out / "coefficients.csv")
-        assert header == ["k", "a"]
+        assert header == ["k", "c"]
         assert len(rows) == 50
         assert "reset-based experiment cannot see this plant" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("system, N", [
+        ("demo", 8), ("demo", 50), ("demo", 256), ("slow", 50), ("random", 64),
+    ])
+    def test_spectrum_rows_are_the_response_at_their_omega(self, system, N, tmp_path):
+        # row m is labelled omega = 2*pi*m/N and must hold the response there
+        tf = random_stable_tf(np.random.default_rng(31))
+        path = tmp_path / "system.txt"
+        path.write_text({
+            "demo": DEMO_SYSTEM,
+            "slow": SLOW_POLE,
+            "random": f"num = {', '.join(map(repr, tf.num))}\n"
+                      f"den = {', '.join(map(repr, tf.den))}\ndelay = {tf.delay}\n",
+        }[system])
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--system", str(path), "--n", str(N), "--out", str(out)]) == 0
+        sys_obj = parse_system_file(path)
+        _, rows = read_csv(out / "spectrum.csv")
+        assert [int(row[0]) for row in rows] == list(range(N))
+        for row in rows:
+            lam = complex(float(row[2]), float(row[3]))
+            expected = freq_response(sys_obj, float(row[1]))
+            assert abs(lam - expected) <= 1e-12 * (1.0 + abs(lam))
 
     def test_static_gain_spectrum_is_flat(self, tmp_path):
         path = tmp_path / "gain.txt"

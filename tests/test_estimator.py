@@ -18,6 +18,7 @@ from peakgain import (
     EstimationError,
     PowerIterationConfig,
     RationalTransferFunction,
+    StateSpace,
     circulant_coefficients,
     circulant_eigenvalues,
     iterate_reset_free,
@@ -443,6 +444,19 @@ class TestSelectShift:
         session = new_session(ss, 8, RESET_FREE)
         with pytest.warns(UserWarning, match="zero output"):
             assert select_shift(session, 8, rng_seed=0) == 1.0
+
+    @pytest.mark.parametrize("N", [16, 50, 256])
+    def test_probe_is_scale_equivariant(self, N):
+        # every rule of the probe is relative: an output scaled by a power of
+        # two scales the shift by exactly that, in the same batches, however
+        # small the plant's gain
+        ss = tf_to_ss(delayed_resonator())
+        scale = 2.0**-30
+        tiny = StateSpace(ss.A, ss.B, ss.C * scale, ss.D * scale)
+        session, tiny_session = new_session(ss, N, RESET_FREE), new_session(tiny, N, RESET_FREE)
+        shift = select_shift(session, N, rng_seed=0)
+        assert select_shift(tiny_session, N, rng_seed=0) == shift * scale
+        assert tiny_session.batch_counter == session.batch_counter
 
     def test_demo_plant_probe_is_positive_and_finite(self):
         session = new_session(tf_to_ss(delayed_resonator()), 50, RESET_FREE)

@@ -12,6 +12,7 @@ from conftest import (
     markov_by_sequential_loop,
     random_stable_statespace,
     random_stable_tf,
+    simulate,
     slow_pole,
 )
 from peakgain import (
@@ -20,7 +21,6 @@ from peakgain import (
     circulant_coefficients,
     lift,
     periodic_response_matrix,
-    simulate,
     tf_to_ss,
 )
 from peakgain.lifting import impulse_response, lower_toeplitz
@@ -93,8 +93,8 @@ def test_impulse_response_matches_long_division():
         assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
-def test_circulant_coefficients_match_the_backward_loop_bitwise():
-    # a_k = C A^(N-k-1) w for k = N-1 .. 1, then a_0 = D + C A^(N-1) w, one
+def test_circulant_coefficients_match_the_forward_loop_bitwise():
+    # c_k = C A^(k-1) w for k = 1 .. N-1, then c_0 = D + C A^(N-1) w, one
     # coefficient per step; the shared Markov recursion must give the same bits
     rng = np.random.default_rng(7)
     systems = [tf_to_ss(delayed_resonator())] + [random_stable_statespace(rng) for _ in range(8)]
@@ -103,7 +103,7 @@ def test_circulant_coefficients_match_the_backward_loop_bitwise():
             w = np.linalg.solve(np.eye(ss.n) - np.linalg.matrix_power(ss.A, N), ss.B)
             expected = np.empty(N)
             v = w
-            for k in range(N - 1, 0, -1):
+            for k in range(1, N):
                 expected[k] = ss.C @ v
                 v = ss.A @ v
             expected[0] = ss.D + ss.C @ v
@@ -142,9 +142,9 @@ def test_blocked_circulant_coefficients_match_the_sequential_loop():
     for ss in slow_systems():
         N = 20001
         w = np.linalg.solve(np.eye(ss.n) - np.linalg.matrix_power(ss.A, N), ss.B)
-        h = markov_by_sequential_loop(ss.A, w, ss.C, ss.D, N + 1)
-        expected = h[:0:-1].copy()
-        expected[0] += h[0]
+        g = markov_by_sequential_loop(ss.A, w, ss.C, ss.D, N + 1)
+        expected = g[:N].copy()
+        expected[0] += g[N]
         got = circulant_coefficients(ss, N)
         assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
 
@@ -206,10 +206,10 @@ def test_periodic_response_of_static_gain_is_scaled_identity():
 
 def test_periodic_response_of_unit_delay_is_cyclic_shift():
     ss = tf_to_ss(RationalTransferFunction((0.0, 1.0), (1.0,)))
-    a = circulant_coefficients(ss, 4)
-    assert np.allclose(a, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+    c = circulant_coefficients(ss, 4)
+    assert np.allclose(c, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
     M = periodic_response_matrix(lift(ss, 4))
-    assert np.allclose(M, circulant(a), atol=1e-14)
+    assert np.allclose(M, circulant(c), atol=1e-14)
     # a pulse at sample 0, repeated with period 4, settles to a pulse at
     # sample 1; pinned against plain simulation below
     response = M @ [1.0, 0.0, 0.0, 0.0]
@@ -232,8 +232,21 @@ def test_periodic_response_is_the_plain_sum_bit_for_bit():
 
 def test_circulant_coefficients_of_static_gain():
     ss = tf_to_ss(RationalTransferFunction((1.8,), (1.0,)))
-    a = circulant_coefficients(ss, 5)
-    assert np.allclose(a, [1.8, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+    c = circulant_coefficients(ss, 5)
+    assert np.allclose(c, [1.8, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+
+
+def test_static_gain_has_no_state_in_any_batch_form():
+    ss = tf_to_ss(RationalTransferFunction((1.8,), (1.0,)))
+    assert ss.n == 0
+    for N in (1, 5, 600):
+        lb = lift(ss, N)
+        assert lb.F.shape == (0, 0) and lb.G.shape == (0, N) and lb.H.shape == (N, 0)
+        pulse = np.zeros(N)
+        pulse[0] = 1.8
+        assert np.array_equal(lb.h, pulse)
+        assert np.array_equal(circulant_coefficients(ss, N), pulse)
+        assert np.array_equal(periodic_response_matrix(lb), 1.8 * np.eye(N))
 
 
 def test_circulant_matches_periodic_response():

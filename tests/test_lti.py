@@ -7,6 +7,7 @@ from conftest import (
     delayed_resonator,
     impulse_by_long_division,
     random_stable_tf,
+    simulate,
     slow_pole_tf,
 )
 from peakgain import (
@@ -17,7 +18,6 @@ from peakgain import (
     freq_response,
     hinf_peak,
     parse_system_text,
-    simulate,
     tf_to_ss,
 )
 from peakgain import lti
@@ -34,9 +34,10 @@ def impulse_response(ss, count):
 class TestRealization:
     def test_static_gain(self):
         ss = tf_to_ss(RationalTransferFunction((3.5,), (1.0,)))
-        assert ss.n == 1
+        assert ss.n == 0
         assert ss.D == 3.5
-        assert np.all(ss.A == 0.0) and np.all(ss.B == 0.0) and np.all(ss.C == 0.0)
+        assert ss.A.shape == (0, 0) and ss.B.shape == ss.C.shape == (0,)
+        assert hinf_peak(ss, 101) == (3.5, 0.0)
         assert np.allclose(impulse_response(ss, 4), [3.5, 0.0, 0.0, 0.0])
 
     def test_unit_delay(self):
@@ -103,7 +104,7 @@ class TestSimulate:
 
     def test_static_gain(self):
         ss = tf_to_ss(RationalTransferFunction((2.0,), (1.0,)))
-        y, _ = simulate(ss, [0.0], [1.0, 2.0, 3.0])
+        y, _ = simulate(ss, [], [1.0, 2.0, 3.0])
         assert np.allclose(y, [2.0, 4.0, 6.0])
 
     def test_chaining_is_bitwise(self):
@@ -174,8 +175,11 @@ class TestGainOracle:
         assert omega == pytest.approx(DEMO_PEAK_OMEGA, abs=1e-6)
 
     def test_state_space_route_agrees(self):
-        gain, _ = hinf_peak(tf_to_ss(delayed_resonator()), 20001)
-        assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+        # both forms report the peak itself, not its mirror 2*pi - omega
+        for sys_obj in (delayed_resonator(), tf_to_ss(delayed_resonator())):
+            gain, omega = hinf_peak(sys_obj, 20001)
+            assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+            assert omega == pytest.approx(DEMO_PEAK_OMEGA, abs=1e-6)
 
     @staticmethod
     def scan_cases():
@@ -188,9 +192,8 @@ class TestGainOracle:
             ss = tf_to_ss(tf)
             N = 2000 + i % 2
             om = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-            # FFT bin m is the response at -2*pi*m/N, i.e. at grid point (-m) mod N
-            lam = np.fft.fft(circulant_coefficients(ss, N))
-            via_fft = lam[-np.arange(N) % N]
+            # FFT bin m is the response at grid point 2*pi*m/N
+            via_fft = np.fft.fft(circulant_coefficients(ss, N))
             via_solve = freq_response(ss, om)
             assert np.abs(via_fft - via_solve).max() <= 1e-12 * np.abs(via_solve).max()
 
@@ -203,6 +206,31 @@ class TestGainOracle:
             grid = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
             assert gain >= np.abs(freq_response(ss, grid)).max() * (1.0 - 1e-12)
             assert gain == pytest.approx(hinf_peak(tf, N)[0], rel=1e-12)
+
+    def test_scan_covers_zero_to_pi(self, monkeypatch):
+        # the gain is even in omega: a rational scan evaluates the N // 2 + 1
+        # grid points in [0, pi] in one call, a state-space scan none (its
+        # grid is an FFT), and either reports omega in [0, pi] up to one
+        # refinement step
+        calls = []
+        direct = lti.freq_response
+
+        def counted(sys_obj, omega):
+            calls.append(np.size(omega))
+            return direct(sys_obj, omega)
+
+        monkeypatch.setattr(lti, "freq_response", counted)
+        rng = np.random.default_rng(23)
+        high_pass = RationalTransferFunction((1.0,), (1.0, 0.5))  # peak at pi
+        cases = [delayed_resonator(), slow_pole_tf(), high_pass]
+        for tf in cases + [random_stable_tf(rng) for _ in range(6)]:
+            for N in (2000, 2001):
+                for sys_obj, scanned in ((tf, [N // 2 + 1]), (tf_to_ss(tf), [])):
+                    calls.clear()
+                    _, omega = hinf_peak(sys_obj, N)
+                    assert [size for size in calls if size > 1] == scanned
+                    span = 2.0 * np.pi / N
+                    assert -span <= omega <= np.pi + span
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from conftest import (
     SampleExactSession,
     delayed_resonator,
     random_stable_statespace,
+    simulate,
     slow_pole,
 )
 from peakgain import (
@@ -17,7 +18,6 @@ from peakgain import (
     new_session,
     periodic_response_matrix,
     relative_batch_change,
-    simulate,
     tf_to_ss,
 )
 from peakgain.estimator import init_input

@@ -60,11 +60,11 @@ class TestDftMatrix:
 
 
 class TestCirculant:
-    def test_first_row_and_shift_pattern(self):
+    def test_first_column_and_shift_pattern(self):
         C = circulant([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(C[0], [1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(C[1], [4.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(C[3], [2.0, 3.0, 4.0, 1.0])
+        assert np.array_equal(C[:, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(C[:, 1], [4.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(C[:, 3], [2.0, 3.0, 4.0, 1.0])
 
     def test_identity_coefficient_eigenvalues(self):
         lam = circulant_eigenvalues(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
@@ -81,9 +81,9 @@ class TestCirculant:
 
     @pytest.mark.parametrize("N", [1, 2, 3, 13, 64, 257, 2048])
     def test_fft_matches_dense_dft(self, N):
-        a = np.random.default_rng(N).standard_normal(N)
-        lam = circulant_eigenvalues(a)
-        dense = np.sqrt(N) * (dft_matrix(N) @ a)
+        c = np.random.default_rng(N).standard_normal(N)
+        lam = circulant_eigenvalues(c)
+        dense = np.sqrt(N) * (dft_matrix(N) @ c)
         assert np.abs(lam - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_empty_coefficients_rejected(self):
@@ -96,7 +96,7 @@ class TestCirculant:
             ss = random_stable_statespace(rng)
             N = int(rng.integers(2, 24))
             lam = circulant_eigenvalues(circulant_coefficients(ss, N))
-            omegas = -2.0 * np.pi * np.arange(N) / N
+            omegas = 2.0 * np.pi * np.arange(N) / N
             expected = freq_response(ss, omegas)
             assert np.abs(lam - expected).max() < 1e-9 * (1 + np.abs(expected).max())
 
@@ -125,7 +125,7 @@ class TestDiagonalization:
         rng = np.random.default_rng(N)
         M = circulant(rng.standard_normal(N)) if kind == "circulant" else rng.standard_normal((N, N))
         F = dft_matrix(N)
-        T = F.conj().T @ M @ F
+        T = F @ M @ F.conj().T
         max_off, diag = diagonalization_residual(M)
         scale = np.abs(T).max()
         assert np.abs(diag - np.diag(T)).max() <= 1e-12 * scale
@@ -173,9 +173,27 @@ class TestDiagonalization:
             M = periodic_response_matrix(lift(ss, N))
             max_off, diag = diagonalization_residual(M)
             assert max_off < 1e-8 * (1 + np.abs(diag).max())
-            omegas = -2.0 * np.pi * np.arange(N) / N
+            omegas = 2.0 * np.pi * np.arange(N) / N
             expected = freq_response(ss, omegas)
             assert np.abs(diag - expected).max() < 1e-8 * (1 + np.abs(expected).max())
+
+
+def test_first_column_its_fft_and_the_diagonal_are_the_response_grid():
+    # M's first column is c, and fft(c) and the diagonal of F M F* both
+    # sample G(exp(j*omega)) at omega = 2*pi*m/N, with no index map
+    rng = np.random.default_rng(13)
+    systems = [tf_to_ss(delayed_resonator()), slow_pole()]
+    systems += [random_stable_statespace(rng) for _ in range(6)]
+    for ss in systems:
+        for N in (1, 2, 7, 8, 50, 257):
+            c = circulant_coefficients(ss, N)
+            M = periodic_response_matrix(lift(ss, N))
+            assert np.abs(M[:, 0] - c).max() <= 1e-12 * np.abs(c).max()
+            response = freq_response(ss, 2.0 * np.pi * np.arange(N) / N)
+            tol = 1e-12 * (1.0 + np.abs(response).max())
+            assert np.abs(np.fft.rfft(c) - response[: N // 2 + 1]).max() <= tol
+            _, diag = diagonalization_residual(M)
+            assert np.abs(diag - response).max() <= tol
 
 
 class TestReversedCirculant:
@@ -188,8 +206,8 @@ class TestReversedCirculant:
 
     def test_row_pattern(self):
         R = reversed_circulant(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(R[0], [2.0, 3.0, 4.0, 1.0])
-        assert np.array_equal(R[-1], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(R[0], [4.0, 3.0, 2.0, 1.0])
+        assert np.array_equal(R[-1], [1.0, 4.0, 3.0, 2.0])
         assert np.array_equal(R, R.T)
 
 
@@ -241,9 +259,9 @@ class TestJacobiOracle:
 
     def test_matches_reversed_spectrum(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal(16)
-        w = symmetric_eig_oracle(reversed_circulant(a))
-        rev = np.sort(reversed_spectrum(circulant_eigenvalues(a)))[::-1]
+        c = rng.standard_normal(16)
+        w = symmetric_eig_oracle(reversed_circulant(c))
+        rev = np.sort(reversed_spectrum(circulant_eigenvalues(c)))[::-1]
         assert np.abs(w - rev).max() < 1e-9 * (1 + np.abs(rev).max())
 
     def test_eigenvectors_satisfy_definition(self):
