@@ -15,12 +15,11 @@ accepts a batch that moved less than 1e-8 from the one before it, or else
 their extrapolated limit by Aitken's rule for one geometric transient mode.
 The settle test, ``relative_batch_change``, is defined here next to it.
 One start rule waits out a dead time of whole batches: an output within
-1e-8 of the previous hold's readout, rest (all zeros) before the first, is
-never accepted. The hold ends at the first accepted batch or at the hold's
-cap, and its readout, which its last trace row and update record carry, is
-the settled or extrapolated output, else its last batch. The shift probe and
-every update hold through this one loop, ``_hold``, the estimator's only
-contact with the plant.
+1e-8 of the previous hold's readout is never accepted. The hold ends at the
+first accepted batch or at the hold's cap, and its readout, which its last
+trace row and update record carry, is the settled or extrapolated output,
+else its last batch. The shift probe and every update hold through this one
+loop, ``_hold``, the estimator's only contact with the plant.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
@@ -28,10 +27,16 @@ converged input this equals the dominant eigenvalue exactly; the shift steers
 the iteration but never enters the readout, since the measured output contains
 no shift contribution.
 
-A plant is any object with a batch length ``N``, a ``mode`` equal to
-``RESET_FREE`` and an ``apply_batch(u)`` that returns a record with the
-batch index ``j`` and the measured output ``y``; the estimator reads nothing
-else from it, and the batch length of every iteration is the plant's ``N``.
+The plant contract. A plant is any object with a batch length ``N`` and an
+``apply_batch(u)`` that returns a record with the batch index ``j`` and the
+measured output ``y``, a new array, and leaves ``u`` alone: a hold keeps
+references to its last four outputs, and an update record keeps both. The
+estimator reads nothing else from it, and the batch length of every
+iteration is the plant's ``N``. A run starts with the plant at rest, or
+settled on its start input ``init_input(N, rng_seed)``, as
+``select_shift(plant, N, s)`` leaves it for ``rng_seed = s``: the first hold
+compares its outputs against rest, so from any other state it can read out
+the previous input's output as its own.
 """
 
 import math
@@ -43,7 +48,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lti import _count, _tolerance
-from .plant import RESET_FREE
 from .spectral import time_reverse
 
 __all__ = [
@@ -204,8 +208,8 @@ def _hold(plant, u, cap, prev, on_batch=None):
     After each batch the hold's last (at most four) outputs go through
     ``_settled``, which can accept from the second batch on. An output
     within the settle tolerance of ``prev``, the previous hold's readout
-    (all zeros before the first), is not accepted: a dead time of whole
-    batches still shows that readout, rest included, and is waited out.
+    (rest before a run's first hold, by the plant contract), is not
+    accepted: a dead time of whole batches still shows it and is waited out.
     Only the window is kept; ``on_batch``, if given, sees every batch record
     as it arrives. Returns (y, change): the settled or extrapolated output
     and None, or, for a hold that did not settle, its last batch and that
@@ -229,21 +233,19 @@ def iterate_reset_free(plant, config):
 
     Holds the current input through ``_hold`` until its output settles, for
     at most ``config.n_update`` batches, with the previous hold's readout as
-    ``prev`` (rest before the first); every batch gives a trace row of its
-    own readouts. The hold's readout y (the settled or extrapolated output,
-    else its last batch) gives its ``UpdateRecord``, an extrapolated one
-    also the readouts of the hold's last row. Then z = reverse(y) + shift * u
+    ``prev``; every batch gives a trace row of its own readouts. The hold's
+    readout y (the settled or extrapolated output, else its last batch)
+    gives its ``UpdateRecord``, an extrapolated one also the readouts of the
+    hold's last row. Then z = reverse(y) + shift * u
     is renormalized to input power one; a vanishing z raises
     ``EstimationError``. With a positive shift of roughly the plant's peak
     gain the iterate settles on the positive dominant eigendirection instead
     of flipping sign every step; ``config.shift`` None probes the plant for
     one. Stops when beta moves less than the tolerance between updates, or
-    flags the trace as non-converged at max_updates. ``plant.mode`` must be
-    ``RESET_FREE``, else ValueError before a batch is applied.
+    flags the trace as non-converged at max_updates. The plant must meet
+    the module's plant contract, start state included.
     """
     n = plant.N
-    if plant.mode != RESET_FREE:
-        raise ValueError(f"this iteration needs a {RESET_FREE} plant, got {plant.mode}")
     shift = config.shift
     if shift is None:
         shift = select_shift(plant, n, config.rng_seed)
@@ -264,7 +266,7 @@ def iterate_reset_free(plant, config):
         if y is not last:  # an extrapolated readout
             trace.rows[-1] = (update, trace.rows[-1][1], *_readouts(u, y, n))
         mu, beta = trace.rows[-1][2:]
-        trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
+        trace.updates.append(UpdateRecord(u, y, mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
             trace.converged = True
             break
@@ -283,23 +285,22 @@ def iterate_reset_free(plant, config):
 def select_shift(plant, n, rng_seed=0):
     """Probe the plant once to pick a shift of the right order of magnitude.
 
-    Applies a random unit-power batch through ``_hold`` from rest, under the
-    start rule of every hold, and returns the gain ||y|| / ||u|| of its
-    readout. The input is held until ``_settled`` accepts (a batch that
-    moved less than 1e-8, relative, from the one before, or two
-    extrapolated limits that agree to 1e-8), or for 10,000 batches past the
-    first, after which it warns and uses the last batch. Every rule is
+    Holds ``init_input(n, rng_seed)`` through ``_hold``, starting at rest by
+    the plant contract, and returns the gain ||y|| / ||u|| of its readout.
+    The input is held until ``_settled`` accepts (a batch that moved less
+    than 1e-8, relative, from the one before, or two extrapolated limits
+    that agree to 1e-8), or for 10,000 batches past the first, after which
+    it warns and uses the last batch. Every rule is
     relative, so scaling the plant's output scales the shift by the same
     factor. The gain only sets the scale of the shift; it is not a bounded
     estimate of the settled gain. A zero probe output falls back to 1.0
-    with a warning.
-    ``n`` must be the plant's batch length and ``plant.mode`` must be
-    ``RESET_FREE``, else ValueError before a batch is applied.
+    with a warning. A settled probe leaves the plant where a run with the
+    same ``rng_seed`` may start.
+    ``n`` must be the plant's batch length, else ValueError before a batch
+    is applied.
     """
     if n != plant.N:
         raise ValueError(f"probe length {n!r} differs from the plant's batch length {plant.N}")
-    if plant.mode != RESET_FREE:
-        raise ValueError(f"the shift probe needs a {RESET_FREE} plant, got {plant.mode}")
     u = init_input(n, rng_seed)
     y, change = _hold(plant, u, _MAX_PROBE_BATCHES + 1, np.zeros(n))
     if change is not None and y.any():

@@ -17,7 +17,6 @@ __all__ = [
     "tf_to_ss",
     "freq_response",
     "hinf_peak",
-    "spectral_radius",
     "parse_system_file",
     "parse_system_text",
 ]
@@ -25,8 +24,8 @@ __all__ = [
 
 # an upper bound on the spectral radius below this certifies a stable A
 _STABLE_BELOW = 1.0 - 1e-12
-# relative change between Gelfand estimates at which spectral_radius stops,
-# and the most squarings it runs before it gives up
+# relative change between Gelfand estimates at which _gelfand stops, and the
+# most squarings it runs before it gives up
 _GELFAND_TOL = 1e-10
 _MAX_SQUARINGS = 200
 
@@ -64,25 +63,15 @@ def _samples(v, N, what):
     return v
 
 
-def spectral_radius(A):
-    """Spectral radius of a square matrix by normalized repeated squaring.
-
-    Tracks the Gelfand sequence ||A^(2^k)||^(1/2^k) with the running power
-    renormalized after every squaring, so only the magnitude of the dominant
-    eigenvalue is ever resolved (no eigenvectors, no deflation) and the
-    iterates cannot overflow. Converges geometrically and stops once two
-    estimates agree to 1e-10 relative, comfortable margin over the 1e-8
-    relative accuracy the rest of the package relies on. Raises RuntimeError
-    if the estimate has not stabilized after 200 squarings.
-    """
-    return _gelfand(A, 0.0)
-
-
 def _gelfand(A, accept_below):
-    # the Gelfand sequence of spectral_radius, returned early at its first
-    # estimate below accept_below: each estimate ||A^(2^k)||_F^(1/2^k) is an
-    # upper bound on the spectral radius and does not increase with k, except
-    # that rounding in the squarings can raise it by about n eps in all
+    # Spectral radius of a square matrix by normalized repeated squaring: the
+    # Gelfand sequence ||A^(2^k)||_F^(1/2^k), with the running power
+    # renormalized after every squaring so it cannot overflow. It stops once
+    # two estimates agree to 1e-10 relative (RuntimeError after 200
+    # squarings), or early at its first estimate below accept_below: each
+    # estimate is an upper bound on the spectral radius and does not
+    # increase with k, except that rounding in the squarings can raise it by
+    # about n eps in all
     P = np.array(A, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {P.shape}")
@@ -141,7 +130,7 @@ class StateSpace:
         if n > 0:
             # stops at the first upper bound on the spectral radius that is
             # below one by more than rounding can move it; an unstable A runs
-            # to the converged spectral_radius(A)
+            # to the converged spectral radius
             rho = _gelfand(A, _STABLE_BELOW)
             if rho >= 1.0:
                 raise ValueError(

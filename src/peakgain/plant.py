@@ -32,7 +32,7 @@ When an output has settled is the estimator's question, not the plant's:
 the settle test, ``relative_batch_change``, lives in ``estimator``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ __all__ = [
 RESET_FREE = "reset-free"
 
 
-@dataclass(frozen=True)
-class BatchRecord:
+class BatchRecord(NamedTuple):
     """One experiment: batch index j and measured output y."""
 
     j: int
@@ -63,7 +62,11 @@ class PlantSession:
 
     Consumers call ``apply_batch`` and read ``N``, ``mode`` and
     ``batch_counter``; the system matrices are private and never leak through
-    the interface.
+    the interface. A session meets the estimator's plant contract: each
+    batch returns a new output array and leaves the input alone, and a
+    session opened without ``x0`` is at rest (a settled one is settled on
+    every input), so a run may start on it. The estimator reads only ``N``
+    and ``apply_batch``.
     A session has a single owner: do not call apply_batch concurrently on one
     session, though distinct sessions can run in parallel.
 

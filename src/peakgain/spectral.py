@@ -111,19 +111,21 @@ def reversed_spectrum(lam):
         raise ValueError("empty spectrum")
     if not np.isfinite(lam).all():
         raise ValueError("spectrum lam has non-finite entries")
-    scale = 1.0 + float(np.abs(lam).max())
+    # np.hypot gives each |lambda_m| as Python's abs does, where np.abs of a
+    # complex array can differ in the last bit
+    mag = np.hypot(lam.real, lam.imag)
+    scale = 1.0 + float(mag.max())
     for m in (0, N // 2) if N % 2 == 0 else (0,):
         if abs(lam[m].imag) > _IMAG_TOL * scale:
             raise ValueError(
                 f"lambda_{m} has imaginary part {lam[m].imag:.3g}; "
                 "input is not the spectrum of a real circulant"
             )
+    half = (N + 1) // 2
     out = np.empty(N)
     out[0] = lam[0].real
-    for m in range(1, (N + 1) // 2):
-        mag = abs(lam[m])
-        out[m] = mag
-        out[N - m] = -mag
+    out[1:half] = mag[1:half]
+    out[N - half + 1:] = -mag[half - 1:0:-1]
     if N % 2 == 0:
         out[N // 2] = -lam[N // 2].real
     return out

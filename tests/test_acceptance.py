@@ -194,7 +194,6 @@ def test_criterion_7_estimator_invariants():
             def __init__(self):
                 self._inner = new_session(ss, N, RESET_FREE)
                 self.N = N
-                self.mode = RESET_FREE
 
             def apply_batch(self, u):
                 applied.append(np.asarray(u, dtype=float).copy())

@@ -89,6 +89,20 @@ class TestAnalyze:
             expected = freq_response(sys_obj, float(row[1]))
             assert abs(lam - expected) <= 1e-12 * (1.0 + abs(lam))
 
+    @pytest.mark.parametrize("system, N", [("demo", 5), ("demo", 10), ("demo", 50), ("slow", 50)])
+    def test_peak_magnitude_is_one_float(self, system, N, tmp_path):
+        # the summary's peak, the largest magnitude in spectrum.csv and the
+        # top of the reversed spectrum are the same |lambda_m|, to the last bit
+        path = tmp_path / "system.txt"
+        path.write_text(DEMO_SYSTEM if system == "demo" else SLOW_POLE)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--system", str(path), "--n", str(N), "--out", str(out)]) == 0
+        summary = summary_dict(out / "summary.csv")
+        _, rows = read_csv(out / "spectrum.csv")
+        largest = max(float(row[4]) for row in rows)
+        assert float(summary["lambdaMaxResetFree"]).hex() == largest.hex()
+        assert float(summary["lambdaReversedTop"]).hex() == largest.hex()
+
     def test_static_gain_spectrum_is_flat(self, tmp_path):
         path = tmp_path / "gain.txt"
         path.write_text("num = 2.5\nden = 1\n")

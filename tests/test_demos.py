@@ -1,6 +1,7 @@
-"""Every demo script runs to completion from the repository root."""
+"""Every demo script, and README's library quickstart, runs from the repository root."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,24 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(ROOT.glob("demos/0*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
-def test_demo_runs(demo):
+def run_from_root(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(demo.relative_to(ROOT))],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_runs(demo):
+    done = run_from_root(str(demo.relative_to(ROOT)))
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    done = run_from_root("-c", block)
+    assert done.returncode == 0, done.stderr
+    float(done.stdout.split()[0])  # it prints the estimate

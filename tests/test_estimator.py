@@ -1,5 +1,7 @@
+import ast
 import collections
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,16 +47,15 @@ def reversed_top(ss, N):
 
 
 class RecordingPlant:
-    """Duck-typed plant exposing nothing but N, mode and apply_batch.
+    """Duck-typed plant exposing nothing but N and apply_batch.
 
     Proves the iterations run against the experiment interface alone, and
     logs every applied input for the hold-semantics checks.
     """
 
-    def __init__(self, response, N, mode=RESET_FREE):
+    def __init__(self, response, N):
         self._response = response
         self.N = N
-        self.mode = mode
         self.batch_counter = 0
         self.applied = []
 
@@ -286,12 +287,6 @@ class TestResetFreeIteration:
         assert len(trace.updates) == 3
 
     def test_mode_and_length_validation(self):
-        reset_session = LiftedReferenceSession(low_pass(), 8, RESET_PER_BATCH)
-        with pytest.raises(ValueError, match="reset-free"):
-            iterate_reset_free(reset_session, PowerIterationConfig(shift=1.0))
-        with pytest.raises(ValueError, match="reset-free"):
-            iterate_reset_free(reset_session, PowerIterationConfig())
-        assert reset_session.batch_counter == 0
         # the batch length comes from the plant alone
         plant = RecordingPlant(lambda u: 0.5 * u, 9)
         iterate_reset_free(plant, PowerIterationConfig(shift=1.0, max_updates=3))
@@ -306,7 +301,6 @@ class TestResetFreeIteration:
             def __init__(self):
                 self._inner = new_session(ss, N, RESET_FREE)
                 self.N = N
-                self.mode = RESET_FREE
 
             def apply_batch(self, u):
                 record = self._inner.apply_batch(u)
@@ -367,6 +361,44 @@ class TestResetFreeIteration:
         trace = iterate_reset_free(session, config)
         assert trace.converged
         assert abs(trace.estimate - target) < 1e-3 * target
+
+
+def test_estimator_imports_nothing_from_plant():
+    # the estimator knows a plant only by its contract, N and apply_batch
+    tree = ast.parse(Path(estimator.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "plant" for name in names), ast.dump(node)
+
+
+class TestStartContract:
+    """A run may start on a plant at rest or settled on the run's start input.
+
+    ``select_shift(plant, N, s)`` leaves the plant settled on
+    ``init_input(N, s)``, so a run with ``rng_seed = s`` that follows it
+    reads out its own start input's settled output on update 1, across the
+    demo's dead time of two batches at N = 25 too.
+    """
+
+    @pytest.mark.parametrize("system, N", [
+        ("demo", 25), ("demo", 50), ("demo", 256), ("slow", 50), ("slow", 256),
+    ])
+    def test_run_after_the_probe_reads_its_own_start_input(self, system, N):
+        ss = tf_to_ss(delayed_resonator()) if system == "demo" else slow_pole()
+        for seed in range(4):
+            session = new_session(ss, N, RESET_FREE)
+            shift = select_shift(session, N, seed)
+            config = PowerIterationConfig(shift=shift, rng_seed=seed, max_updates=2)
+            first = iterate_reset_free(session, config).updates[0]
+            assert np.array_equal(first.u, init_input(N, seed))
+            settled = new_session(ss, N, RESET_FREE, settled=True).apply_batch(first.u).y
+            error = np.linalg.norm(first.y - settled) / np.linalg.norm(settled)
+            assert error <= 1e-9, (seed, error)
 
 
 class TestResetBasedIteration:
@@ -531,13 +563,6 @@ class TestSelectShift:
         assert select_shift(session, 50, rng_seed=seed) == pytest.approx(shift, rel=1e-13)
         assert session.batch_counter == batches
 
-    def test_probe_rejects_a_reset_plant_before_any_batch(self):
-        ss = tf_to_ss(RationalTransferFunction((1.5,), (1.0,)))
-        session = LiftedReferenceSession(ss, 8, RESET_PER_BATCH)
-        with pytest.raises(ValueError, match="reset-free plant, got reset-per-batch"):
-            select_shift(session, 8, rng_seed=0)
-        assert session.batch_counter == 0
-
     @pytest.mark.parametrize("settled", [False, True], ids=["session", "steady"])
     def test_probe_length_must_match_the_plant(self, settled):
         session = new_session(low_pass(), 8, RESET_FREE, settled=settled)
@@ -559,7 +584,6 @@ class OutputLog:
     def __init__(self, plant):
         self._plant = plant
         self.N = plant.N
-        self.mode = plant.mode
         self.outputs = []
 
     def apply_batch(self, u):
@@ -609,6 +633,19 @@ class TestSharedReadouts:
         expected = iterate_reading_every_batch(make_plant(), config)
         trace = iterate_reset_free(make_plant(), config)
         assert trace_bits(trace) == trace_bits(expected)
+
+    @pytest.mark.parametrize("case", ["demo-25", "demo-50-seed7", "slow-pole", "settled"])
+    def test_plant_of_only_n_and_apply_batch_gives_the_sessions_trace(self, case):
+        # the plant contract is N and apply_batch alone: a wrapper that
+        # exposes nothing else probes and iterates exactly like the session
+        make_plant, knobs = self.CASES[case]
+        wrapped, session = OutputLog(make_plant()), make_plant()
+        assert not hasattr(wrapped, "mode")
+        shifts = [select_shift(plant, plant.N, knobs["rng_seed"]) for plant in (wrapped, session)]
+        assert shifts[0].hex() == shifts[1].hex()
+        config = PowerIterationConfig(**dict(knobs, shift=shifts[0]))
+        assert trace_bits(iterate_reset_free(wrapped, config)) == trace_bits(
+            iterate_reset_free(session, config))
 
     def test_settled_plant_holds_two_batches(self):
         # the ideal plant repeats its output, so every hold settles at its

@@ -21,7 +21,11 @@ from peakgain import (
     tf_to_ss,
 )
 from peakgain import lti
-from peakgain.lti import spectral_radius
+
+
+def spectral_radius(A):
+    """The converged Gelfand estimate, the spectral radius the stability check decides by."""
+    return lti._gelfand(A, 0.0)
 
 
 def impulse_response(ss, count):
