@@ -2,11 +2,11 @@
 
 The estimator never sees the model: it applies input batches to a session and
 reads output batches back. Each input is held until the plant's output
-settles (at most n_update batches), then the settled output is reversed in
-time, a shifted copy of the input is added, and the sum is rescaled to input
-power one. The gain readout converges to the peak gain over the batch
-frequency grid, and the converged input itself turns into a sinusoid at the
-peak frequency: the experiment designs itself.
+settles (at most 10 batches), then the settled output is reversed in time, a
+shifted copy of the input is added, and the sum is rescaled to input power
+one. The gain readout converges to the peak gain over the batch frequency
+grid, and the converged input itself turns into a sinusoid at the peak
+frequency: the experiment designs itself.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from peakgain import (
 
 tf = parse_system_file("demos/delayed_resonator.txt")
 ss = tf_to_ss(tf)
-N, n_update = 50, 10
+N = 50
 
 
 def dominant_bin(spectrum):
@@ -43,8 +43,7 @@ shift = select_shift(session, N, rng_seed=0)
 print(f"probed shift: {shift:.4f}")
 
 config = PowerIterationConfig(
-    n_update=n_update, shift=shift, max_updates=2000,
-    convergence_tol=1e-7, rng_seed=0,
+    shift=shift, max_updates=2000, convergence_tol=1e-7, rng_seed=0,
 )
 trace = iterate_reset_free(session, config)
 

@@ -173,8 +173,10 @@ def cmd_sweep(args):
     _count(args.n_start, "--n-start", 1)
     _count(args.n_doublings, "--n-doublings", 0)
     _count(args.grid, "--grid", 2)
-    out = _outdir(args)
     oracle, _ = hinf_peak(sys_obj, args.grid)
+    if oracle == 0.0:
+        raise ValueError("the worst-case gain is zero, so the relative errors are undefined")
+    out = _outdir(args)
     schedule = [args.n_start * 2**k for k in range(args.n_doublings + 1)]
     rows = []
     free_errors = []
@@ -207,7 +209,6 @@ def cmd_estimate(args):
     _count(args.n, "batch length", 1)
     default_tol = 1e-8 if args.ideal_plant else 1e-4
     config = PowerIterationConfig(
-        n_update=args.n_update,
         shift=args.shift,
         max_updates=args.max_updates,
         convergence_tol=args.tol if args.tol is not None else default_tol,
@@ -297,11 +298,7 @@ def _parser():
     )
     estimate.add_argument("--system", required=True)
     estimate.add_argument("--n", type=int, default=50, help="batch length")
-    estimate.add_argument(
-        "--n-update", type=int, default=PowerIterationConfig.n_update,
-        help="hold each input until its output settles, for at most this many batches"
-    )
-    estimate.add_argument("--seed", type=int, default=0)
+    estimate.add_argument("--seed", type=int, default=PowerIterationConfig.rng_seed)
     estimate.add_argument(
         "--shift", type=float, default=None, help="override the probed shift"
     )
@@ -310,7 +307,7 @@ def _parser():
         action="store_true",
         help="use the exact steady-state plant instead of the transient simulation",
     )
-    estimate.add_argument("--max-updates", type=int, default=1000)
+    estimate.add_argument("--max-updates", type=int, default=PowerIterationConfig.max_updates)
     estimate.add_argument(
         "--tol",
         type=float,

@@ -9,10 +9,11 @@ gain over the batch frequency grid. The plant is never reset: the
 classical reset-based iteration it improves on is not run here, and
 ``spectral.max_gain_reset_based`` gives that baseline's model value.
 
-Each input is held until its output settles: from the hold's second batch
-on, its last (at most four) batches go through one rule, ``_settled``, which
-accepts a batch that moved less than 1e-8 from the one before it, or else
-their extrapolated limit by Aitken's rule for one geometric transient mode.
+Each update holds its input until the output settles, for at most
+``_MAX_HOLD_BATCHES`` (10) batches: from the hold's second batch on, its last
+(at most four) batches go through one rule, ``_settled``, which accepts a
+batch that moved less than 1e-8 from the one before it, or else their
+extrapolated limit by Aitken's rule for one geometric transient mode.
 The settle test, ``relative_batch_change``, is defined here next to it.
 One start rule waits out a dead time of whole batches: an output within
 1e-8 of the previous hold's readout is never accepted. The hold ends at the
@@ -65,6 +66,8 @@ __all__ = [
 _SETTLE_TOL = 1e-8
 # batches past the first that the shift probe holds its input before it gives up
 _MAX_PROBE_BATCHES = 10000
+# most batches an update holds its input; a hold can settle from its second on
+_MAX_HOLD_BATCHES = 10
 
 
 class EstimationError(RuntimeError):
@@ -75,25 +78,22 @@ class EstimationError(RuntimeError):
 class PowerIterationConfig:
     """Knobs of the power iteration.
 
-    n_update is the most batches each input is held: a hold ends earlier,
-    from its second batch on, once its output settles; shift the positive
-    scalar added to the reversed response before renormalizing, None to
-    probe the plant for a scale; convergence is declared when the
-    gain readout moves less than convergence_tol between consecutive
-    updates, an absolute tolerance in the plant's gain units, not one
-    relative to the gain. rng_seed, a nonnegative integer, seeds the random
-    start input and the shift probe. The batch length is the plant's N. The
+    shift is the positive scalar added to the reversed response before
+    renormalizing, None to probe the plant for a scale; convergence is
+    declared when the gain readout moves less than convergence_tol between
+    consecutive updates, an absolute tolerance in the plant's gain units,
+    not one relative to the gain. rng_seed, a nonnegative integer, seeds
+    the random start input and the shift probe. The batch length is the
+    plant's N, and a hold's cap is the module's ``_MAX_HOLD_BATCHES``. The
     knobs are checked in this order; counts come back as int.
     """
 
-    n_update: int = 10
     shift: float | None = None
     max_updates: int = 1000
     convergence_tol: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        self.n_update = _count(self.n_update, "n_update", 1)
         if self.shift is not None:
             # the reversed spectrum comes in +-|lambda| pairs: a negative
             # shift would steer the iteration to the negative end
@@ -213,7 +213,7 @@ def _hold(plant, u, cap, prev, on_batch=None):
     Only the window is kept; ``on_batch``, if given, sees every batch record
     as it arrives. Returns (y, change): the settled or extrapolated output
     and None, or, for a hold that did not settle, its last batch and that
-    batch's relative_batch_change (inf when the hold ran one batch).
+    batch's relative_batch_change. ``cap`` is at least 2.
     """
     window = deque(maxlen=4)
     for _ in range(cap):
@@ -225,14 +225,14 @@ def _hold(plant, u, cap, prev, on_batch=None):
         if settled is not None and _relative_change(prev, settled) >= _SETTLE_TOL:
             return settled, None
     y = window[-1]
-    return y, _relative_change(window[-2], y) if len(window) > 1 else math.inf
+    return y, _relative_change(window[-2], y)
 
 
 def iterate_reset_free(plant, config):
     """Shifted power iteration on a continuously operated plant.
 
     Holds the current input through ``_hold`` until its output settles, for
-    at most ``config.n_update`` batches, with the previous hold's readout as
+    at most ``_MAX_HOLD_BATCHES`` batches, with the previous hold's readout as
     ``prev``; every batch gives a trace row of its own readouts. The hold's
     readout y (the settled or extrapolated output, else its last batch)
     gives its ``UpdateRecord``, an extrapolated one also the readouts of the
@@ -262,7 +262,7 @@ def iterate_reset_free(plant, config):
         trace.rows.append((update, record.j, *_readouts(u, last, n)))
 
     for update in range(1, config.max_updates + 1):
-        y, _ = _hold(plant, u, config.n_update, y, on_batch)
+        y, _ = _hold(plant, u, _MAX_HOLD_BATCHES, y, on_batch)
         if y is not last:  # an extrapolated readout
             trace.rows[-1] = (update, trace.rows[-1][1], *_readouts(u, y, n))
         mu, beta = trace.rows[-1][2:]

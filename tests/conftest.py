@@ -17,6 +17,7 @@ from peakgain import (
     tf_to_ss,
     time_reverse,
 )
+from peakgain import estimator
 from peakgain.estimator import UpdateRecord, _readouts, init_input
 from peakgain.lti import _samples
 from peakgain.plant import BatchRecord
@@ -179,7 +180,8 @@ class ReferenceTrace(EstimateTrace):
 def iterate_reading_every_batch(plant, config, reset_based=False):
     """Reference power iteration: one plain loop per hold, ``_readouts`` on every batch.
 
-    Reset-free with the config's hold cap and shift (None probes), or the
+    Reset-free with the estimator's hold cap, ``_MAX_HOLD_BATCHES`` as it
+    stands at the call, and the config's shift (None probes), or the
     classical reset-based baseline (Oomen, van der Maas, Rojas & Hjalmarsson,
     IEEE TCST 2014) on a ``RESET_PER_BATCH`` reference session, which
     re-applies the renormalized reversed output: hold 1 and shift 0, and a
@@ -189,7 +191,7 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
     hold's (all zeros before the first), else at the cap with its last
     batch. The estimator's traces must equal this one bit for bit.
     """
-    hold, shift = (1, 0.0) if reset_based else (config.n_update, config.shift)
+    hold, shift = (1, 0.0) if reset_based else (estimator._MAX_HOLD_BATCHES, config.shift)
     n = plant.N
     if shift is None:
         shift = select_shift(plant, n, config.rng_seed)

@@ -145,8 +145,7 @@ def test_criterion_5_iteration_reaches_grid_peak():
         for seed in (0, 1, 2):
             session = new_session(ss, N, RESET_FREE)
             config = PowerIterationConfig(
-                n_update=10, shift=2.0, max_updates=3000,
-                convergence_tol=1e-7, rng_seed=seed,
+                shift=2.0, max_updates=3000, convergence_tol=1e-7, rng_seed=seed,
             )
             trace = iterate_reset_free(session, config)
             assert trace.converged
@@ -156,8 +155,7 @@ def test_criterion_5_iteration_reaches_grid_peak():
         for shift in (0.5 * target, target, 2.0 * target):
             plant = new_session(ss, N, RESET_FREE, settled=True)
             config = PowerIterationConfig(
-                n_update=1, shift=shift, max_updates=20000,
-                convergence_tol=1e-9, rng_seed=0,
+                shift=shift, max_updates=20000, convergence_tol=1e-9, rng_seed=0,
             )
             trace = iterate_reset_free(plant, config)
             assert trace.converged
@@ -175,8 +173,7 @@ def test_criterion_6_converged_input_hits_peak_bin():
         for seed in range(5):
             session = new_session(ss, N, RESET_FREE)
             config = PowerIterationConfig(
-                n_update=10, shift=2.0, max_updates=3000,
-                convergence_tol=1e-7, rng_seed=seed,
+                shift=2.0, max_updates=3000, convergence_tol=1e-7, rng_seed=seed,
             )
             trace = iterate_reset_free(session, config)
             assert trace.converged
@@ -200,8 +197,7 @@ def test_criterion_7_estimator_invariants():
                 return self._inner.apply_batch(u)
 
         config = PowerIterationConfig(
-            n_update=10, shift=2.0, max_updates=40,
-            convergence_tol=1e-30, rng_seed=0,
+            shift=2.0, max_updates=40, convergence_tol=1e-30, rng_seed=0,
         )
         trace = iterate_reset_free(LoggingSession(), config)
         # input power one at every update

@@ -30,7 +30,6 @@ COUNTS = {
     "grid_size": ("grid_size", 2, 11, lambda v, _: hinf_peak(low_pass_tf(), v)),
     "delay": ("delay", 0, 2,
               lambda v, _: RationalTransferFunction((1.0,), (1.0, -0.5), delay=v).delay),
-    "n_update": ("n_update", 1, 3, lambda v, _: PowerIterationConfig(n_update=v).n_update),
     "max_updates": ("max_updates", 1, 3,
                     lambda v, _: PowerIterationConfig(max_updates=v).max_updates),
     "rng_seed": ("rng_seed", 0, 3, lambda v, _: PowerIterationConfig(rng_seed=v).rng_seed),

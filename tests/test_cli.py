@@ -177,13 +177,28 @@ class TestSweep:
         assert main(["sweep", "--system", low_pass_file, "--n-start", "0"]) == 1
         assert "n-start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["num = 0\nden = 1\n", "num = 0, 0\nden = 1, -0.5\n"],
+                             ids=["static", "pole"])
+    def test_zero_gain_plant_exits_1_without_traceback(self, text, tmp_path, capsys):
+        # the relative errors divide by the worst-case gain, here zero
+        path = tmp_path / "zero.txt"
+        path.write_text(text)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--system", str(path), "--n-doublings", "1", "--grid", "101",
+                "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "worst-case gain is zero" in err
+        assert "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestEstimate:
     def test_ideal_plant_matches_analysis(self, low_pass_file, tmp_path, capsys):
         out = tmp_path / "est"
         code = main([
-            "estimate", "--system", low_pass_file, "--n", "8", "--n-update", "1",
-            "--seed", "0", "--ideal-plant", "--out", str(out),
+            "estimate", "--system", low_pass_file, "--n", "8", "--seed", "0",
+            "--ideal-plant", "--out", str(out),
         ])
         assert code == 0
         printed = capsys.readouterr().out
@@ -209,9 +224,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "knob",
-        [("--tol", "nan"), ("--n-update", "0"), ("--max-updates", "0"), ("--seed", "-1"),
-         ("--shift", "0"), ("--shift", "-1")],
-        ids=["tol", "n-update", "max-updates", "seed", "shift", "negative-shift"],
+        [("--tol", "nan"), ("--max-updates", "0"), ("--seed", "-1"), ("--shift", "0"),
+         ("--shift", "-1")],
+        ids=["tol", "max-updates", "seed", "shift", "negative-shift"],
     )
     def test_bad_knob_exits_1_before_probing(self, knob, low_pass_file, tmp_path, monkeypatch):
         # the knobs are checked before the plant lifts the system, let alone
@@ -277,8 +292,8 @@ class TestEstimate:
 
     def test_byte_identical_reruns(self, demo_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["estimate", "--system", demo_file, "--n", "50", "--n-update", "5",
-                "--seed", "7", "--max-updates", "40", "--out"]
+        args = ["estimate", "--system", demo_file, "--n", "50", "--seed", "7",
+                "--max-updates", "40", "--out"]
         assert main(args + [str(out1)]) in (0, 2)
         assert main(args + [str(out2)]) in (0, 2)
         for name in ("trace.csv", "u_update_00001.csv", "y_update_00002.csv"):
@@ -385,8 +400,8 @@ class TestCrossCommandConsistency:
         out_e = tmp_path / "estimate"
         assert main(["analyze", "--system", demo_file, "--n", "50", "--out", str(out_a)]) == 0
         code = main([
-            "estimate", "--system", demo_file, "--n", "50", "--n-update", "1",
-            "--ideal-plant", "--tol", "1e-9", "--max-updates", "20000",
+            "estimate", "--system", demo_file, "--n", "50", "--ideal-plant",
+            "--tol", "1e-9", "--max-updates", "20000",
             "--out", str(out_e),
         ])
         assert code == 0
@@ -463,7 +478,7 @@ def test_non_finite_system_exits_1(argv, text, tmp_path, capsys):
 
 def test_cached_parser_shares_no_state_between_calls(demo_file, tmp_path, capsys):
     calls = [
-        ["estimate", "--system", demo_file, "--n-update", "ten"],
+        ["estimate", "--system", demo_file, "--max-updates", "ten"],
         ["estimate", "--system", demo_file, "--n", "16", "--seed", "2"],
         ["analyze", "--system", demo_file, "--n", "16"],
     ]

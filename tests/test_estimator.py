@@ -87,8 +87,6 @@ class TestInitInput:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            PowerIterationConfig(n_update=0)
-        with pytest.raises(ValueError):
             PowerIterationConfig(shift=0.0)
         with pytest.raises(ValueError):
             PowerIterationConfig(convergence_tol=0.0)
@@ -120,25 +118,31 @@ class TestConfigValidation:
             PowerIterationConfig(shift=shift)
 
     def test_default_hold_cap_can_settle(self):
-        # a hold settles from its second batch on, so a cap of 1 never does;
-        # the library and the CLI share one default
-        assert PowerIterationConfig().n_update == 10
-        assert cli._parser().parse_args(["estimate", "--system", "x"]).n_update == 10
+        # a hold settles from its second batch on, so a cap of 1 never does
+        assert estimator._MAX_HOLD_BATCHES >= 2
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        # each estimate flag that sets a config field defaults to that field's
+        # default (--tol alone picks its default by plant kind)
+        args = cli._parser().parse_args(["estimate", "--system", "x"])
+        defaults = PowerIterationConfig()
+        assert args.shift is None and defaults.shift is None
+        assert (args.max_updates, args.seed) == (defaults.max_updates, defaults.rng_seed)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf])
     def test_rejects_non_finite_tolerance(self, tol):
         with pytest.raises(ValueError, match="convergence_tol"):
             PowerIterationConfig(convergence_tol=tol)
 
-    @pytest.mark.parametrize("knob", ["n_update", "max_updates"])
+    @pytest.mark.parametrize("knob", ["max_updates"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
     def test_rejects_non_integral_counts(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             PowerIterationConfig(**{knob: value})
 
     def test_accepts_numpy_integers(self):
-        config = PowerIterationConfig(n_update=np.int32(2), max_updates=np.int64(7))
-        assert (config.n_update, config.max_updates) == (2, 7)
+        config = PowerIterationConfig(max_updates=np.int64(7), rng_seed=np.int32(2))
+        assert (config.max_updates, config.rng_seed) == (7, 2)
 
     @pytest.mark.parametrize("knob", ["shift", "convergence_tol"])
     @pytest.mark.parametrize("value", [True, "1e-8", 1e-8j, [1e-8]])
@@ -155,8 +159,8 @@ class TestConfigValidation:
         assert (config.shift, config.convergence_tol) == (2.0, 1e-6)
 
     def test_first_bad_knob_in_field_order_is_reported(self):
-        with pytest.raises(ValueError, match="^n_update"):
-            PowerIterationConfig(n_update=0, rng_seed=-1)
+        with pytest.raises(ValueError, match="^shift"):
+            PowerIterationConfig(shift=0.0, max_updates=0, rng_seed=-1)
         with pytest.raises(ValueError, match="^convergence_tol"):
             PowerIterationConfig(convergence_tol=0.0, rng_seed=-1)
 
@@ -236,12 +240,13 @@ class TestResetFreeIteration:
         for record in trace.updates:
             assert abs(record.u @ record.u - 8) < 1e-8
 
-    def test_hold_semantics_bitwise(self):
+    def test_hold_semantics_bitwise(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_MAX_HOLD_BATCHES", 4)
         rng = np.random.default_rng(12)
         M = 0.4 * rng.standard_normal((6, 6))  # arbitrary fixed response
         plant = RecordingPlant(lambda u: M @ u, 6)
         config = PowerIterationConfig(
-            n_update=4, shift=1.0, max_updates=5, convergence_tol=1e-30, rng_seed=0
+            shift=1.0, max_updates=5, convergence_tol=1e-30, rng_seed=0
         )
         trace = iterate_reset_free(plant, config)
         blocks = hold_blocks(trace, plant.applied)
@@ -307,16 +312,15 @@ class TestResetFreeIteration:
                 captured.append(record.y.copy())
                 return record
 
-        n_update = 10  # one batch already contracts this plant's transient hard
+        # one batch already contracts this plant's transient hard
         config = PowerIterationConfig(
-            n_update=n_update, shift=2.0, max_updates=12,
-            convergence_tol=1e-30, rng_seed=0,
+            shift=2.0, max_updates=12, convergence_tol=1e-30, rng_seed=0,
         )
         trace = iterate_reset_free(Capture(), config)
         blocks = hold_blocks(trace, captured)
         assert len(blocks) == 12
         for block in blocks:
-            assert 2 <= len(block) <= n_update
+            assert 2 <= len(block) <= estimator._MAX_HOLD_BATCHES
             changes = [relative_batch_change(a, b) for a, b in zip(block, block[1:])]
             # settled well before the next update, and no growth across the hold
             assert changes[-1] < 1e-6
@@ -326,8 +330,8 @@ class TestResetFreeIteration:
         # at N = 25 the demo's 50-sample dead time makes the first two
         # batches from rest all zero: they must not end the hold as settled
         plant = new_session(tf_to_ss(delayed_resonator()), 25, RESET_FREE)
-        config = PowerIterationConfig(n_update=10, shift=2.0, max_updates=3,
-                                      convergence_tol=1e-30, rng_seed=0)
+        config = PowerIterationConfig(shift=2.0, max_updates=3, convergence_tol=1e-30,
+                                      rng_seed=0)
         trace = iterate_reset_free(plant, config)
         first = [row for row in trace.rows if row[0] == 1]
         assert [mu for _, _, mu, _ in first[:2]] == [0.0, 0.0]
@@ -340,8 +344,8 @@ class TestResetFreeIteration:
         # the old input's settled response: each readout must be its own
         # input's settled output, not the previous one's
         ss = tf_to_ss(delayed_resonator())
-        config = PowerIterationConfig(n_update=10, shift=2.0, max_updates=2000,
-                                      convergence_tol=1e-9, rng_seed=0)
+        config = PowerIterationConfig(shift=2.0, max_updates=2000, convergence_tol=1e-9,
+                                      rng_seed=0)
         trace = iterate_reset_free(new_session(ss, N, RESET_FREE), config)
         assert trace.converged and len(trace.updates) > 10
         for record in trace.updates:
@@ -355,8 +359,7 @@ class TestResetFreeIteration:
         target = reversed_top(ss, N)
         session = new_session(ss, N, RESET_FREE)
         config = PowerIterationConfig(
-            n_update=10, shift=2.0, max_updates=2000, convergence_tol=1e-7,
-            rng_seed=0,
+            shift=2.0, max_updates=2000, convergence_tol=1e-7, rng_seed=0,
         )
         trace = iterate_reset_free(session, config)
         assert trace.converged
@@ -601,7 +604,7 @@ def noisy_demo_session(N):
     return demo_session(N, noise=lambda n: 1e-3 * rng.standard_normal(n))
 
 
-CLI_CONFIG = dict(n_update=10, convergence_tol=1e-4)
+CLI_CONFIG = dict(convergence_tol=1e-4)
 
 
 class TestSharedReadouts:
@@ -621,14 +624,16 @@ class TestSharedReadouts:
         "slow-pole": (lambda: new_session(slow_pole(), 50, RESET_FREE),
                       dict(CLI_CONFIG, rng_seed=3)),
         "settled": (lambda: demo_session(50, settled=True),
-                    dict(n_update=4, convergence_tol=1e-9, rng_seed=2)),
+                    dict(convergence_tol=1e-9, rng_seed=2)),
         "noise": (lambda: noisy_demo_session(50),
-                  dict(n_update=10, shift=2.0, max_updates=30, rng_seed=0)),
+                  dict(shift=2.0, max_updates=30, rng_seed=0)),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_trace_equals_reading_every_batch(self, case):
+    def test_trace_equals_reading_every_batch(self, case, monkeypatch):
         make_plant, knobs = self.CASES[case]
+        if case == "settled":  # a cap other than the default, read by both loops
+            monkeypatch.setattr(estimator, "_MAX_HOLD_BATCHES", 4)
         config = PowerIterationConfig(**knobs)
         expected = iterate_reading_every_batch(make_plant(), config)
         trace = iterate_reset_free(make_plant(), config)
@@ -647,13 +652,14 @@ class TestSharedReadouts:
         assert trace_bits(iterate_reset_free(wrapped, config)) == trace_bits(
             iterate_reset_free(session, config))
 
-    def test_settled_plant_holds_two_batches(self):
+    def test_settled_plant_holds_two_batches(self, monkeypatch):
         # the ideal plant repeats its output, so every hold settles at its
         # second batch, below the cap of 4 (the "settled" case above checks
         # this trace against the reference loop)
+        monkeypatch.setattr(estimator, "_MAX_HOLD_BATCHES", 4)
         make_plant, knobs = self.CASES["settled"]
         trace = iterate_reset_free(make_plant(), PowerIterationConfig(**knobs))
-        extents = collections.Counter(update for update, _, _, _ in trace.rows)
+        extents = hold_extents(trace)
         assert len(extents) == len(trace.updates) > 1
         assert set(extents.values()) == {2}
 
@@ -662,6 +668,31 @@ def two_slow_poles():
     """Real poles at 0.9999 and 0.999 with unit DC gain: two slow transient modes."""
     den = tuple(np.polymul([1.0, -0.9999], [1.0, -0.999]))
     return tf_to_ss(RationalTransferFunction((1e-7,), den))
+
+
+def hold_extents(trace):
+    """Trace rows per update: the batches each hold ran."""
+    return collections.Counter(update for update, _, _, _ in trace.rows)
+
+
+class TestHoldCap:
+    """``_MAX_HOLD_BATCHES`` is the only bound on a hold's length."""
+
+    def test_patched_cap_bounds_every_hold(self, monkeypatch):
+        # two slow modes keep each hold moving, so holds run to the cap
+        monkeypatch.setattr(estimator, "_MAX_HOLD_BATCHES", 3)
+        plant = new_session(two_slow_poles(), 50, RESET_FREE)
+        config = PowerIterationConfig(shift=1.0, max_updates=20, convergence_tol=1e-30)
+        extents = hold_extents(iterate_reset_free(plant, config))
+        assert len(extents) == 20
+        assert max(extents.values()) == 3
+
+    @pytest.mark.parametrize("N", [25, 50])
+    def test_demo_holds_stay_within_the_default_cap(self, N):
+        assert estimator._MAX_HOLD_BATCHES == 10
+        trace = iterate_reset_free(demo_session(N), PowerIterationConfig(**CLI_CONFIG))
+        assert trace.converged
+        assert max(hold_extents(trace).values()) <= 10
 
 
 def hold_readouts(ss, N, **knobs):
@@ -737,7 +768,7 @@ class TestSettledReadout:
         for seed in range(20):
             ss = random_stable_statespace(rng)
             N = int(rng.integers(2, 9))
-            holds = hold_readouts(ss, N, n_update=10, shift=1.0, max_updates=40,
+            holds = hold_readouts(ss, N, shift=1.0, max_updates=40,
                                   convergence_tol=1e-30, rng_seed=seed)
             for record, last, _ in holds:
                 if record.y.tobytes() != last:
@@ -760,8 +791,8 @@ class TestSettledReadout:
             assert error <= 1e-3 * raw
 
     def test_multi_mode_holds_fall_back_to_the_raw_batch(self):
-        holds = hold_readouts(slow_pole_pair(), 50, n_update=10, shift=1.0,
-                              max_updates=20, convergence_tol=1e-30)
+        holds = hold_readouts(slow_pole_pair(), 50, shift=1.0, max_updates=20,
+                              convergence_tol=1e-30)
         assert len(holds) == 20
         for record, last, before in holds:
             assert last != before  # still moving, so the rule was asked
