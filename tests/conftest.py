@@ -51,6 +51,17 @@ def slow_pole():
     return tf_to_ss(slow_pole_tf())
 
 
+def flat_peak_plant():
+    """First-order plant whose gain peaks flatly at the Nyquist frequency.
+
+    The reset-based gain's Lanczos iteration needs 6 to 8N steps on it: its
+    extreme Ritz values are right long before their residual bounds certify
+    them.
+    """
+    return StateSpace(np.array([[0.5867735232516942]]), np.array([0.05850669759278116]),
+                      np.array([-0.5802467473706192]), 1.1388977852097697)
+
+
 def simulate(ss, x0, u):
     """Run the state recursion over an input sequence, one sample at a time.
 

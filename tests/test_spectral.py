@@ -8,6 +8,7 @@ from conftest import (
     delayed_resonator,
     dft_matrix,
     dominant_bin,
+    flat_peak_plant,
     random_dc_dominant_statespace,
     random_stable_statespace,
     reversed_circulant,
@@ -342,6 +343,11 @@ def demo_and_slow_realizations():
     return {"demo": tf_to_ss(delayed_resonator()), "slow": slow_pole()}
 
 
+@pytest.fixture(scope="module")
+def realizations(demo_and_slow_realizations):
+    return {**demo_and_slow_realizations, "flat": flat_peak_plant()}
+
+
 def _dense_references(J):
     return (
         float(np.abs(np.linalg.eigvalsh(J[::-1])).max()),
@@ -352,10 +358,14 @@ def _dense_references(J):
 class TestLanczosResetBasedGain:
     """The Lanczos route against the dense references it replaced."""
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 51, 52, 64, 257, 1024, 2048])
-    @pytest.mark.parametrize("plant", ["demo", "slow"])
-    def test_matches_dense_eigensolvers(self, plant, N, demo_and_slow_realizations):
-        J = lift(demo_and_slow_realizations[plant], N).J
+    @pytest.mark.parametrize(
+        "plant, N",
+        [(plant, N) for plant in ("demo", "slow") for N in (1, 2, 3, 51, 52, 64, 257, 1024, 2048)]
+        # the flat peak certifies only after 4N + 64 steps at these N
+        + [("flat", N) for N in (257, 258, 512)],
+    )
+    def test_matches_dense_eigensolvers(self, plant, N, realizations):
+        J = lift(realizations[plant], N).J
         gain = max_gain_reset_based(J[:, 0])
         for reference in _dense_references(J):
             assert abs(gain - reference) <= 1e-12 * reference
@@ -394,7 +404,9 @@ class TestLanczosResetBasedGain:
 
     def test_sturm_count_equals_the_negative_pivots(self):
         # the count runs the pivot recurrence itself; it must count exactly
-        # the negative pivots of the list, zero pivots nudged to -tiny included
+        # the negative pivots of the list, zero pivots nudged to -tiny included.
+        # It must also never fall as the shift rises, the property that lets a
+        # bisection skip the counts a window already decides.
         rng = np.random.default_rng(8)
         cases = [([0.0] * 6, [0.0] + [1.0] * 5, [0.0, 1.0, -1.0, 2.0])]
         for k in (1, 2, 7, 64, 600):
@@ -402,11 +414,32 @@ class TestLanczosResetBasedGain:
             squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
             shifts = [*np.linspace(-4.0, 4.0, 41).tolist(), *diag[:5], 0.0, -0.0]
             cases.append((diag, squares, shifts))
+        for k in (2, 5, 9, 40):
+            # small integers: exact zero pivots at integer and half-integer shifts
+            diag = rng.integers(-2, 3, k).astype(float).tolist()
+            squares = [0.0] + rng.integers(0, 3, k - 1).astype(float).tolist()
+            cases.append((diag, squares, np.arange(-8.0, 8.25, 0.25).tolist()))
+        for k in (3, 30, 300):
+            # every floating-point shift within 40 ulps of each eigenvalue
+            diag = rng.standard_normal(k).tolist()
+            squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
+            T = np.diag(diag) + np.diag(np.sqrt(squares[1:]), 1) + np.diag(np.sqrt(squares[1:]), -1)
+            shifts = []
+            for eigenvalue in np.linalg.eigvalsh(T):
+                x = float(eigenvalue)
+                for _ in range(40):
+                    x = np.nextafter(x, -np.inf)
+                for _ in range(80):
+                    shifts.append(x)
+                    x = np.nextafter(x, np.inf)
+            cases.append((diag, squares, shifts))
         for diag, squares, shifts in cases:
             for x in shifts:
                 pivots = spectral._pivots(diag, squares, x)
                 expected = int(np.count_nonzero(np.less(pivots, 0.0)))
                 assert spectral._count_below(diag, squares, x) == expected
+            counts = [spectral._count_below(diag, squares, x) for x in sorted(shifts)]
+            assert counts == sorted(counts)
 
     @pytest.mark.parametrize("N", [3, 64, 257, 600])
     def test_gain_is_bitwise_that_of_the_pivot_list_count(self, N, monkeypatch,
@@ -419,6 +452,93 @@ class TestLanczosResetBasedGain:
         monkeypatch.setattr(spectral, "_count_below", count_from_pivots)
         expected = [max_gain_reset_based(h) for h in columns]
         assert [g.hex() for g in gains] == [g.hex() for g in expected]
+
+    def test_windows_change_no_bit(self, monkeypatch, realizations):
+        # a check counts only the bisection midpoints inside its window; with
+        # the window the whole real line, it counts every one as before
+        rng = np.random.default_rng(24)
+        columns = [impulse_response(ss, N) for ss in realizations.values() for N in (64, 257, 512)]
+        columns += [impulse_response(realizations[plant], 2048) for plant in ("demo", "slow")]
+        # N log-uniform in [8, 1024]
+        columns += [impulse_response(random_stable_statespace(rng), int(2.0 ** rng.uniform(3.0, 10.0)))
+                    for _ in range(40)]
+        gains = [max_gain_reset_based(h) for h in columns]
+        monkeypatch.setattr(spectral, "_window", lambda *args: (-np.inf, np.inf))
+        full = [max_gain_reset_based(h) for h in columns]
+        assert [g.hex() for g in gains] == [g.hex() for g in full]
+
+    def test_windows_hold_the_ends(self):
+        # on tridiagonals with exact zero pivots, clustered and underflowing
+        # entries, and from starts far from the ends, each window is bounded
+        # by counts on the right sides
+        rng = np.random.default_rng(25)
+        for trial in range(200):
+            k = int(rng.integers(1, 40))
+            diag = rng.standard_normal(k)
+            squares = rng.standard_normal(k - 1) ** 2
+            if trial % 4 == 1:
+                diag, squares = rng.integers(-2, 3, k), rng.integers(0, 3, k - 1)
+            elif trial % 4 == 2:
+                diag, squares = 1.0 + 1e-12 * diag, 1e-20 * squares
+            elif trial % 4 == 3:
+                squares = 1e-300 * squares
+            diag = diag.astype(float).tolist()
+            squares = [0.0] + squares.astype(float).tolist()
+            ends = spectral._extreme_eigenvalues(diag, squares)
+            width = 1e-300 + np.finfo(float).eps * max(map(abs, ends))
+            for start in (ends, [ends[0] - 1.0, ends[1] + 1.0], [0.0, 0.0], [diag[0]] * 2):
+                assert spectral._extreme_eigenvalues(diag, squares, start) == ends
+                for end, index in enumerate((1, k)):
+                    lo, hi = spectral._window(diag, squares, end, start[end], width)
+                    assert lo == -np.inf or spectral._count_below(diag, squares, lo) < index
+                    assert hi == np.inf or spectral._count_below(diag, squares, hi) >= index
+
+    def test_twisted_pass_matches_the_twisted_factorization(self):
+        rng = np.random.default_rng(26)
+        for k in (1, 2, 3, 8, 50):
+            diag = rng.standard_normal(k).tolist()
+            squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
+            T = np.diag(diag) + np.diag(np.sqrt(squares[1:]), 1) + np.diag(np.sqrt(squares[1:]), -1)
+            for x in (-0.7, 0.1, 1.3):
+                _, r, gamma, _, norm = spectral._twisted(diag, squares, x)
+                for at in {0, r, k - 1}:
+                    gamma_at, norm2, count = spectral._twisted_at(diag, squares, x, at)
+                    column = np.linalg.solve(T - x * np.eye(k), np.eye(k)[at])
+                    assert gamma_at == pytest.approx(1.0 / column[at], rel=1e-9)
+                    assert norm2 == pytest.approx((column @ column) / column[at] ** 2, rel=1e-9)
+                    assert count == np.count_nonzero(np.linalg.eigvalsh(T) < x)
+                assert spectral._twisted_at(diag, squares, x, r)[0] == pytest.approx(gamma, rel=1e-12)
+                assert spectral._twisted_at(diag, squares, x, r)[1] == pytest.approx(norm**2, rel=1e-12)
+
+    def test_demo_checks_take_at_most_520_passes(self, monkeypatch, realizations):
+        # every O(k) pass over T_k at N = 2048: counting every bisection level
+        # of every check took 887 (869 counts and 18 pivot lists); the windows
+        # leave about 300
+        passes = []
+        for name in ("_count_below", "_pivots", "_twisted_at"):
+            def counted(*args, _pass=getattr(spectral, name)):
+                passes.append(1)
+                return _pass(*args)
+            monkeypatch.setattr(spectral, name, counted)
+        max_gain_reset_based(impulse_response(realizations["demo"], 2048))
+        assert len(passes) <= 520
+
+    def test_checks_close_every_round_and_raise_after_three(self, monkeypatch):
+        # with no certificate the iteration checks at the end of each round of
+        # 4N + 64 steps as well as on its schedule, and raises after three
+        checked = []
+
+        def never(diag, *args):
+            checked.append(len(diag))
+            return False
+
+        monkeypatch.setattr(spectral, "_certified", never)
+        N = 8
+        with pytest.raises(RuntimeError, match=f"within {3 * (4 * N + 64)} steps"):
+            max_gain_reset_based(impulse_response(slow_pole(), N))
+        rounds = [4 * N + 64, 2 * (4 * N + 64), 3 * (4 * N + 64)]
+        assert set(rounds) <= set(checked)
+        assert checked[:3] == [8, 40, 72]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
