@@ -20,6 +20,8 @@ import sys
 import numpy as np
 
 from .estimator import PowerIterationConfig, iterate_reset_free, select_shift
+# periodic_response_matrix is not called here: perfbench/spans.py wraps the
+# names this module imports, that one included
 from .lifting import (
     circulant_coefficients,
     impulse_response,
@@ -123,33 +125,29 @@ def cmd_analyze(args):
     mag = np.hypot(lam.real, lam.imag)
     rev = reversed_spectrum(lam)
     lb = lift(ss, N)
-    h, M = lb.h, periodic_response_matrix(lb)
-    del lb  # its N x n G and H would sit beside the residual's N x N workspace
-    residual, _ = diagonalization_residual(M)
+    h = lb.h
+    # the residual builds M = periodic_response_matrix(lb) in its own FFT
+    # workspace, so analyze holds a single N x N array
+    residual, _ = diagonalization_residual(lb)
     j_is_zero = not h.any()
     gain_reset_free = float(mag.max())
     rev_top = float(rev.max())
     gain_reset_based = max_gain_reset_based(h)
 
-    _write_csv(
+    # tolist() gives Python floats, whose !r is _fmt of each entry
+    _write_lines(
         os.path.join(out, "coefficients.csv"),
         "k,c",
-        [(k, _fmt(c[k])) for k in range(N)],
+        (f"{k},{v!r}" for k, v in enumerate(c.tolist())),
     )
-    _write_csv(
+    columns = zip(lam.real.tolist(), lam.imag.tolist(), mag.tolist(), rev.tolist())
+    _write_lines(
         os.path.join(out, "spectrum.csv"),
         "m,omega,lambdaRe,lambdaIm,lambdaAbs,lambdaReversed",
-        [
-            (
-                m,
-                _fmt(2.0 * np.pi * m / N),
-                _fmt(lam[m].real),
-                _fmt(lam[m].imag),
-                _fmt(mag[m]),
-                _fmt(rev[m]),
-            )
-            for m in range(N)
-        ],
+        (
+            f"{m},{2.0 * np.pi * m / N!r},{re!r},{im!r},{a!r},{r!r}"
+            for m, (re, im, a, r) in enumerate(columns)
+        ),
     )
     summary = [
         ("N", N),

@@ -15,8 +15,9 @@ kinds of reset-free output:
   batch as irfft(rfft(c) * rfft(u)) in O(N log N) time.
 
 J u is the convolution of h and u cut to N samples, exactly zero where h
-is (a dead time). A transient session holds about N (2 n + 1) + n^2
-doubles for an n-state plant, a settled one O(N). The tests keep a
+is (a dead time); where h is zero throughout, J u is zeros without a
+convolution. A transient session holds about N (2 n + 1) + n^2 doubles for
+an n-state plant, a settled one O(N). The tests keep a
 sample-by-sample simulation as the exact reference of the transient kind,
 and the dense ``periodic_response_matrix(lift(ss, N))`` is that of the
 settled kind.
@@ -91,7 +92,9 @@ class PlantSession:
             self._c_bins = np.fft.rfft(circulant_coefficients(ss, N))
         else:
             lb = lift(ss, N)
-            self._F, self._G, self._H, self._h = lb.F, lb.G, lb.H, lb.h
+            self._F, self._G, self._H = lb.F, lb.G, lb.H
+            # None when J is zero, as for a dead time of N samples or more
+            self._h = lb.h if lb.h.any() else None
         self._x = x
         self._noise = noise
         # the held input: its float64 bytes, its own output term (M u or
@@ -111,7 +114,10 @@ class PlantSession:
             if self._c_bins is not None:
                 self._yu = np.fft.irfft(self._c_bins * np.fft.rfft(u), self.N)
             else:
-                self._yu = np.convolve(self._h, u)[: self.N]
+                if self._h is None:
+                    self._yu = np.zeros(self.N)
+                else:
+                    self._yu = np.convolve(self._h, u)[: self.N]
                 self._Gu = self._G @ u
         # drawn before the state moves, so a bad draw leaves the session as it was
         noise = None if self._noise is None else _samples(

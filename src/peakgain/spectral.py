@@ -19,6 +19,8 @@ answer, so its ends are those of the full bisection, bit for bit.
 
 import numpy as np
 
+from .lifting import LiftedBatchSystem, _periodic_response_into
+
 __all__ = [
     "time_reverse",
     "circulant_eigenvalues",
@@ -68,32 +70,47 @@ def diagonalization_residual(M):
 
     F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N).
     For a circulant M with first column c the diagonal is fft(c), the
-    frequency response at 2*pi*m/N for ``circulant_coefficients``. M must be
-    real, else ValueError: then F M F* is the conjugate of F* M F, which is
-    an FFT along the rows of M followed by an inverse FFT along its columns,
-    O(N^2 log N), and has the same magnitudes. Column N-q of F* M F is the
-    conjugate of column q with its rows taken in the order (-p) mod N, which
-    maps diagonal entries onto diagonal entries, so only the N//2 + 1
-    columns of a real FFT are transformed and the rest of the diagonal
-    follows by conjugate symmetry. Zero residual (to rounding) is specific
-    to circulant M; a generic symmetric matrix leaves a nonzero residual. M
-    must also be finite, else ValueError.
+    frequency response at 2*pi*m/N for ``circulant_coefficients``. M is
+    either a dense square matrix or a ``LiftedBatchSystem`` lb, which stands
+    for M = ``periodic_response_matrix(lb)`` and gives the same result bit
+    for bit. M must be real, else ValueError: then F M F* is the conjugate
+    of F* M F, which is an FFT along the rows of M followed by an inverse FFT
+    along its columns, O(N^2 log N), and has the same magnitudes. Column N-q
+    of F* M F is the conjugate of column q with its rows taken in the order
+    (-p) mod N, which maps diagonal entries onto diagonal entries, so only
+    the N//2 + 1 columns of a real FFT are transformed and the rest of the
+    diagonal follows by conjugate symmetry. Zero residual (to rounding) is
+    specific to circulant M; a generic symmetric matrix leaves a nonzero
+    residual. M must also be finite, else ValueError.
 
-    The workspace besides M is the N x (N//2 + 1) complex transform, about
-    one more N x N array of doubles, and the magnitudes of 256 of its rows
-    at a time.
+    The one N x N array allocated is the workspace that holds the
+    N x (N//2 + 1) complex transform, N (N + 2) doubles; the rest is O(N)
+    per row for 256 rows at a time. A dense M is read and left unchanged.
+    From lb, M is built in the first N doubles of each workspace row and
+    each block of 256 rows is transformed in place, so M and its transform
+    are never held side by side.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if np.iscomplexobj(M):
-        raise ValueError("expected a real matrix, got a complex one")
-    N = M.shape[0]
+    if isinstance(M, LiftedBatchSystem):
+        N = M.h.shape[0]
+    else:
+        M = np.asarray(M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        if np.iscomplexobj(M):
+            raise ValueError("expected a real matrix, got a complex one")
+        N = M.shape[0]
     if N == 0:
         raise ValueError("empty matrix: the residual needs N >= 1")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
-    T = np.fft.rfft(M, axis=1)
+    work = np.empty((N, 2 * (N // 2 + 1)))
+    T = work.view(complex)
+    if isinstance(M, LiftedBatchSystem):
+        M = _periodic_response_into(M, work[:, :N])
+    for i in range(0, N, _RESIDUAL_ROWS):
+        rows = M[i:i + _RESIDUAL_ROWS]
+        if not np.isfinite(rows).all():
+            raise ValueError("matrix has non-finite entries")
+        # where rows lie in the workspace, numpy copies just this block first
+        np.fft.rfft(rows, axis=1, out=T[i:i + _RESIDUAL_ROWS])
     np.fft.ifft(T, axis=0, out=T)
     q = np.arange(N // 2 + 1)
     half = T[q, q]

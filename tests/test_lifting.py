@@ -221,13 +221,16 @@ def test_periodic_response_of_unit_delay_is_cyclic_shift():
 
 
 def test_periodic_response_is_the_plain_sum_bit_for_bit():
-    # M is H X with J added in place: the same elementwise sum as H X + J
+    # M is H X with J added in place: the same elementwise sum as H X + J,
+    # in a C-contiguous array
     rng = np.random.default_rng(7)
     systems = [random_stable_statespace(rng) for _ in range(5)] + [slow_pole()]
     for ss, N in zip(systems, (1, 2, 17, 64, 300, 513)):
         lb = lift(ss, N)
         X = np.linalg.solve(np.eye(ss.n) - lb.F, lb.G)
-        assert np.array_equal(periodic_response_matrix(lb), lb.H @ X + lb.J)
+        M = periodic_response_matrix(lb)
+        assert M.flags.c_contiguous
+        assert np.array_equal(M, lb.H @ X + lb.J)
 
 
 def test_circulant_coefficients_of_static_gain():

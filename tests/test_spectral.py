@@ -153,6 +153,43 @@ class TestDiagonalization:
             with pytest.raises(ValueError, match="non-finite"):
                 diagonalization_residual(M)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
+    def test_lifted_system_matches_its_dense_matrix_bit_for_bit(self, N):
+        # from lb, M is built inside the FFT workspace and transformed in
+        # place; the result is that of the dense M, and the dense call
+        # leaves M as it was (the static gain has no state, so H X is empty)
+        rng = np.random.default_rng(N)
+        static_gain = tf_to_ss(RationalTransferFunction((1.8,), (1.0,)))
+        systems = [tf_to_ss(delayed_resonator()), slow_pole(), static_gain]
+        systems += [random_stable_statespace(rng) for _ in range(3)]
+        for ss in systems:
+            lb = lift(ss, N)
+            M = periodic_response_matrix(lb)
+            before = M.tobytes()
+            max_off, diag = diagonalization_residual(M)
+            assert M.tobytes() == before
+            lifted_max_off, lifted_diag = diagonalization_residual(lb)
+            assert np.float64(lifted_max_off).tobytes() == np.float64(max_off).tobytes()
+            assert lifted_diag.dtype == diag.dtype
+            assert lifted_diag.tobytes() == diag.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("field", ["H", "h"])
+    def test_non_finite_lifted_system_rejected(self, bad, row, field):
+        # the entry puts a non-finite value into the first or last row of M;
+        # at N = 600 the last block of rows is a partial one
+        lb = lift(random_stable_statespace(np.random.default_rng(6)), 600)
+        entries = {"H": lb.H.copy(), "h": lb.h.copy()}
+        # H[row] enters only that row of H X; h[0] is on the whole diagonal
+        # of J, h[-1] only in its last row
+        entries[field][row] = bad
+        broken = type(lb)(F=lb.F, G=lb.G, **entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                diagonalization_residual(broken)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty matrix"):
             diagonalization_residual(np.zeros((0, 0)))
