@@ -10,10 +10,13 @@ classical reset-based iteration it improves on is not run here, and
 ``spectral.max_gain_reset_based`` gives that baseline's model value.
 
 Each update holds its input until the output settles, for at most
-``_MAX_HOLD_BATCHES`` (10) batches: from the hold's second batch on, its last
-(at most four) batches go through one rule, ``_settled``, which accepts a
-batch that moved less than 1e-8 from the one before it, or else their
-extrapolated limit by Aitken's rule for one geometric transient mode.
+``_MAX_HOLD_BATCHES`` (10) batches: from the hold's second batch on, it
+accepts a batch that moved less than 1e-8 from the one before it, or else,
+from the fourth on, that batch's extrapolated limit by Aitken's rule for one
+geometric transient mode, once it agrees with the previous batch's. The
+hold carries its last output, the last two batch changes with their squared
+norms and its last limit from batch to batch, so each batch computes its
+norm, its change and that change's norm once and no limit is formed twice.
 The settle test, ``relative_batch_change``, is defined here next to it.
 One start rule waits out a dead time of whole batches: an output within
 1e-8 of the previous hold's readout is never accepted. The hold ends at the
@@ -31,7 +34,8 @@ no shift contribution.
 The plant contract. A plant is any object with a batch length ``N`` and an
 ``apply_batch(u)`` that returns a record with the batch index ``j`` and the
 measured output ``y``, a new array, and leaves ``u`` alone: a hold keeps
-references to its last four outputs, and an update record keeps both. The
+references to its last output and batch change, and an update record keeps
+both ``u`` and ``y``. The
 estimator reads nothing else from it, and the batch length of every
 iteration is the plant's ``N``. A run starts with the plant at rest, or
 settled on its start input ``init_input(N, rng_seed)``, as
@@ -42,7 +46,6 @@ the previous input's output as its own.
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -141,9 +144,12 @@ def init_input(n, rng_seed):
     return u * (np.sqrt(n) / np.linalg.norm(u))
 
 
-def _readouts(u, y, n):
-    # np.linalg.norm of a real 1-D array is exactly sqrt(y . y)
-    mu = math.sqrt(float(y @ y)) / math.sqrt(n)
+def _readouts(u, y, n, yy=None):
+    # mu and beta of one batch; yy, if given, is y . y (np.linalg.norm of a
+    # real 1-D array is exactly sqrt(y . y))
+    if yy is None:
+        yy = float(y @ y)
+    mu = math.sqrt(yy) / math.sqrt(n)
     beta = float(u @ time_reverse(y) / n)
     return mu, beta
 
@@ -158,74 +164,79 @@ def relative_batch_change(y_prev, y_curr):
                             np.asarray(y_curr, dtype=float).reshape(-1))
 
 
-def _relative_change(y_prev, y_curr):
+def _relative_change(y_prev, y_curr, yy=None):
     # relative_batch_change of two flat float64 arrays, which is what every
-    # held batch and Aitken limit is: sqrt(v . v) is the float
-    # np.linalg.norm gives, without its per-call overhead
+    # held batch and Aitken limit is; yy, if given, is y_curr . y_curr
     d = y_curr - y_prev
-    scale = math.sqrt(float(y_curr @ y_curr))
-    diff = math.sqrt(float(d @ d))
+    return _ratio(float(d @ d), float(y_curr @ y_curr) if yy is None else yy)
+
+
+def _ratio(dd, yy):
+    # sqrt(dd) / sqrt(yy) for the squared norms of a change and of its batch:
+    # the float np.linalg.norm gives, without its per-call overhead
+    diff, scale = math.sqrt(dd), math.sqrt(yy)
     if scale == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / scale
 
 
-def _aitken(y0, y1, y2):
-    # limit y2 + d r / (1 - r) of a geometric mode with contraction r, or None
-    d_prev, d = y1 - y0, y2 - y1
-    if not d_prev.any():
+def _limit(y, d, d_prev, dd_prev):
+    # Aitken's limit y + d r / (1 - r) of a batch y whose change d follows
+    # d_prev, with r = d . d_prev / ||d_prev||^2; None unless -1 < r < 1
+    if dd_prev == 0.0:
         return None
-    r = float(d @ d_prev) / float(d_prev @ d_prev)
-    return y2 + d * (r / (1.0 - r)) if -1.0 < r < 1.0 else None
-
-
-def _settled(window, tol):
-    """The settled output of a held input from its last outputs, or None.
-
-    ``window`` holds the last (at most four) outputs of one hold, oldest
-    first. The last batch is accepted as measured once its
-    relative_batch_change is below ``tol``. Otherwise each run of three
-    batches is extrapolated to its limit y_j + d_j r / (1 - r), where d_j is
-    the last batch change and r = d_j . d_{j-1} / ||d_{j-1}||^2 its
-    contraction (Aitken's rule, exact for a single geometric transient
-    mode); only -1 < r < 1 gives a limit, and the last limit is accepted
-    when the one before it agrees to ``tol``.
-    """
-    if len(window) > 1 and _relative_change(window[-2], window[-1]) < tol:
-        return window[-1]
-    if len(window) < 4:
-        return None
-    y0, y1, y2, y3 = window[-4], window[-3], window[-2], window[-1]
-    prev_limit, limit = _aitken(y0, y1, y2), _aitken(y1, y2, y3)
-    if prev_limit is None or limit is None or _relative_change(prev_limit, limit) >= tol:
-        return None
-    return limit
+    r = float(d @ d_prev) / dd_prev
+    return y + d * (r / (1.0 - r)) if -1.0 < r < 1.0 else None
 
 
 def _hold(plant, u, cap, prev, on_batch=None):
     """Apply ``u`` until its output settles or ``cap`` batches have run.
 
-    After each batch the hold's last (at most four) outputs go through
-    ``_settled``, which can accept from the second batch on. An output
-    within the settle tolerance of ``prev``, the previous hold's readout
-    (rest before a run's first hold, by the plant contract), is not
-    accepted: a dead time of whole batches still shows it and is waited out.
-    Only the window is kept; ``on_batch``, if given, sees every batch record
-    as it arrives. Returns (y, change): the settled or extrapolated output
-    and None, or, for a hold that did not settle, its last batch and that
+    From the second batch on, a batch is accepted as measured once its
+    relative_batch_change is below 1e-8. Otherwise, from the fourth on, the
+    batch is extrapolated to its limit y_j + d_j r / (1 - r), where d_j is
+    its change and r = d_j . d_{j-1} / ||d_{j-1}||^2 the contraction
+    (Aitken's rule, exact for a single geometric transient mode), and the
+    limit is accepted when the previous batch's agrees with it to 1e-8. An
+    output within 1e-8 of ``prev``, the previous hold's readout (rest
+    before a run's first hold, by the plant contract), is not accepted: a
+    dead time of whole batches still shows it and is waited out.
+
+    The hold carries its last output, the last two batch changes with their
+    squared norms, and its last Aitken limit, so each batch computes ||y||^2,
+    its change and that change's ||d||^2 once and no limit is formed twice.
+    ``on_batch``, if given, sees every batch record and its ||y||^2 as they
+    arrive. Returns (y, change): the settled or extrapolated output and
+    None, or, for a hold that did not settle, its last batch and that
     batch's relative_batch_change. ``cap`` is at least 2.
     """
-    window = deque(maxlen=4)
-    for _ in range(cap):
+    y = d1 = dd1 = d2 = dd2 = limit = limit_at = None
+    for k in range(cap):
         record = plant.apply_batch(u)
+        y_last, y = y, record.y
+        yy = float(y @ y)
         if on_batch is not None:
-            on_batch(record)
-        window.append(record.y)
-        settled = _settled(window, _SETTLE_TOL)
-        if settled is not None and _relative_change(prev, settled) >= _SETTLE_TOL:
-            return settled, None
-    y = window[-1]
-    return y, _relative_change(window[-2], y)
+            on_batch(record, yy)
+        if k == 0:
+            continue
+        d = y - y_last
+        dd = float(d @ d)
+        change = _ratio(dd, yy)
+        readout = None
+        if change < _SETTLE_TOL:
+            readout = y
+        elif k >= 3:
+            # batch k - 1 formed its limit unless it was accepted as measured
+            prev_limit = limit if limit_at == k - 1 else _limit(y_last, d1, d2, dd2)
+            limit, limit_at = _limit(y, d, d1, dd1), k
+            if prev_limit is not None and limit is not None:
+                ll = float(limit @ limit)
+                if _relative_change(prev_limit, limit, ll) < _SETTLE_TOL:
+                    readout, yy = limit, ll
+        if readout is not None and _relative_change(prev, readout, yy) >= _SETTLE_TOL:
+            return readout, None
+        d2, dd2, d1, dd1 = d1, dd1, d, dd
+    return y, change
 
 
 def iterate_reset_free(plant, config):
@@ -256,10 +267,10 @@ def iterate_reset_free(plant, config):
     beta_prev = last = None
     y = np.zeros(n)
 
-    def on_batch(record):
+    def on_batch(record, yy):
         nonlocal last
         last = record.y
-        trace.rows.append((update, record.j, *_readouts(u, last, n)))
+        trace.rows.append((update, record.j, *_readouts(u, last, n, yy)))
 
     for update in range(1, config.max_updates + 1):
         y, _ = _hold(plant, u, _MAX_HOLD_BATCHES, y, on_batch)
@@ -272,7 +283,7 @@ def iterate_reset_free(plant, config):
             break
         beta_prev = beta
         z = time_reverse(y) + shift * u
-        z_norm = float(np.linalg.norm(z))
+        z_norm = math.sqrt(float(z @ z))
         if z_norm == 0.0:
             raise EstimationError(
                 "update vector vanished: the reversed response exactly cancels "
@@ -287,7 +298,7 @@ def select_shift(plant, n, rng_seed=0):
 
     Holds ``init_input(n, rng_seed)`` through ``_hold``, starting at rest by
     the plant contract, and returns the gain ||y|| / ||u|| of its readout.
-    The input is held until ``_settled`` accepts (a batch that moved less
+    The input is held until ``_hold`` accepts (a batch that moved less
     than 1e-8, relative, from the one before, or two extrapolated limits
     that agree to 1e-8), or for 10,000 batches past the first, after which
     it warns and uses the last batch. Every rule is

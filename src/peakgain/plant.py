@@ -25,10 +25,13 @@ settled kind.
 An experiment holds one input until its output settles, so the session
 remembers the last input it applied by its float64 bytes, validates a new
 input once and computes its own output term once: M u when settled, else
-J u. A settled batch returns a copy of that term. A transient also
-computes G u once per input and runs y = H x + J u, x = F x + G u on every
-batch. Noise, if any, is drawn for every batch. The tests check both kinds
-bit for bit against references that recompute every batch from scratch.
+[J u; G u]. A settled batch returns a copy of that term. A transient
+stores H over F as one (N + n) x n array, so each batch is one product
+z = [H; F] x plus that term, whose first N entries are the output and
+whose last n the next state; the output is a view of the fresh z, which
+the state never shares. Noise, if any, is drawn for every batch. The tests
+check both kinds bit for bit against references that recompute every batch
+from scratch, with separate products H x and F x.
 When an output has settled is the estimator's question, not the plant's:
 the settle test, ``relative_batch_change``, lives in ``estimator``.
 """
@@ -92,14 +95,14 @@ class PlantSession:
             self._c_bins = np.fft.rfft(circulant_coefficients(ss, N))
         else:
             lb = lift(ss, N)
-            self._F, self._G, self._H = lb.F, lb.G, lb.H
+            self._HF, self._G = np.vstack((lb.H, lb.F)), lb.G
             # None when J is zero, as for a dead time of N samples or more
             self._h = lb.h if lb.h.any() else None
         self._x = x
         self._noise = noise
-        # the held input: its float64 bytes, its own output term (M u or
-        # J u) and, for a transient only, G u (else None)
-        self._held = self._yu = self._Gu = None
+        # the held input: its float64 bytes and its own term, M u when
+        # settled, else J u stacked over G u
+        self._held = self._term = None
         self.N = N
         self.mode = mode
         self.batch_counter = 0
@@ -112,21 +115,19 @@ class PlantSession:
             u = _samples(u, self.N, "input batch")
             self._held = held
             if self._c_bins is not None:
-                self._yu = np.fft.irfft(self._c_bins * np.fft.rfft(u), self.N)
+                self._term = np.fft.irfft(self._c_bins * np.fft.rfft(u), self.N)
             else:
-                if self._h is None:
-                    self._yu = np.zeros(self.N)
-                else:
-                    self._yu = np.convolve(self._h, u)[: self.N]
-                self._Gu = self._G @ u
+                Ju = np.zeros(self.N) if self._h is None else np.convolve(self._h, u)[: self.N]
+                self._term = np.concatenate((Ju, self._G @ u))
         # drawn before the state moves, so a bad draw leaves the session as it was
         noise = None if self._noise is None else _samples(
             self._noise(self.N), self.N, "noise draw")
-        if self._Gu is None:
-            y = self._yu.copy()
+        if self._c_bins is not None:
+            y = self._term.copy()
         else:
-            y = self._H @ self._x + self._yu
-            self._x = self._F @ self._x + self._Gu
+            z = self._HF @ self._x
+            z += self._term
+            y, self._x = z[: self.N], z[self.N:]
         if noise is not None:
             y = y + noise
         record = BatchRecord(j=self.batch_counter, y=y)

@@ -42,7 +42,7 @@ _IMAG_TOL = 1e-10
 _EPS = np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)
 # rows of F* M F whose magnitudes diagonalization_residual takes at once
-_RESIDUAL_ROWS = 256
+_RESIDUAL_ROWS = 64
 
 
 def time_reverse(v):
@@ -85,9 +85,9 @@ def diagonalization_residual(M):
 
     The one N x N array allocated is the workspace that holds the
     N x (N//2 + 1) complex transform, N (N + 2) doubles; the rest is O(N)
-    per row for 256 rows at a time. A dense M is read and left unchanged.
+    per row for 64 rows at a time. A dense M is read and left unchanged.
     From lb, M is built in the first N doubles of each workspace row and
-    each block of 256 rows is transformed in place, so M and its transform
+    each block of 64 rows is transformed in place, so M and its transform
     are never held side by side.
     """
     if isinstance(M, LiftedBatchSystem):

@@ -621,8 +621,14 @@ class TestSharedReadouts:
         "demo-50-seed7": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=7)),
         "demo-256": (lambda: demo_session(256), dict(CLI_CONFIG, rng_seed=1)),
         "demo-25": (lambda: demo_session(25), dict(CLI_CONFIG, rng_seed=0)),
+        # a dead time of four or more whole batches: the start rule rejects
+        # measured batches before any limit is formed
+        "demo-12": (lambda: demo_session(12), dict(CLI_CONFIG, rng_seed=0)),
         "slow-pole": (lambda: new_session(slow_pole(), 50, RESET_FREE),
                       dict(CLI_CONFIG, rng_seed=3)),
+        # two slow modes: limits are formed and rejected, and holds run to the cap
+        "two-slow-poles": (lambda: new_session(two_slow_poles(), 50, RESET_FREE),
+                           dict(CLI_CONFIG, rng_seed=0)),
         "settled": (lambda: demo_session(50, settled=True),
                     dict(convergence_tol=1e-9, rng_seed=2)),
         "noise": (lambda: noisy_demo_session(50),
@@ -714,20 +720,32 @@ def settled_error(ss, N, record):
     return float(np.linalg.norm(record.y - settled) / np.linalg.norm(settled))
 
 
+def scripted_hold(outputs, prev=None):
+    """Hold one input on a plant that returns ``outputs`` in turn, capped at their count.
+
+    ``prev`` is the previous readout, rest if None. Returns the hold's
+    (y, change) and the number of batches it applied.
+    """
+    batches = iter(outputs)
+    plant = RecordingPlant(lambda u: next(batches), len(outputs[0]))
+    prev = np.zeros(plant.N) if prev is None else prev
+    y, change = estimator._hold(plant, np.ones(plant.N), len(outputs), prev)
+    return y, change, plant.batch_counter
+
+
 class TestSettledReadout:
-    """A hold whose last batch still moves is read out through ``_settled``."""
+    """A hold whose last batch still moves is read out by Aitken's rule in ``_hold``."""
 
     def test_settled_batch_is_returned_as_measured(self):
         y = np.array([1.0, 2.0, 3.0])
-        window = [y + 1.0, y + 1e-3, y * (1.0 + 1e-12), y]
-        assert estimator._settled(window, 1e-8) is y
+        held, change, batches = scripted_hold([y + 1.0, y + 1e-3, y * (1.0 + 1e-12), y])
+        assert held is y and change is None and batches == 4
 
     @pytest.mark.parametrize("r", [0.999, 0.5, -0.5, -0.999])
     def test_one_geometric_mode_is_extrapolated_to_its_limit(self, r):
         s, a = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.2])
-        window = [s + a * r**j for j in range(4)]
-        limit = estimator._settled(window, 1e-8)
-        assert limit is not None
+        limit, change, batches = scripted_hold([s + a * r**j for j in range(4)])
+        assert change is None and batches == 4
         # the batch changes lose digits to cancellation: r / (1 - r) scales
         # their rounding up to about 1e3 at r = 0.999
         assert np.abs(limit - s).max() < 1e-10
@@ -736,9 +754,30 @@ class TestSettledReadout:
         s = np.array([1.0, -2.0, 0.5])
         a, b = np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.2, 0.0])
         window = [s + a * 0.9**j + b * 0.5**j for j in range(4)]
-        assert estimator._settled(window, 1e-8) is None
-        assert estimator._settled(window[1:], 1e-8) is None
-        assert estimator._settled(window[:1], 1e-8) is None
+        # one geometric mode over three batches gives one limit, with none to agree with
+        single = [s + a * 0.5**j for j in range(3)]
+        for outputs in (window, window[1:], window[:2], single):
+            y, change, batches = scripted_hold(outputs)
+            assert y is outputs[-1] and change > 1e-8 and batches == len(outputs)
+
+    def test_a_limit_is_carried_only_from_the_batch_before(self):
+        # y3's limit is rejected, as y2 has none; y4 is settled but within
+        # 1e-8 of prev, so the hold forms no limit for it; y5's limit equals
+        # y3's to 1e-9, yet it must be compared with y4's, which is y4 itself
+        # and far from it. y6 repeats y5 and is the readout.
+        prev, c, delta = np.array([1.0, 2.0, 3.0, 4.0]), 1e-3, 1e-9
+        e0 = np.array([1.0, 0.0, 0.0, 0.0])
+        d1, d2, d3 = e0 * (c / 1.8), e0 * (c / 0.9), e0 * c
+        y3 = prev.copy()
+        y2 = y3 - d3
+        y1 = y2 - d2
+        y0 = y1 - d1
+        y4 = prev + np.array([0.0, 0.0, 0.0, delta])
+        y5 = y3 + d3 * 9.0
+        y5[3] = y4[3]
+        outputs = [y0, y1, y2, y3, y4, y5, y5.copy()]
+        y, change, batches = scripted_hold(outputs, prev)
+        assert y is outputs[-1] and change is None and batches == 7
 
     def test_zero_output_is_read_out_like_any_other(self):
         # one start rule: an output within 1e-8 of the previous readout is

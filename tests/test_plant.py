@@ -210,8 +210,11 @@ def apply_both(session, reference, u):
 
 @pytest.mark.parametrize(
     "plant, N, batches",
-    [(demo_plant, 50, 40), (demo_plant, 256, 20), (slow_pole, 50, 8000)],
-    ids=["demo-N50", "demo-N256", "slow-N50"],
+    # N + n of the 52-state demo at N = 25 and 51 is 77 and 103, not a
+    # multiple of 4, so the stacked product's remainder rows are covered
+    [(demo_plant, 25, 40), (demo_plant, 50, 40), (demo_plant, 51, 40),
+     (demo_plant, 256, 20), (slow_pole, 50, 8000)],
+    ids=["demo-N25", "demo-N50", "demo-N51", "demo-N256", "slow-N50"],
 )
 def test_held_input_is_bitwise_the_reference(plant, N, batches):
     session, reference = twin_sessions(plant(), N)
