@@ -25,6 +25,14 @@ trace row and update record carry, is the settled or extrapolated output,
 else its last batch. The shift probe and every update hold through this one
 loop, ``_hold``, the estimator's only contact with the plant.
 
+Every dot product of a batch, ||y||^2, ||d||^2 and d . d_prev in the hold,
+||limit||^2, the readout's u . reverse(y) and each update's ||z||^2, is
+``ndarray.dot`` rather than ``@``: both call the same BLAS routine, but
+``@`` dispatches through the matmul ufunc first, which on short batches
+costs more than the product. The two agree bit for bit on contiguous
+operands, which is all they get here (reverse(y) is copied first), but not
+on a negatively strided view.
+
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
 converged input this equals the dominant eigenvalue exactly; the shift steers
@@ -32,8 +40,9 @@ the iteration but never enters the readout, since the measured output contains
 no shift contribution.
 
 The plant contract. A plant is any object with a batch length ``N`` and an
-``apply_batch(u)`` that returns a record with the batch index ``j`` and the
-measured output ``y``, a new array, and leaves ``u`` alone: a hold keeps
+``apply_batch(u)`` that returns a record read by position, the pair
+(``j``, ``y``) of the batch index and the measured output, a new array
+(``plant.BatchRecord`` is one), and leaves ``u`` alone: a hold keeps
 references to its last output and batch change, and an update record keeps
 both ``u`` and ``y``. The
 estimator reads nothing else from it, and the batch length of every
@@ -144,31 +153,21 @@ def init_input(n, rng_seed):
     return u * (np.sqrt(n) / np.linalg.norm(u))
 
 
-def _readouts(u, y, n, yy=None):
-    # mu and beta of one batch; yy, if given, is y . y (np.linalg.norm of a
-    # real 1-D array is exactly sqrt(y . y))
-    if yy is None:
-        yy = float(y @ y)
-    mu = math.sqrt(yy) / math.sqrt(n)
-    beta = float(u @ time_reverse(y) / n)
-    return mu, beta
-
-
 def relative_batch_change(y_prev, y_curr):
     """Relative change ||y_curr - y_prev|| / ||y_curr|| between two batch outputs.
 
-    Both are flattened to float64 first. Two zero batches give 0.0, and a
-    zero y_curr after a nonzero y_prev gives inf.
+    Both are flattened to contiguous float64 first. Two zero batches give
+    0.0, and a zero y_curr after a nonzero y_prev gives inf.
     """
-    return _relative_change(np.asarray(y_prev, dtype=float).reshape(-1),
-                            np.asarray(y_curr, dtype=float).reshape(-1))
+    return _relative_change(np.ascontiguousarray(y_prev, dtype=float).reshape(-1),
+                            np.ascontiguousarray(y_curr, dtype=float).reshape(-1))
 
 
 def _relative_change(y_prev, y_curr, yy=None):
-    # relative_batch_change of two flat float64 arrays, which is what every
-    # held batch and Aitken limit is; yy, if given, is y_curr . y_curr
+    # relative_batch_change of two flat contiguous float64 arrays, which is
+    # what every held batch and Aitken limit is; yy, if given, is y_curr . y_curr
     d = y_curr - y_prev
-    return _ratio(float(d @ d), float(y_curr @ y_curr) if yy is None else yy)
+    return _ratio(float(d.dot(d)), float(y_curr.dot(y_curr)) if yy is None else yy)
 
 
 def _ratio(dd, yy):
@@ -185,7 +184,7 @@ def _limit(y, d, d_prev, dd_prev):
     # d_prev, with r = d . d_prev / ||d_prev||^2; None unless -1 < r < 1
     if dd_prev == 0.0:
         return None
-    r = float(d @ d_prev) / dd_prev
+    r = float(d.dot(d_prev)) / dd_prev
     return y + d * (r / (1.0 - r)) if -1.0 < r < 1.0 else None
 
 
@@ -213,14 +212,14 @@ def _hold(plant, u, cap, prev, on_batch=None):
     y = d1 = dd1 = d2 = dd2 = limit = limit_at = None
     for k in range(cap):
         record = plant.apply_batch(u)
-        y_last, y = y, record.y
-        yy = float(y @ y)
+        y_last, y = y, record[1]
+        yy = float(y.dot(y))
         if on_batch is not None:
             on_batch(record, yy)
         if k == 0:
             continue
         d = y - y_last
-        dd = float(d @ d)
+        dd = float(d.dot(d))
         change = _ratio(dd, yy)
         readout = None
         if change < _SETTLE_TOL:
@@ -230,7 +229,7 @@ def _hold(plant, u, cap, prev, on_batch=None):
             prev_limit = limit if limit_at == k - 1 else _limit(y_last, d1, d2, dd2)
             limit, limit_at = _limit(y, d, d1, dd1), k
             if prev_limit is not None and limit is not None:
-                ll = float(limit @ limit)
+                ll = float(limit.dot(limit))
                 if _relative_change(prev_limit, limit, ll) < _SETTLE_TOL:
                     readout, yy = limit, ll
         if readout is not None and _relative_change(prev, readout, yy) >= _SETTLE_TOL:
@@ -263,19 +262,21 @@ def iterate_reset_free(plant, config):
 
     trace = EstimateTrace()
     u = init_input(n, config.rng_seed)
-    sqrt_n = np.sqrt(n)
+    sqrt_n = math.sqrt(n)
     beta_prev = last = None
     y = np.zeros(n)
 
     def on_batch(record, yy):
+        # mu = sqrt(y . y) / sqrt(N), the float np.linalg.norm(y) / sqrt(N)
+        # gives, and beta = u . reverse(y) / N
         nonlocal last
-        last = record.y
-        trace.rows.append((update, record.j, *_readouts(u, last, n, yy)))
+        j, last = record
+        trace.rows.append((update, j, math.sqrt(yy) / sqrt_n, float(u.dot(last[::-1].copy())) / n))
 
     for update in range(1, config.max_updates + 1):
         y, _ = _hold(plant, u, _MAX_HOLD_BATCHES, y, on_batch)
-        if y is not last:  # an extrapolated readout
-            trace.rows[-1] = (update, trace.rows[-1][1], *_readouts(u, y, n))
+        if y is not last:  # an extrapolated readout replaces the hold's last row
+            on_batch((trace.rows.pop()[1], y), float(y.dot(y)))
         mu, beta = trace.rows[-1][2:]
         trace.updates.append(UpdateRecord(u, y, mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
@@ -283,7 +284,7 @@ def iterate_reset_free(plant, config):
             break
         beta_prev = beta
         z = time_reverse(y) + shift * u
-        z_norm = math.sqrt(float(z @ z))
+        z_norm = math.sqrt(float(z.dot(z)))
         if z_norm == 0.0:
             raise EstimationError(
                 "update vector vanished: the reversed response exactly cancels "

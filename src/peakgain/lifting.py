@@ -14,8 +14,12 @@ h fixes J, so ``lift`` keeps h and J is only an O(N) view; the dense
 
 All of these walk one Krylov sequence v, A v, A^2 v, ... (v = B, w or, for
 H, C with A transposed) through one helper. Its first 512 steps are one
-A @ v each, so up to that length every result is the plain sequential
-recursion bit for bit. Later steps go 512 rows at a time as one matrix
+``A.dot(v)`` each, and the Markov parameters one ``C.dot(row)`` each, so up
+to that length every result is the plain sequential recursion with ``@``
+bit for bit: ``ndarray.dot`` calls the same BLAS routine on these
+contiguous operands (A transposed is Fortran-ordered, which BLAS takes as
+is) without the matmul ufunc's dispatch, which costs more than a product
+with a few dozen states. Later steps go 512 rows at a time as one matrix
 product with the rounded A^512, which is O(N n^2) like the sequential loop
 but runs as BLAS-3. Reusing that power makes the error grow like the
 number of 512-step blocks the response lasts times eps: at 100,002 terms
@@ -96,13 +100,13 @@ def lift(ss, N):
 
 def _krylov(A, v, count):
     # the rows v, A v, ..., A^(count-1) v in consecutive blocks of at most
-    # _BLOCK rows: the first takes one A @ v per row, each later one is a
+    # _BLOCK rows: the first takes one A.dot(v) per row, each later one is a
     # single product of the block before it with (A^_BLOCK)^T (see the
     # module docstring for what that costs in accuracy)
     block = np.empty((min(count, _BLOCK), v.shape[0]))
     block[0] = v
     for k in range(1, block.shape[0]):
-        block[k] = A @ block[k - 1]
+        block[k] = A.dot(block[k - 1])
     yield block
     if count > _BLOCK:
         step = np.linalg.matrix_power(A, _BLOCK).T
@@ -114,7 +118,7 @@ def _krylov(A, v, count):
 def _markov(blocks, C, D, count):
     # the first count Markov parameters D, C v, C A v, ... from the Krylov
     # row blocks of (A, v), which hold at least count - 1 rows. The first
-    # block takes one C @ row dot per row, as the sequential recursion does,
+    # block takes one C.dot(row) per row, as the sequential recursion does,
     # and each later block one product. Blocks are consumed as they come, so
     # a generator never has more than two of them alive.
     h = np.empty(count)
@@ -124,7 +128,7 @@ def _markov(blocks, C, D, count):
         rows = rows[: count - k]
         if k == 1:
             for row in rows:
-                h[k] = C @ row
+                h[k] = C.dot(row)
                 k += 1
         else:
             h[k:k + rows.shape[0]] = rows @ C

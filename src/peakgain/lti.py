@@ -244,14 +244,25 @@ def freq_response(sys, omega):
         vals = zi**sys.delay * numv / denv
     elif isinstance(sys, StateSpace):
         vals = np.empty(om.shape, dtype=complex)
-        eye = np.eye(sys.n)
-        Bc = sys.B.astype(complex)
+        response = _ss_response(sys)
         for i, w in enumerate(om):
-            z = complex(math.cos(w), math.sin(w))
-            vals[i] = sys.D + sys.C @ np.linalg.solve(z * eye - sys.A, Bc)
+            vals[i] = response(w)
     else:
         raise TypeError(f"unsupported system type {type(sys).__name__}")
     return complex(vals[0]) if scalar else vals
+
+
+def _ss_response(sys):
+    # w -> D + C (e^{jw} I - A)^-1 B for a StateSpace and one finite float w,
+    # with the identity and the complex B built once for all calls
+    eye = np.eye(sys.n)
+    Bc = sys.B.astype(complex)
+
+    def response(w):
+        z = complex(math.cos(w), math.sin(w))
+        return sys.D + sys.C @ np.linalg.solve(z * eye - sys.A, Bc)
+
+    return response
 
 
 def hinf_peak(sys, grid_size=100001):
@@ -283,11 +294,15 @@ def hinf_peak(sys, grid_size=100001):
         from .lifting import circulant_coefficients  # lifting imports this module
 
         mag = np.abs(np.fft.rfft(circulant_coefficients(sys, N)))
+        response = _ss_response(sys)
     else:
         mag = np.abs(freq_response(sys, om))
 
+        def response(w):
+            return freq_response(sys, w)
+
     def f(w):
-        return abs(freq_response(sys, float(w)))
+        return abs(complex(response(w)))
 
     best_w = float(om[int(np.argmax(mag))])
     best = f(best_w)

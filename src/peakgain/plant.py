@@ -25,11 +25,15 @@ settled kind.
 An experiment holds one input until its output settles, so the session
 remembers the last input it applied by its float64 bytes, validates a new
 input once and computes its own output term once: M u when settled, else
-[J u; G u]. A settled batch returns a copy of that term. A transient
+[J u; G u]. Handed again the very 1-D float64 array it was given last, it
+skips the conversion to a flat float64 array but still compares the bytes.
+A settled batch returns a copy of that term. A transient
 stores H over F as one (N + n) x n array, so each batch is one product
 z = [H; F] x plus that term, whose first N entries are the output and
 whose last n the next state; the output is a view of the fresh z, which
-the state never shares. Noise, if any, is drawn for every batch. The tests
+the state never shares. The product is ``ndarray.dot``, not ``@``: the
+same BLAS routine on the same contiguous operands, bit for bit, without
+the matmul ufunc's dispatch. Noise, if any, is drawn for every batch. The tests
 check both kinds bit for bit against references that recompute every batch
 from scratch, with separate products H x and F x.
 When an output has settled is the estimator's question, not the plant's:
@@ -52,6 +56,8 @@ __all__ = [
 
 # the one session mode: the plant is never reset between batches
 RESET_FREE = "reset-free"
+# the dtype of an input array that is its own flat float64 form
+_FLOAT64 = np.dtype(np.float64)
 
 
 class BatchRecord(NamedTuple):
@@ -101,15 +107,23 @@ class PlantSession:
         self._x = x
         self._noise = noise
         # the held input: its float64 bytes and its own term, M u when
-        # settled, else J u stacked over G u
-        self._held = self._term = None
+        # settled, else J u stacked over G u; and the 1-D float64 array given
+        # last, if it was one
+        self._held = self._term = self._given = None
         self.N = N
         self.mode = mode
         self.batch_counter = 0
 
     def apply_batch(self, u):
         """Apply one length-N input batch and return the measured record."""
-        u = np.asarray(u, dtype=float).reshape(-1)
+        # the 1-D float64 array given last is its own flat form unless its
+        # dtype was set in place since; its bytes are compared all the same,
+        # as its values may have changed in place
+        if u is not self._given or u.dtype is not _FLOAT64:
+            given, u = u, np.asarray(u, dtype=float)
+            if u.ndim != 1:
+                u = u.reshape(-1)
+            self._given = given if u is given else None
         held = u.tobytes()
         if held != self._held:
             u = _samples(u, self.N, "input batch")
@@ -125,12 +139,12 @@ class PlantSession:
         if self._c_bins is not None:
             y = self._term.copy()
         else:
-            z = self._HF @ self._x
+            z = self._HF.dot(self._x)
             z += self._term
             y, self._x = z[: self.N], z[self.N:]
         if noise is not None:
             y = y + noise
-        record = BatchRecord(j=self.batch_counter, y=y)
+        record = BatchRecord(self.batch_counter, y)
         self.batch_counter += 1
         return record
 

@@ -229,6 +229,8 @@ def _lanczos_gain(column):
     max_steps = _LANCZOS_ROUNDS * round_steps
     for k in range(1, max_steps + 1):
         w = np.fft.irfft(kernel * np.fft.rfft(q, size), size)[N - 1::-1]
+        # w is a reversed view, on which .dot and @ round differently; @ keeps
+        # the reported gains as they were
         alpha = float(q @ w)
         w -= alpha * q
         w -= beta * q_prev

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from peakgain import (
     time_reverse,
 )
 from peakgain import estimator
-from peakgain.estimator import UpdateRecord, _readouts, init_input
+from peakgain.estimator import UpdateRecord, init_input
 from peakgain.lti import _samples
 from peakgain.plant import BatchRecord
 
@@ -189,7 +190,7 @@ class ReferenceTrace(EstimateTrace):
 
 
 def iterate_reading_every_batch(plant, config, reset_based=False):
-    """Reference power iteration: one plain loop per hold, ``_readouts`` on every batch.
+    """Reference power iteration: one plain loop per hold, ``readouts`` on every batch.
 
     Reset-free with the estimator's hold cap, ``_MAX_HOLD_BATCHES`` as it
     stands at the call, and the config's shift (None probes), or the
@@ -216,13 +217,13 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
         for _ in range(hold):
             record = plant.apply_batch(u)
             outputs.append(record.y)
-            trace.rows.append((update, record.j, *_readouts(u, record.y, n)))
+            trace.rows.append((update, record.j, *readouts(u, record.y)))
             y = end_of_hold_readout(outputs)
             if y is not None and relative_batch_change(previous, y) >= 1e-8:
                 break
         else:
             y = record.y
-        mu, beta = _readouts(u, y, n)
+        mu, beta = readouts(u, y)
         trace.rows[-1] = (update, record.j, mu, beta)
         trace.updates.append(UpdateRecord(u.copy(), y.copy(), mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
@@ -239,6 +240,16 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
             break
         u = z * (sqrt_n / z_norm)
     return trace
+
+
+def readouts(u, y):
+    """mu = ||y|| / sqrt(N) and beta = u . reverse(y) / N of one batch, through ``@``.
+
+    The estimator computes both with ``ndarray.dot``; the traces are compared
+    bit for bit, so this checks ``.dot`` against ``@`` on every batch.
+    """
+    n = y.shape[0]
+    return math.sqrt(float(y @ y)) / math.sqrt(n), float(u @ time_reverse(y)) / n
 
 
 def hold_blocks(trace, per_batch):

@@ -610,22 +610,26 @@ CLI_CONFIG = dict(convergence_tol=1e-4)
 class TestSharedReadouts:
     """The estimator's traces equal those of the plain reference loop.
 
-    The reference holds each input in a loop of its own and calls
-    ``_readouts`` on every batch; the traces must agree bit for bit, batch
-    indices and hold extents included. The plants are opened twice, so both
-    loops see the same outputs.
+    The reference holds each input in a loop of its own and computes every
+    batch's readouts with ``@`` where the estimator uses ``ndarray.dot``; the
+    traces must agree bit for bit, batch indices and hold extents included.
+    The plants are opened twice, so both loops see the same outputs.
     """
 
     CASES = {
         "demo-50-seed0": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=0)),
         "demo-50-seed7": (lambda: demo_session(50), dict(CLI_CONFIG, rng_seed=7)),
         "demo-256": (lambda: demo_session(256), dict(CLI_CONFIG, rng_seed=1)),
+        # the largest BLAS shapes: a 2100 x 52 plant product and length-2048 dots
+        "demo-2048": (lambda: demo_session(2048), dict(CLI_CONFIG, rng_seed=0, max_updates=2)),
         "demo-25": (lambda: demo_session(25), dict(CLI_CONFIG, rng_seed=0)),
         # a dead time of four or more whole batches: the start rule rejects
         # measured batches before any limit is formed
         "demo-12": (lambda: demo_session(12), dict(CLI_CONFIG, rng_seed=0)),
         "slow-pole": (lambda: new_session(slow_pole(), 50, RESET_FREE),
                       dict(CLI_CONFIG, rng_seed=3)),
+        "slow-pole-256": (lambda: new_session(slow_pole(), 256, RESET_FREE),
+                          dict(CLI_CONFIG, rng_seed=0)),
         # two slow modes: limits are formed and rejected, and holds run to the cap
         "two-slow-poles": (lambda: new_session(two_slow_poles(), 50, RESET_FREE),
                            dict(CLI_CONFIG, rng_seed=0)),

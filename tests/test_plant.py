@@ -213,8 +213,8 @@ def apply_both(session, reference, u):
     # N + n of the 52-state demo at N = 25 and 51 is 77 and 103, not a
     # multiple of 4, so the stacked product's remainder rows are covered
     [(demo_plant, 25, 40), (demo_plant, 50, 40), (demo_plant, 51, 40),
-     (demo_plant, 256, 20), (slow_pole, 50, 8000)],
-    ids=["demo-N25", "demo-N50", "demo-N51", "demo-N256", "slow-N50"],
+     (demo_plant, 256, 20), (demo_plant, 2048, 8), (slow_pole, 50, 8000)],
+    ids=["demo-N25", "demo-N50", "demo-N51", "demo-N256", "demo-N2048", "slow-N50"],
 )
 def test_held_input_is_bitwise_the_reference(plant, N, batches):
     session, reference = twin_sessions(plant(), N)
@@ -245,6 +245,10 @@ def test_input_mutated_in_place_is_recomputed(settled):
             u *= change
         for _ in range(10):
             apply_both(session, reference, u)
+    # the same array with its dtype set in place: the bytes are as held, the values are not
+    u.dtype = np.int64
+    for _ in range(2):
+        apply_both(session, reference, u)
 
 
 @KINDS
