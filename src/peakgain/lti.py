@@ -28,6 +28,11 @@ _STABLE_BELOW = 1.0 - 1e-12
 # most squarings it runs before it gives up
 _GELFAND_TOL = 1e-10
 _MAX_SQUARINGS = 200
+# hinf_peak's refinement: the golden-section fraction (3 - sqrt 5) / 2, the
+# relative part of its stop tolerance, and its evaluation cap
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_BRENT_MAX_STEPS = 100
 
 
 def _count(value, name, low):
@@ -271,10 +276,16 @@ def hinf_peak(sys, grid_size=100001):
     A real system's gain is even in omega, so of the ``grid_size`` uniform
     frequencies 2*pi*m/N over [0, 2*pi) only the N // 2 + 1 in [0, pi] are
     scanned. The winning grid point is evaluated again directly, then
-    refined with golden-section steps until successive estimates agree to
-    1e-10 relative. Every reported value is an actual response magnitude, so
-    the result is always a lower bound on the true supremum. Returns
-    ``(gain, omega)``, omega in [0, pi] up to one refinement step.
+    refined by Brent's method (golden section guarded by successive
+    parabolic interpolation) inside one grid step on either side of it. It
+    stops by Brent's rule, once the best point x is within 2 tol - (b - a)/2
+    of the bracket's midpoint, tol = sqrt(eps) |x| + 1e-12. That takes 5 to
+    9 direct evaluations on a peak, whether it lies between grid points or
+    at 0 or pi, and about 55 on a response flat across the bracket, such as
+    a static gain. Every reported value is an actual response magnitude,
+    replaced only by a strictly larger one, so the result is a lower bound
+    on the true supremum and a static gain returns omega 0. Returns
+    ``(gain, omega)``, omega within one grid step of [0, pi].
 
     A rational system's grid is its ``freq_response``. A StateSpace grid is
     the real FFT of the circulant coefficients over N = ``grid_size``
@@ -305,30 +316,62 @@ def hinf_peak(sys, grid_size=100001):
         return abs(complex(response(w)))
 
     best_w = float(om[int(np.argmax(mag))])
-    best = f(best_w)
-    lo, hi = best_w - span, best_w + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(300):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-        cand, cand_w = (fc, c) if fc > fd else (fd, d)
-        change = abs(cand - best)
-        if cand > best:
-            best, best_w = float(cand), float(cand_w)
-        # drive the bracket to machine width so the flat top around the peak
-        # is resolved fully, then apply the relative-change stop
-        if (hi - lo) < 1e-12 and change < 1e-10 * max(best, 1e-300):
+    return _brent_max(f, best_w - span, best_w + span, best_w, f(best_w))
+
+
+def _brent_max(f, a, b, x, fx):
+    # Brent's localmin (Algorithms for Minimization without Derivatives,
+    # 1973, ch. 5) run on -f over [a, b] from x, whose value fx is given.
+    # x moves only to a strictly larger value, so it is always the first
+    # point evaluated at the largest value seen: the returned (fx, x) is an
+    # actual evaluation, and a constant f returns the start. Stops when
+    # |x - m| <= 2 tol - (b - a) / 2 for the midpoint m, tol =
+    # sqrt(eps) |x| + 1e-12, or after _BRENT_MAX_STEPS evaluations
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    for _ in range(_BRENT_MAX_STEPS):
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + 1e-12
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             break
-    return best, best_w
+        p = q = r = 0.0
+        if abs(e) > tol:
+            # parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return fx, x
 
 
 class SystemSpecError(ValueError):

@@ -379,7 +379,7 @@ class TestOracle:
         printed = capsys.readouterr().out
         assert "worst-case gain" in printed
         data = summary_dict(out / "oracle.csv")
-        assert float(data["hinfNorm"]) == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+        assert float(data["hinfNorm"]) == pytest.approx(DEMO_PEAK_GAIN, rel=1e-13)
         assert float(data["peakOmega"]) == pytest.approx(1.2077304677574847, abs=1e-6)
         assert float(data["dominantPoleMagnitude"]) == pytest.approx(
             np.sqrt(0.6), rel=1e-12

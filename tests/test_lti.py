@@ -5,6 +5,7 @@ from conftest import (
     DEMO_PEAK_GAIN,
     DEMO_PEAK_OMEGA,
     delayed_resonator,
+    flat_peak_plant,
     impulse_by_long_division,
     random_stable_tf,
     simulate,
@@ -175,14 +176,14 @@ class TestGainOracle:
 
     def test_delayed_resonator_reference(self):
         gain, omega = hinf_peak(delayed_resonator())
-        assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+        assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-13)
         assert omega == pytest.approx(DEMO_PEAK_OMEGA, abs=1e-6)
 
     def test_state_space_route_agrees(self):
         # both forms report the peak itself, not its mirror 2*pi - omega
         for sys_obj in (delayed_resonator(), tf_to_ss(delayed_resonator())):
             gain, omega = hinf_peak(sys_obj, 20001)
-            assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-10)
+            assert gain == pytest.approx(DEMO_PEAK_GAIN, rel=1e-13)
             assert omega == pytest.approx(DEMO_PEAK_OMEGA, abs=1e-6)
 
     @staticmethod
@@ -215,7 +216,7 @@ class TestGainOracle:
         # the gain is even in omega: a rational scan evaluates the N // 2 + 1
         # grid points in [0, pi] in one call, a state-space scan none (its
         # grid is an FFT), and either reports omega in [0, pi] up to one
-        # refinement step
+        # grid step
         calls = []
         direct = lti.freq_response
 
@@ -235,6 +236,75 @@ class TestGainOracle:
                     assert [size for size in calls if size > 1] == scanned
                     span = 2.0 * np.pi / N
                     assert -span <= omega <= np.pi + span
+
+    @staticmethod
+    def count_refinement(monkeypatch):
+        # the omegas of the direct evaluations after the scan: scalar
+        # freq_response calls on the rational route, calls of the
+        # _ss_response closure on the state-space route
+        calls = []
+        direct, ss_direct = lti.freq_response, lti._ss_response
+
+        def counted(sys_obj, omega):
+            if np.ndim(omega) == 0:
+                calls.append(omega)
+            return direct(sys_obj, omega)
+
+        def ss_counted(sys_obj):
+            response = ss_direct(sys_obj)
+
+            def counted_response(w):
+                calls.append(w)
+                return response(w)
+
+            return counted_response
+
+        monkeypatch.setattr(lti, "freq_response", counted)
+        monkeypatch.setattr(lti, "_ss_response", ss_counted)
+        return calls
+
+    @pytest.mark.parametrize("N", [20001, 100001])
+    def test_refinement_takes_few_evaluations(self, monkeypatch, N):
+        # a smooth peak off the grid (the demo) takes at most 10 evaluations,
+        # a flat top at DC (the slow pole) or at pi (the flat plant) at most 30
+        calls = self.count_refinement(monkeypatch)
+        demo, slow = delayed_resonator(), slow_pole_tf()
+        cases = [(demo, 10), (tf_to_ss(demo), 10), (slow, 30), (tf_to_ss(slow), 30),
+                 (flat_peak_plant(), 30)]
+        for sys_obj, bound in cases:
+            calls.clear()
+            hinf_peak(sys_obj, N)
+            assert 1 <= len(calls) <= bound, (sys_obj, len(calls))
+
+    def test_refined_peak_is_an_evaluation_at_the_top(self):
+        # the reported gain is the response at the reported omega, and no
+        # point of a fine scan around the winning grid point beats it by
+        # more than rounding
+        rng = np.random.default_rng(29)
+        resonance = RationalTransferFunction((1.0,), (1.0, -2.0 * 0.998 * np.cos(0.7), 0.998**2))
+        rational = [delayed_resonator(), slow_pole_tf(), resonance]
+        rational += [random_stable_tf(rng) for _ in range(6)]
+        systems = [flat_peak_plant()] + rational + [tf_to_ss(tf) for tf in rational]
+        for sys_obj in systems:
+            for N in (2001, 20001):
+                gain, omega = hinf_peak(sys_obj, N)
+                assert gain == abs(freq_response(sys_obj, omega))
+                span = 2.0 * np.pi / N
+                om = np.arange(N // 2 + 1) * span
+                if isinstance(sys_obj, StateSpace):
+                    grid = np.fft.rfft(circulant_coefficients(sys_obj, N))
+                else:
+                    grid = freq_response(sys_obj, om)
+                winner = om[np.argmax(np.abs(grid))]
+                fine = np.linspace(winner - span, winner + span, 2001)
+                top = np.abs(freq_response(sys_obj, fine)).max()
+                assert gain >= top * (1.0 - 1e-13), (sys_obj, N, gain, top)
+
+    def test_zero_system(self):
+        zero = RationalTransferFunction((0.0,), (1.0, -0.5))
+        for sys_obj in (zero, tf_to_ss(zero), StateSpace(np.zeros((0, 0)), [], [], 0.0)):
+            for N in (2, 101):
+                assert hinf_peak(sys_obj, N) == (0.0, 0.0)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
