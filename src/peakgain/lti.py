@@ -45,15 +45,13 @@ def _count(value, name, low):
     return int(value)
 
 
-def _real(value, name):
-    """Check a real knob: a real number (numpy floats and integers included, bool not)."""
+def _tolerance(value, name):
+    """Check a tolerance, or another positive knob: a real number that is positive and finite.
+
+    numpy floats and integers count as real numbers, bool does not.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _tolerance(value, name):
-    """Check a tolerance, or another positive knob: a real number that is positive and finite."""
-    _real(value, name)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 

@@ -13,8 +13,10 @@ eigenvalue magnitude of the symmetric T_N J, found by a Lanczos iteration
 whose products with J are FFT convolutions with J's first column, the
 impulse response h, so J is never formed. Each check of the iteration finds
 the extreme eigenvalues of its tridiagonal T_k by Sturm-count bisection, and
-counts only where a Rayleigh quotient iteration has not already pinned the
-answer, so its ends are those of the full bisection, bit for bit.
+counts only where a Rayleigh quotient iteration, started at the Gershgorin
+ends in the first check and at the previous check's ends after that, has not
+already pinned the answer, so its ends are those of the full bisection, bit
+for bit.
 """
 
 import numpy as np
@@ -175,13 +177,14 @@ def max_gain_reset_based(h):
     The certificate is the Ritz residual bound beta_k |s_k| (Parlett, The
     Symmetric Eigenvalue Problem) or a second Ritz value that close.
 
-    A check after k steps costs O(k) passes over the tridiagonal T_k. The
-    first bisects both ends of T_k with about 110 Sturm counts. Each later
-    check starts a Rayleigh quotient iteration at the ends the previous check
-    found, and counts only the bisection levels that the converged value
-    leaves open: about 10 passes per end on the demo plant, 300 in all at
-    N = 2048 where counting every level took 887. The ends, and so the gain,
-    are those of the full bisection bit for bit.
+    A check after k steps costs O(k) passes over the tridiagonal T_k. Each
+    check runs a Rayleigh quotient iteration per end of T_k, the first check
+    from the Gershgorin ends and each later one from the ends the check
+    before found, and counts only the bisection levels that the converged
+    value leaves open. At N = 2048 the demo plant's checks take 343 passes in
+    all, where counting every level took 887, and the slow pole's one check
+    takes 32, where it took 108. The ends, and so the gain, are those of the
+    full bisection bit for bit.
 
     Most plants certify in well under N steps. A flat gain peak needs more:
     a first-order plant peaking flatly at the Nyquist frequency certifies
@@ -262,18 +265,17 @@ def _extreme_eigenvalues(diag, squares, previous=None):
     # computed count is monotone in the shift (Demmel, Dhillon & Ren, ETNA 3,
     # 1995), so with count(lo) < index <= count(hi) every midpoint outside
     # (lo, hi) goes the way it would if counted: only the midpoints inside are
-    # counted, and the ends are bit for bit those of the full bisection.
-    # previous, the ends of a leading block of T, starts the search for that
-    # window; without it every midpoint is counted.
+    # counted, and the ends are bit for bit those of the full bisection. The
+    # search for each window starts at previous, the ends of a leading block
+    # of T, or else at the Gershgorin ends.
     a = np.asarray(diag)
     b = np.sqrt(squares)
     radius = b + np.append(b[1:], 0.0)
     low0, high0 = float((a - radius).min()), float((a + radius).max())
     width = _EPS * max(abs(low0), abs(high0))
     ends = []
-    for end, index in enumerate((1, len(diag))):
-        lo, hi = (-np.inf, np.inf) if previous is None else _window(
-            diag, squares, end, previous[end], width)
+    for end, (index, start) in enumerate(zip((1, len(diag)), previous or (low0, high0))):
+        lo, hi = _window(diag, squares, end, start, width)
         low, high = low0 - width, high0 + width
         while high - low > width:
             mid = 0.5 * (low + high)
@@ -287,31 +289,24 @@ def _extreme_eigenvalues(diag, squares, previous=None):
 
 def _window(diag, squares, end, start, width):
     # (lo, hi) with count(lo) < index <= count(hi) around end 0 (the smallest)
-    # or 1 (the largest eigenvalue) of T, infinite where no count bounds it.
-    # A Rayleigh quotient iteration from start finds the eigenvalue (Parlett,
-    # The Symmetric Eigenvalue Problem): each step x + gamma_r / ||z||^2 is a
-    # Newton step on gamma_r(x) of the twisted factorization of T - x I, whose
-    # derivative is -||z||^2, at the index r where |gamma_r| is smallest. A
-    # step that leaves the bracket of the counts seen so far, or that moves
-    # inward from inside, heads for another eigenvalue: it is replaced by a
-    # step outward (growing from the residual |gamma_r| / ||z||) or by the
-    # middle of the bracket, and r is chosen again. Counts one width to either
-    # side of the converged value close the window, stepping outward until
-    # they fall on either side of the eigenvalue.
+    # or 1 (the largest eigenvalue) of T. A Rayleigh quotient iteration from
+    # start finds the eigenvalue (Parlett, The Symmetric Eigenvalue Problem):
+    # each step x + gamma_r / ||z||^2 is a Newton step on gamma_r(x) of the
+    # twisted factorization of T - x I, whose derivative is -||z||^2, at the
+    # index r where |gamma_r| is smallest. A step that leaves the bracket of
+    # the twisted counts seen so far, or that moves inward from inside, heads
+    # for another eigenvalue: it is replaced by a step outward (growing from
+    # the residual |gamma_r| / ||z||) or by the middle of the bracket, and r
+    # is chosen again. Only the bisection's own count sets the window: counts
+    # one width to either side of the converged value close it, stepping
+    # outward until they fall on either side of the eigenvalue.
     index = 1 if end == 0 else len(diag)
     outward = 1.0 if end else -1.0
-    lo, hi = -np.inf, np.inf  # by the bisection's own count: the window
-    below, above = -np.inf, np.inf  # by any count, to guard the iteration
+    below, above = -np.inf, np.inf
     x, r = start, None
     step = last = 0.0
     for _ in range(_RQI_STEPS):
-        if r is None:
-            down, r, gamma, _, norm = _twisted(diag, squares, x)
-            count = int(np.count_nonzero(np.less(down, 0.0)))
-            lo, hi = (max(lo, x), hi) if count < index else (lo, min(hi, x))
-            norm2 = norm * norm
-        else:
-            gamma, norm2, count = _twisted_at(diag, squares, x, r)
+        r, gamma, norm2, _, count = _twisted(diag, squares, x, r)
         below, above = (max(below, x), above) if count < index else (below, min(above, x))
         y = x + gamma / norm2
         if not np.isfinite(y):
@@ -334,6 +329,7 @@ def _window(diag, squares, end, start, width):
         else:
             last = delta
         x = y
+    lo, hi = -np.inf, np.inf
     for side in (-1.0, 1.0):
         d = width
         while lo < x + side * d < hi:
@@ -356,43 +352,32 @@ def _certified(diag, squares, beta, end, theta, tol):
     # has an eigenvalue between two consecutive Ritz values, which are Gauss
     # quadrature nodes; rounding makes such copies of converged ones), or by
     # the Ritz residual bound beta |u_k| + ||(T_k - theta I) u|| of the unit
-    # eigenvector u that the twisted factorization of T_k - theta I gives.
+    # eigenvector u = z / ||z|| of the twisted factorization of T_k - theta I.
     k = len(diag)
     if end == 0 and _count_below(diag, squares, theta + tol) >= 2:
         return True
     if end == 1 and _count_below(diag, squares, theta - tol) <= k - 2:
         return True
-    _, _, gamma, z, norm = _twisted(diag, squares, theta)
-    return bool(np.isfinite(norm)) and beta * abs(z[-1]) + abs(gamma) <= tol * norm
+    _, gamma, norm2, last, _ = _twisted(diag, squares, theta)
+    return bool(np.isfinite(norm2)) and beta * np.sqrt(last) + abs(gamma) <= tol * np.sqrt(norm2)
 
 
-def _twisted(diag, squares, theta):
-    # The down pivots, r, gamma_r, z and ||z|| of T - theta I twisted at the
-    # r where |gamma_r| is smallest: (T - theta I) z = gamma_r e_r with
-    # z_r = 1, the inverse-iteration vector of the eigenvalue nearest theta.
-    # A pivot nudged off zero can overflow z, and then ||z||.
-    k = len(diag)
-    a = np.asarray(diag)
-    b = np.sqrt(squares[1:])
-    down = np.array(_pivots(diag, squares, theta))
-    up = np.array(_pivots(diag[::-1], [0.0] + squares[:0:-1], theta)[::-1])
-    z = np.ones(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = down + up - (a - theta)
-        r = int(np.argmin(np.abs(gamma)))
-        z[:r] = np.cumprod((-b[:r] / down[:r])[::-1])[::-1]
-        z[r + 1:] = np.cumprod(-b[r:] / up[r + 1:])
-        norm = np.linalg.norm(z)
-    return down, r, float(gamma[r]), z, norm
-
-
-def _twisted_at(diag, squares, x, r):
-    # gamma_r and ||z||^2 of T - x I twisted at a given r, as _twisted takes
-    # them, and the negative entries of its twisted factor, which count the
-    # eigenvalues below x, in one pass: down pivots to r - 1, up pivots from
-    # the bottom to r + 1, and the sums of z_j^2 on either side of r by
-    # z_j = -b_j z_(j+1) / down_j and z_j = -b_(j-1) z_(j-1) / up_j
+def _twisted(diag, squares, x, r=None):
+    # T - x I twisted at r: (T - x I) z = gamma_r e_r with z_r = 1. An r not
+    # given is the index where |gamma_r|, from the down and up pivot lists, is
+    # smallest, so that z is the inverse-iteration vector of the eigenvalue
+    # nearest x. Returns r, gamma_r, ||z||^2, z_k^2 and the negative entries
+    # of the twisted factor, which count the eigenvalues below x, all from one
+    # pass: down pivots to r - 1, up pivots from the bottom to r + 1, and
+    # z_j = -b_j z_(j+1) / down_j and z_j = -b_(j-1) z_(j-1) / up_j summed in
+    # squares on either side of r. A pivot nudged off zero can overflow
+    # ||z||^2.
     x = float(x)
+    if r is None:
+        down = np.array(_pivots(diag, squares, x))
+        up = np.array(_pivots(diag[::-1], [0.0] + squares[:0:-1], x)[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = int(np.argmin(np.abs(down + up - (np.asarray(diag) - x))))
     count = 0
     pivot = 1.0
     head = 0.0
@@ -406,18 +391,21 @@ def _twisted_at(diag, squares, x, r):
     gamma = (diag[r] - x) - (squares[r] / pivot if r else 0.0)
     pivot = 1.0
     tail = 0.0
+    last = 1.0
     for a, b, before in zip(diag[:r:-1], [0.0] + squares[:r + 1:-1], squares[:r:-1]):
         pivot = (a - x) - b / pivot
         if pivot == 0.0:
             pivot = -_TINY
         if pivot < 0.0:
             count += 1
-        tail = before / pivot / pivot * (1.0 + tail)
+        ratio = before / pivot / pivot
+        tail = ratio * (1.0 + tail)
+        last *= ratio
     if r < len(diag) - 1:
         gamma -= squares[r + 1] / pivot
     if gamma < 0.0:
         count += 1
-    return gamma, 1.0 + head + tail, count
+    return r, gamma, 1.0 + head + tail, last, count
 
 
 def _count_below(diag, squares, x):

@@ -385,6 +385,28 @@ def realizations(demo_and_slow_realizations):
     return {**demo_and_slow_realizations, "flat": flat_peak_plant()}
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    # one entry per O(k) pass over T_k: a Sturm count, a pivot list or a
+    # twisted pass
+    counted = []
+    for name in ("_count_below", "_pivots", "_twisted"):
+        def counting(*args, _pass=getattr(spectral, name)):
+            counted.append(1)
+            return _pass(*args)
+        monkeypatch.setattr(spectral, name, counting)
+    return counted
+
+
+# max_gain_reset_based(impulse_response(plant, N)) at N = 257, 1024 and 2048,
+# as counting every bisection level of every check gave it
+PINNED_GAINS = {
+    "demo": ["0x1.f39e4882b5073p+0", "0x1.f462430616975p+0", "0x1.f4698f4e1589fp+0"],
+    "slow": ["0x1.09d0ada22d9a0p-6", "0x1.00697ba159f82p-4", "0x1.ec85bc2f3f447p-4"],
+    "flat": ["0x1.2908e7190f35cp+0", "0x1.2908eb07b1fe0p+0", "0x1.2908eb3a85557p+0"],
+}
+
+
 def _dense_references(J):
     return (
         float(np.abs(np.linalg.eigvalsh(J[::-1])).max()),
@@ -531,34 +553,46 @@ class TestLanczosResetBasedGain:
                     assert hi == np.inf or spectral._count_below(diag, squares, hi) >= index
 
     def test_twisted_pass_matches_the_twisted_factorization(self):
+        # gamma_r, ||z||^2, z_k^2 and the count of one twisted pass against a
+        # dense solve of (T - x I) z = gamma_r e_r with z_r = 1, at both ends
+        # and at the chosen r, where |gamma_r| is smallest
         rng = np.random.default_rng(26)
         for k in (1, 2, 3, 8, 50):
             diag = rng.standard_normal(k).tolist()
             squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
             T = np.diag(diag) + np.diag(np.sqrt(squares[1:]), 1) + np.diag(np.sqrt(squares[1:]), -1)
             for x in (-0.7, 0.1, 1.3):
-                _, r, gamma, _, norm = spectral._twisted(diag, squares, x)
+                inverse = np.linalg.inv(T - x * np.eye(k))
+                chosen = spectral._twisted(diag, squares, x)
+                r = chosen[0]
+                assert r == int(np.argmax(np.abs(np.diag(inverse))))
+                assert spectral._twisted(diag, squares, x, r) == chosen
                 for at in {0, r, k - 1}:
-                    gamma_at, norm2, count = spectral._twisted_at(diag, squares, x, at)
-                    column = np.linalg.solve(T - x * np.eye(k), np.eye(k)[at])
-                    assert gamma_at == pytest.approx(1.0 / column[at], rel=1e-9)
-                    assert norm2 == pytest.approx((column @ column) / column[at] ** 2, rel=1e-9)
+                    z = inverse[:, at] / inverse[at, at]
+                    twisted_at, gamma, norm2, last, count = spectral._twisted(diag, squares, x, at)
+                    assert twisted_at == at
+                    assert gamma == pytest.approx(1.0 / inverse[at, at], rel=1e-9)
+                    assert norm2 == pytest.approx(z @ z, rel=1e-9)
+                    assert last == pytest.approx(z[-1] ** 2, rel=1e-9)
                     assert count == np.count_nonzero(np.linalg.eigvalsh(T) < x)
-                assert spectral._twisted_at(diag, squares, x, r)[0] == pytest.approx(gamma, rel=1e-12)
-                assert spectral._twisted_at(diag, squares, x, r)[1] == pytest.approx(norm**2, rel=1e-12)
 
-    def test_demo_checks_take_at_most_520_passes(self, monkeypatch, realizations):
+    def test_demo_checks_take_at_most_520_passes(self, passes, realizations):
         # every O(k) pass over T_k at N = 2048: counting every bisection level
         # of every check took 887 (869 counts and 18 pivot lists); the windows
-        # leave about 300
-        passes = []
-        for name in ("_count_below", "_pivots", "_twisted_at"):
-            def counted(*args, _pass=getattr(spectral, name)):
-                passes.append(1)
-                return _pass(*args)
-            monkeypatch.setattr(spectral, name, counted)
+        # leave 343
         max_gain_reset_based(impulse_response(realizations["demo"], 2048))
         assert len(passes) <= 520
+
+    def test_the_first_check_is_windowed_too(self, passes, realizations):
+        # the slow pole certifies at its first check, whose bisection took 108
+        # passes at N = 2048 when it counted every level; its window leaves 32
+        max_gain_reset_based(impulse_response(realizations["slow"], 2048))
+        assert len(passes) <= 40
+
+    @pytest.mark.parametrize("plant", ["demo", "slow", "flat"])
+    def test_gains_are_pinned_to_the_bit(self, plant, realizations):
+        gains = [max_gain_reset_based(impulse_response(realizations[plant], N)) for N in (257, 1024, 2048)]
+        assert [gain.hex() for gain in gains] == PINNED_GAINS[plant]
 
     def test_checks_close_every_round_and_raise_after_three(self, monkeypatch):
         # with no certificate the iteration checks at the end of each round of
