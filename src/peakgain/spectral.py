@@ -353,6 +353,10 @@ def _certified(diag, squares, beta, end, theta, tol):
     # quadrature nodes; rounding makes such copies of converged ones), or by
     # the Ritz residual bound beta |u_k| + ||(T_k - theta I) u|| of the unit
     # eigenvector u = z / ||z|| of the twisted factorization of T_k - theta I.
+    # The monotone count keeps the windows from moving any end, but nothing
+    # keeps this test's rounding: how _twisted rounds gamma_r, ||z||^2 and
+    # z_k^2 can flip a certificate near tol, stop the iteration at another
+    # check and so move the gain. The pinned gains in the tests guard it.
     k = len(diag)
     if end == 0 and _count_below(diag, squares, theta + tol) >= 2:
         return True

@@ -526,11 +526,14 @@ class TestLanczosResetBasedGain:
         full = [max_gain_reset_based(h) for h in columns]
         assert [g.hex() for g in gains] == [g.hex() for g in full]
 
-    def test_windows_hold_the_ends(self):
+    def test_windows_hold_the_ends(self, monkeypatch):
         # on tridiagonals with exact zero pivots, clustered and underflowing
         # entries, and from starts far from the ends, each window is bounded
-        # by counts on the right sides
+        # by counts on the right sides, and the ends from the Gershgorin
+        # start and from every other start are those of the bisection that
+        # counts every level
         rng = np.random.default_rng(25)
+        cases = []
         for trial in range(200):
             k = int(rng.integers(1, 40))
             diag = rng.standard_normal(k)
@@ -541,9 +544,13 @@ class TestLanczosResetBasedGain:
                 diag, squares = 1.0 + 1e-12 * diag, 1e-20 * squares
             elif trial % 4 == 3:
                 squares = 1e-300 * squares
-            diag = diag.astype(float).tolist()
-            squares = [0.0] + squares.astype(float).tolist()
-            ends = spectral._extreme_eigenvalues(diag, squares)
+            cases.append((diag.astype(float).tolist(), [0.0] + squares.astype(float).tolist()))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_window", lambda *args: (-np.inf, np.inf))
+            full = [spectral._extreme_eigenvalues(diag, squares) for diag, squares in cases]
+        for (diag, squares), ends in zip(cases, full):
+            k = len(diag)
+            assert spectral._extreme_eigenvalues(diag, squares) == ends
             width = 1e-300 + np.finfo(float).eps * max(map(abs, ends))
             for start in (ends, [ends[0] - 1.0, ends[1] + 1.0], [0.0, 0.0], [diag[0]] * 2):
                 assert spectral._extreme_eigenvalues(diag, squares, start) == ends
