@@ -19,13 +19,18 @@ to that length every result is the plain sequential recursion with ``@``
 bit for bit: ``ndarray.dot`` calls the same BLAS routine on these
 contiguous operands (A transposed is Fortran-ordered, which BLAS takes as
 is) without the matmul ufunc's dispatch, which costs more than a product
-with a few dozen states. Later steps go 512 rows at a time as one matrix
-product with the rounded A^512, which is O(N n^2) like the sequential loop
-but runs as BLAS-3. Reusing that power makes the error grow like the
-number of 512-step blocks the response lasts times eps: at 100,002 terms
-it stays within 1e-11 of max |h| for the test suite's slow poles, against
-about 1e-14 for the sequential loop, and is larger on realizations whose
-powers are ill-conditioned.
+with a few dozen states. G and H need every row, so later steps go 512 rows
+at a time as one matrix product with the rounded A^512. The Markov
+parameters past that first block take baby steps and giant steps, as in
+Paterson and Stockmeyer's polynomial evaluation: C A^(512 j + i) v is the
+giant row C (A^512)^j, one vector-matrix product each, times the baby step
+A^i v of the first block, so all of them are one product of N/512 giant
+rows with the 512 baby steps, O(512 n^2 + N n) against O(N n^2) for a
+walk. Reusing the rounded power makes the error grow like the number of
+512-step blocks the response lasts times eps: at 100,002 terms it stays
+within 1e-11 of max |h| for the test suite's slow poles, against about
+1e-14 for the sequential loop, and is larger on realizations whose powers
+are ill-conditioned.
 """
 
 from dataclasses import dataclass
@@ -47,7 +52,7 @@ __all__ = [
 # is effectively marginally stable and the fixed point is numerically
 # meaningless (I - F has unit natural scale, so the bound is absolute)
 _MIN_RESOLVENT_SV = 1e-12
-# rows per block of the Krylov recursion in _krylov
+# rows per Krylov block in _krylov, and baby steps per giant step in _markov
 _BLOCK = 512
 
 
@@ -92,7 +97,7 @@ def lift(ss, N):
     A, B, C = ss.A, ss.B, ss.C
     F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
     blocks = list(_krylov(A, B, N))
-    h = _markov(blocks, C, ss.D, N)
+    h = _markov(A, B, C, ss.D, N, first=blocks[0])
     G = np.concatenate(blocks)[::-1].T.copy()
     H = np.concatenate(list(_krylov(A.T, C, N)))
     return LiftedBatchSystem(F=F, G=G, H=H, h=h)
@@ -115,24 +120,26 @@ def _krylov(A, v, count):
             yield block
 
 
-def _markov(blocks, C, D, count):
-    # the first count Markov parameters D, C v, C A v, ... from the Krylov
-    # row blocks of (A, v), which hold at least count - 1 rows. The first
-    # block takes one C.dot(row) per row, as the sequential recursion does,
-    # and each later block one product. Blocks are consumed as they come, so
-    # a generator never has more than two of them alive.
+def _markov(A, v, C, D, count, first=None):
+    # the first count Markov parameters D, C v, C A v, ... by baby steps and
+    # giant steps. The baby steps are the first Krylov block of (A, v), built
+    # here unless passed in as first, and take one C.dot(row) per row, as the
+    # sequential recursion does. The giant rows C (A^_BLOCK)^j, j >= 1, take
+    # one vector-matrix product each, and row j of giants @ first.T holds the
+    # _BLOCK parameters C A^(_BLOCK j + i) v, i < _BLOCK, that follow.
+    if first is None:
+        first = next(_krylov(A, v, count))
     h = np.empty(count)
     h[0] = D
-    k = 1
-    for rows in blocks:
-        rows = rows[: count - k]
-        if k == 1:
-            for row in rows:
-                h[k] = C.dot(row)
-                k += 1
-        else:
-            h[k:k + rows.shape[0]] = rows @ C
-            k += rows.shape[0]
+    for k, row in enumerate(first[: count - 1], 1):
+        h[k] = C.dot(row)
+    if count > _BLOCK + 1:
+        step = np.linalg.matrix_power(A, _BLOCK)
+        giants = np.empty(((count - 2) // _BLOCK, C.shape[0]))
+        giants[0] = C.dot(step)
+        for j in range(1, giants.shape[0]):
+            giants[j] = giants[j - 1].dot(step)
+        h[_BLOCK + 1:] = (giants @ first.T).ravel()[: count - _BLOCK - 1]
     return h
 
 
@@ -144,7 +151,7 @@ def impulse_response(ss, N):
     if not isinstance(ss, StateSpace):
         raise TypeError("impulse_response expects a StateSpace")
     N = _count(N, "batch length", 1)
-    return _markov(_krylov(ss.A, ss.B, N), ss.C, ss.D, N)
+    return _markov(ss.A, ss.B, ss.C, ss.D, N)
 
 
 def _solve_fixed_point(F, rhs, what):
@@ -203,7 +210,7 @@ def circulant_coefficients(ss, N):
     N = _count(N, "batch length", 1)
     AN = np.linalg.matrix_power(ss.A, N)
     w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
-    g = _markov(_krylov(ss.A, w, N + 1), ss.C, ss.D, N + 1)
+    g = _markov(ss.A, w, ss.C, ss.D, N + 1)
     c = g[:N].copy()
     c[0] += g[N]
     return c

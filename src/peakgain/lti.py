@@ -287,11 +287,11 @@ def hinf_peak(sys, grid_size=100001):
 
     A rational system's grid is its ``freq_response``. A StateSpace grid is
     the real FFT of the circulant coefficients over N = ``grid_size``
-    samples, whose bin m is the response at 2*pi*m/N. They take one Markov
-    recursion of N + 1 steps, O(N n^2) for n states, which ``lifting`` runs
-    as one matrix product per 512 steps. At the default grid and a few
-    dozen states the recursion and the length-N FFT cost about the same,
-    and the refinement little.
+    samples, whose bin m is the response at 2*pi*m/N. Their N + 1 Markov
+    parameters take O(512 n^2 + N n) for n states: ``lifting`` runs 512
+    baby steps and N/512 giant steps and joins them in one matrix product.
+    At the default grid and a few dozen states the length-N FFT is most of
+    the cost, and the refinement little.
 
     ``grid_size`` must be an integer (numpy integers included, bool not) of
     at least 2, else ValueError.

@@ -149,17 +149,30 @@ def test_blocked_circulant_coefficients_match_the_sequential_loop():
         assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
 
 
+def test_companion_pair_near_dc_stays_within_its_power_error():
+    # the companion form of a pair at radius 0.9999 and angle 0.01 has
+    # ill-conditioned powers: the rounded A^512 behind the giant steps puts
+    # it about 7.2e-10 of max|h| from the sequential loop at 100,002 terms
+    pair = np.real(np.poly(0.9999 * np.exp([0.01j, -0.01j])))
+    ss = tf_to_ss(RationalTransferFunction((1.0,), pair))
+    expected = markov_by_sequential_loop(ss.A, ss.B, ss.C, ss.D, 100002)
+    got = impulse_response(ss, 100002)
+    assert np.array_equal(got[:513], expected[:513])
+    assert np.abs(got - expected).max() <= 2e-9 * np.abs(expected).max()
+
+
 def test_markov_scan_streams_its_blocks():
-    ss = tf_to_ss(delayed_resonator())
     N = 100001
-    tracemalloc.start()
-    try:
-        circulant_coefficients(ss, N)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # all N + 1 Krylov rows at once would take (N + 1) n 8 bytes, 42 MB here
-    assert peak < 0.1 * (N + 1) * ss.n * 8
+    for ss in (tf_to_ss(delayed_resonator()), slow_pole()):
+        tracemalloc.start()
+        try:
+            circulant_coefficients(ss, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # h, the giant-step product and c hold about N doubles each, with no
+        # factor of the state count: the demo peaks at 2.4 (N + 1) doubles
+        assert peak < 3 * (N + 1) * 8
 
 
 @pytest.mark.parametrize("N", [513, 1024, 2048])
@@ -173,7 +186,8 @@ def test_lift_beyond_one_block_matches_the_sequential_loops(N):
         assert np.array_equal(lb.H[:512], H[:512])
         for got, expected in ((lb.G, G), (lb.H, H)):
             assert np.abs(got - expected).max() <= BLOCKED_RTOL * np.abs(expected).max()
-        assert np.array_equal(lb.J[:, 0], impulse_response(ss, N))
+        # lift hands its first Krylov block to the one Markov path
+        assert np.array_equal(lb.h, impulse_response(ss, N))
 
 
 def test_impulse_response_checks_its_arguments():
