@@ -155,9 +155,11 @@ def impulse_response(ss, N):
 
 
 def _solve_fixed_point(F, rhs, what):
-    eye = np.eye(F.shape[0])
-    resolvent = eye - F
-    if F.shape[0]:
+    resolvent = np.eye(F.shape[0]) - F
+    # sigma_min(I - F) >= 1 - ||F||_2 >= 1 - ||F||_F, so a Frobenius norm
+    # below 1/2 (as for an empty F) clears the guard without an SVD; a NaN
+    # norm does not
+    if not np.linalg.norm(F) < 0.5:
         smallest_sv = float(np.linalg.svd(resolvent, compute_uv=False)[-1])
         if smallest_sv < _MIN_RESOLVENT_SV:
             raise RuntimeError(

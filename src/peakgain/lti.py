@@ -381,15 +381,25 @@ _SS_KEYS = {"A", "B", "C", "D"}
 
 
 def _parse_reals(text, where):
-    out = []
-    for piece in text.replace(";", ",").split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError:
-            raise SystemSpecError(f"{where}: not a number: {piece!r}") from None
+    # float skips the whitespace around a number itself, so a row whose
+    # pieces are all numbers is converted once, unstripped. A blank piece or
+    # a bad one fails that, and the row is then taken piece by piece:
+    # stripped, blank ones skipped, and the first bad one named. That also
+    # accepts the few pieces that str.strip trims but float does not (an
+    # ASCII unit separator at either end)
+    pieces = text.replace(";", ",").split(",")
+    try:
+        out = [float(piece) for piece in pieces]
+    except ValueError:
+        out = []
+        for piece in pieces:
+            piece = piece.strip()
+            if not piece:
+                continue
+            try:
+                out.append(float(piece))
+            except ValueError:
+                raise SystemSpecError(f"{where}: not a number: {piece!r}") from None
     if not out:
         raise SystemSpecError(f"{where}: empty value")
     return out

@@ -386,6 +386,19 @@ class TestOracle:
         )
         assert float(data["dominantPoleAngle"]) == pytest.approx(1.242164, abs=1e-5)
 
+    def test_rational_file_is_never_realized(self, demo_file, monkeypatch, tmp_path, capsys):
+        # the rational oracle scans freq_response of the file as it stands and
+        # shares no code with the state space it cross-checks
+        def no_realization(tf):
+            raise AssertionError("oracle realized a rational system")
+
+        monkeypatch.setattr(cli, "tf_to_ss", no_realization)
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--system", demo_file, "--out", str(out)]) == 0
+        assert "worst-case gain" in capsys.readouterr().out
+        data = summary_dict(out / "oracle.csv")
+        assert float(data["hinfNorm"]) == pytest.approx(DEMO_PEAK_GAIN, rel=1e-12)
+
     def test_unit_delay_flat(self, tmp_path):
         path = tmp_path / "delay.txt"
         path.write_text("num = 0, 1\nden = 1\n")

@@ -23,6 +23,7 @@ from peakgain import (
     periodic_response_matrix,
     tf_to_ss,
 )
+from peakgain import lifting
 from peakgain.lifting import impulse_response, lower_toeplitz
 
 
@@ -323,3 +324,55 @@ def test_near_marginal_stability_diagnosed():
         periodic_response_matrix(lift(ss, 1))
     with pytest.raises(RuntimeError, match="marginal"):
         circulant_coefficients(ss, 1)
+
+
+def test_a_small_power_needs_no_singular_values(monkeypatch):
+    # ||A^256||_F of the demo is far below 1/2, which puts every singular
+    # value of I - A^256 above 1/2: the guard is cleared without an SVD, and
+    # the solve behind it is unchanged
+    ss = tf_to_ss(delayed_resonator())
+    N = 256
+    assert np.linalg.norm(np.linalg.matrix_power(ss.A, N)) < 0.5
+    c = circulant_coefficients(ss, N)
+    M = periodic_response_matrix(lift(ss, N))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the fixed-point guard took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert circulant_coefficients(ss, N).tobytes() == c.tobytes()
+    assert periodic_response_matrix(lift(ss, N)).tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 8, 50])
+def test_a_large_power_keeps_the_singular_value_guard(monkeypatch, N):
+    # the demo's ||A^N||_F is at least 1/2 at these N, so the guard still
+    # takes the SVD of I - A^N
+    ss = tf_to_ss(delayed_resonator())
+    assert np.linalg.norm(np.linalg.matrix_power(ss.A, N)) >= 0.5
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    circulant_coefficients(ss, N)
+    periodic_response_matrix(lift(ss, N))
+    assert len(calls) == 2
+
+
+def test_a_nan_power_still_takes_the_singular_values(monkeypatch):
+    # a NaN norm is not below 1/2, so it clears nothing
+    calls = []
+
+    def no_svd(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    F = np.array([[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        lifting._solve_fixed_point(F, np.ones(2), "test")
+    assert calls == [1]

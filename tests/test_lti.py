@@ -511,3 +511,82 @@ class TestSystemFileFormat:
     def test_unstable_file_rejected(self):
         with pytest.raises(SystemSpecError, match="pole magnitudes"):
             parse_system_text("num = 1\nden = 1, -2\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("A = {}, 0.1; 0.2, 0.3\nB = 1; 0\nC = 0, 1\nD = 0\n", 1),
+            ("A = 0.5, 0.1; 0.2, {}, 0.3\nB = 1; 0\nC = 0, 1\nD = 0\n", 1),
+            ("A = 0.5, 0.1; 0.2, 0.3, {}\nB = 1; 0\nC = 0, 1\nD = 0\n", 1),
+            ("A = 0.5, 0.1; 0.2, 0.3\nB = 1; {}\nC = 0, 1\nD = 0\n", 2),
+            ("A = 0.5, 0.1; 0.2, 0.3\nB = 1; 0\nC = {}, 1\nD = 0\n", 3),
+            ("A = 0.5, 0.1; 0.2, 0.3\nB = 1; 0\nC = 0, 1\nD = {}\n", 4),
+            ("# plant\nnum = 1, {}, 2\nden = 1, -0.5\n", 2),
+            ("num = 1\n\nden = 1, -0.5, {}\n", 3),
+        ],
+        ids=["A-start", "A-middle", "A-end", "B", "C", "D", "num", "den"],
+    )
+    @pytest.mark.parametrize("bad", ["x1", "1.0.0", "1e", "0x10", "one two"])
+    def test_bad_entry_is_named_word_for_word(self, text, line, bad):
+        # the first bad entry, stripped, with the file name and its line
+        with pytest.raises(SystemSpecError) as raised:
+            parse_system_text(text.format(f" \t{bad} "), name="plant.txt")
+        assert str(raised.value) == f"plant.txt:{line}: not a number: {bad!r}"
+
+    def test_first_of_several_bad_entries_is_named(self):
+        with pytest.raises(SystemSpecError) as raised:
+            parse_system_text("num = 1, two, 3, four\nden = 1\n", name="p")
+        assert str(raised.value) == "p:1: not a number: 'two'"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "1,, 2 ,\t3,",
+            ",1, ,2,\t,3",
+            "1;2;;3;",
+            "\t1 ,\u00a02\u2003, 3\u3000",
+            # a unit separator around an entry: str.strip takes it, float alone
+            # does not, and the entry is accepted as it always was
+            "1\x1f, 2, \x1f3",
+        ],
+        ids=["blank-and-trailing", "leading-blanks", "semicolons", "tab-and-unicode-spaces",
+             "unit-separator"],
+    )
+    def test_blank_entries_and_spaces_are_skipped(self, value):
+        sys_obj = parse_system_text(f"num = {value}\nden = 1\n")
+        assert sys_obj.num == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("value", ["", " , ,\t", ";", "\u00a0,"])
+    def test_only_blank_entries_are_an_empty_value(self, value):
+        with pytest.raises(SystemSpecError) as raised:
+            parse_system_text(f"num = 1\nden = {value}\n", name="p")
+        assert str(raised.value) == "p:2: empty value"
+
+    def test_demo_realization_parses_bit_for_bit(self):
+        # each entry of the realization's file text is the float of its
+        # stripped piece, as a per-entry loop takes it
+        ss = tf_to_ss(delayed_resonator())
+
+        def row(values):
+            return ", ".join(repr(float(v)) for v in values)
+
+        text = (
+            f"A = {'; '.join(row(r) for r in ss.A)}\n"
+            f"B = {row(ss.B)}\nC = {row(ss.C)}\nD = {ss.D!r}\n"
+        )
+        parsed = parse_system_text(text)
+        values = {}
+        for line in text.splitlines():
+            key, value = (part.strip() for part in line.split("=", 1))
+            values[key] = [
+                [float(piece.strip()) for piece in part.split(",") if piece.strip()]
+                for part in value.split(";")
+            ]
+        for key in "ABC":
+            expected = np.array(values[key], dtype=float)
+            if key != "A":
+                expected = expected.reshape(-1)
+            got = getattr(parsed, key)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == getattr(ss, key).tobytes()

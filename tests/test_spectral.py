@@ -559,6 +559,41 @@ class TestLanczosResetBasedGain:
                     assert lo == -np.inf or spectral._count_below(diag, squares, lo) < index
                     assert hi == np.inf or spectral._count_below(diag, squares, hi) >= index
 
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_an_unconverged_iteration_costs_at_most_two_counts(self, monkeypatch, steps):
+        # a Rayleigh quotient iteration cut short leaves its value unconverged:
+        # the window takes one count on either side of it at most, a side that
+        # count does not close stays open, and each end then costs no more
+        # than the bisection that counts every level and two counts
+        rng = np.random.default_rng(27)
+        counts = []
+
+        def counted(diag, squares, x, _count=spectral._count_below):
+            counts.append(1)
+            return _count(diag, squares, x)
+
+        monkeypatch.setattr(spectral, "_count_below", counted)
+        monkeypatch.setattr(spectral, "_RQI_STEPS", steps)
+        for _ in range(50):
+            k = int(rng.integers(2, 40))
+            diag = rng.standard_normal(k).tolist()
+            squares = [0.0] + (rng.standard_normal(k - 1) ** 2).tolist()
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_window", lambda *args: (-np.inf, np.inf))
+                counts.clear()
+                full = spectral._extreme_eigenvalues(diag, squares)
+                every_level = len(counts)
+            counts.clear()
+            assert spectral._extreme_eigenvalues(diag, squares) == full
+            assert len(counts) <= every_level + 4
+            width = np.finfo(float).eps * max(map(abs, full))
+            for end, index in enumerate((1, k)):
+                counts.clear()
+                lo, hi = spectral._window(diag, squares, end, 0.0, width)
+                assert len(counts) <= 2
+                assert lo == -np.inf or spectral._count_below(diag, squares, lo) < index
+                assert hi == np.inf or spectral._count_below(diag, squares, hi) >= index
+
     def test_twisted_pass_matches_the_twisted_factorization(self):
         # gamma_r, ||z||^2, z_k^2 and the count of one twisted pass against a
         # dense solve of (T - x I) z = gamma_r e_r with z_r = 1, at both ends
@@ -585,16 +620,34 @@ class TestLanczosResetBasedGain:
 
     def test_demo_checks_take_at_most_520_passes(self, passes, realizations):
         # every O(k) pass over T_k at N = 2048: counting every bisection level
-        # of every check took 887 (869 counts and 18 pivot lists); the windows
-        # leave 343
+        # of every check takes 896; the windows leave 340
         max_gain_reset_based(impulse_response(realizations["demo"], 2048))
         assert len(passes) <= 520
 
     def test_the_first_check_is_windowed_too(self, passes, realizations):
-        # the slow pole certifies at its first check, whose bisection took 108
-        # passes at N = 2048 when it counted every level; its window leaves 32
+        # the slow pole certifies at its first check: 108 passes at N = 2048
+        # when it counts every level, 36 with its window
         max_gain_reset_based(impulse_response(realizations["slow"], 2048))
         assert len(passes) <= 40
+
+    def test_flat_plant_first_check_leaves_unconverged_ends_open(self, passes, monkeypatch,
+                                                                     realizations):
+        # the flat plant's first check (k = 32) ends both Rayleigh quotient
+        # iterations unconverged; stepping outward from them to close its
+        # windows took 172 passes, 509 in all at N = 2048, where an open
+        # window leaves 137 and 474
+        checks = []
+
+        def counted(*args, _ends=spectral._extreme_eigenvalues):
+            before = len(passes)
+            ends = _ends(*args)
+            checks.append(len(passes) - before)
+            return ends
+
+        monkeypatch.setattr(spectral, "_extreme_eigenvalues", counted)
+        max_gain_reset_based(impulse_response(realizations["flat"], 2048))
+        assert checks[0] <= 140
+        assert len(passes) <= 480
 
     @pytest.mark.parametrize("plant", ["demo", "slow", "flat"])
     def test_gains_are_pinned_to_the_bit(self, plant, realizations):
