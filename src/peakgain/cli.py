@@ -126,8 +126,8 @@ def cmd_analyze(args):
     rev = reversed_spectrum(lam)
     lb = lift(ss, N)
     h = lb.h
-    # the residual builds M = periodic_response_matrix(lb) in its own FFT
-    # workspace, so analyze holds a single N x N array
+    # the residual forms F* M F of M = periodic_response_matrix(lb) from
+    # lb's structure, 64 rows at a time, so analyze holds no N x N array
     residual, _ = diagonalization_residual(lb)
     j_is_zero = not h.any()
     gain_reset_free = float(mag.max())

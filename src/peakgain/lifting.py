@@ -9,8 +9,11 @@ c in closed form, O(N) floats, whose FFT is the frequency response on the
 N-point grid: that is all the FFT paths (the spectrum, the steady-state
 plant, the state-space grid scan) need; ``impulse_response`` returns the
 first column h of J from the same Markov-parameter recursion.
-h fixes J, so ``lift`` keeps h and J is only an O(N) view; the dense
-``periodic_response_matrix`` M is what the residual of ``analyze`` checks.
+h fixes J, so ``lift`` keeps h and J is only an O(N) view. The residual of
+``analyze`` checks the dense ``periodic_response_matrix`` M without forming
+it: ``spectral.diagonalization_residual`` of the lifted system transforms
+the rank-n term H X and the Toeplitz J separately, so it reads lift's
+(F, G, H, h) and not the closed-form c it confirms.
 
 All of these walk one Krylov sequence v, A v, A^2 v, ... (v = B, w or, for
 H, C with A transposed) through one helper. Its first 512 steps are one
@@ -173,25 +176,16 @@ def periodic_response_matrix(lb):
     """Map from one input period to the settled output period.
 
     Returns M = H (I - F)^-1 G + J, a C-contiguous N x N array, via a
-    factorized solve; the inverse is never formed explicitly. The product is
-    written into M and the view lb.J added to it in place, so the only N x N
-    array allocated is M itself, plus the n x N solution X.
-    ``spectral.diagonalization_residual`` of lb builds the same M, bit for
-    bit, in its own FFT workspace instead.
+    factorized solve; the inverse is never formed explicitly. The view lb.J
+    is added to the product H X in place, so the only N x N array allocated
+    is M itself, plus the n x N solution X.
     """
     if not isinstance(lb, LiftedBatchSystem):
         raise TypeError("periodic_response_matrix expects a LiftedBatchSystem")
-    N = lb.h.shape[0]
-    return _periodic_response_into(lb, np.empty((N, N)))
-
-
-def _periodic_response_into(lb, out):
-    # M = H X + J with X = (I - F)^-1 G, written into the N x N array out,
-    # whose rows need not be adjacent; returns out
     X = _solve_fixed_point(lb.F, lb.G, "periodic_response_matrix")
-    np.matmul(lb.H, X, out=out)
-    out += lb.J
-    return out
+    M = lb.H @ X
+    M += lb.J
+    return M
 
 
 def circulant_coefficients(ss, N):

@@ -7,6 +7,12 @@ matrix whose spectrum is the circulant spectrum folded onto the real axis:
 index 0 keeps its value, interior conjugate pairs become a plus/minus
 magnitude pair, and (for even N) the half-rate index flips sign.
 
+The diagonalization residual checks that the DFT diagonalizes the periodic
+batch response M. For a lifted system it never forms M: M is a rank-n term
+plus a lower-triangular Toeplitz matrix, and the DFT of each has a closed
+form, so F* M F is built 64 rows at a time from lift's (F, G, H, h), with
+no N x N array and nothing from the closed-form coefficients it confirms.
+
 The reset-based baseline, the induced norm of the lower-triangular Toeplitz
 single-batch response J, has no such closed form. It is the largest
 eigenvalue magnitude of the symmetric T_N J, found by a Lanczos iteration
@@ -20,8 +26,9 @@ for bit.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .lifting import LiftedBatchSystem, _periodic_response_into
+from .lifting import LiftedBatchSystem, _solve_fixed_point
 
 __all__ = [
     "time_reverse",
@@ -74,26 +81,37 @@ def diagonalization_residual(M):
     For a circulant M with first column c the diagonal is fft(c), the
     frequency response at 2*pi*m/N for ``circulant_coefficients``. M is
     either a dense square matrix or a ``LiftedBatchSystem`` lb, which stands
-    for M = ``periodic_response_matrix(lb)`` and gives the same result bit
-    for bit. M must be real, else ValueError: then F M F* is the conjugate
-    of F* M F, which is an FFT along the rows of M followed by an inverse FFT
-    along its columns, O(N^2 log N), and has the same magnitudes. Column N-q
-    of F* M F is the conjugate of column q with its rows taken in the order
-    (-p) mod N, which maps diagonal entries onto diagonal entries, so only
-    the N//2 + 1 columns of a real FFT are transformed and the rest of the
-    diagonal follows by conjugate symmetry. Zero residual (to rounding) is
-    specific to circulant M; a generic symmetric matrix leaves a nonzero
-    residual. M must also be finite, else ValueError.
+    for M = ``periodic_response_matrix(lb)``. M must be real, else
+    ValueError: then F M F* is the conjugate of F* M F, with the same
+    magnitudes. Column N-q of F* M F is the conjugate of column q with its
+    rows taken in the order (-p) mod N, which maps diagonal entries onto
+    diagonal entries, so only the N//2 + 1 columns q <= N/2 are formed and
+    the rest of the diagonal follows by conjugate symmetry. Zero residual (to
+    rounding) is specific to circulant M; a generic symmetric matrix leaves a
+    nonzero residual. M must also be finite, else ValueError. The maximum is
+    taken over blocks of 64 rows, and the maximum of the block maxima is the
+    maximum of |F* M F| exactly.
 
-    The one N x N array allocated is the workspace that holds the
-    N x (N//2 + 1) complex transform, N (N + 2) doubles; the rest is O(N)
-    per row for 64 rows at a time. A dense M is read and left unchanged.
-    From lb, M is built in the first N doubles of each workspace row and
-    each block of 64 rows is transformed in place, so M and its transform
-    are never held side by side.
+    A dense M is read and left unchanged: an FFT along its rows and an
+    inverse FFT along the columns kept, O(N^2 log N), in one workspace of
+    N (N + 2) doubles.
+
+    From lb, M is never formed. It is the rank-n term H X, X = (I - F)^-1 G,
+    plus the lower-triangular Toeplitz J of the impulse response h, and each
+    block of 64 rows of T = F* M F comes from that structure (Gray, Toeplitz
+    and Circulant Matrices: A Review, 2006): with w = exp(-2j*pi/N),
+    T[p, q] = (ifft(H, axis=0) rfft(X, axis=1))[p, q] + (g_p - g_q) /
+    (1 - w^(q-p)) off the diagonal, where g = ifft(h), and the Toeplitz term
+    on the diagonal is ifft(h * (N - m))[p]. That is O(N^2 n) for the
+    product and O(N n) memory beside two blocks, with no N x N array. On an
+    lb from ``lift`` the two terms cancel off the diagonal to rounding, a
+    few eps (1 + max |diag|) as for the dense FFT of M, but in other last
+    digits. H, X, h and every block must be finite, else ValueError; an lb
+    whose I - F is nearly singular raises RuntimeError.
     """
     if isinstance(M, LiftedBatchSystem):
         N = M.h.shape[0]
+        blocks = _lifted_blocks(M)
     else:
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -101,26 +119,78 @@ def diagonalization_residual(M):
         if np.iscomplexobj(M):
             raise ValueError("expected a real matrix, got a complex one")
         N = M.shape[0]
+        blocks = _dense_blocks(M)
     if N == 0:
         raise ValueError("empty matrix: the residual needs N >= 1")
-    work = np.empty((N, 2 * (N // 2 + 1)))
-    T = work.view(complex)
-    if isinstance(M, LiftedBatchSystem):
-        M = _periodic_response_into(M, work[:, :N])
+    half = np.empty(N // 2 + 1, dtype=complex)
+    max_off = 0.0
+    for i, T in blocks:
+        p = np.arange(i, min(i + T.shape[0], N // 2 + 1))
+        half[p] = T[p - i, p]
+        T[p - i, p] = 0.0
+        # a NaN or inf anywhere in the block makes its maximum NaN or inf
+        block_max = float(np.abs(T).max())
+        if not np.isfinite(block_max):
+            raise ValueError("matrix has non-finite entries")
+        max_off = max(max_off, block_max)
+    if not np.isfinite(half).all():
+        raise ValueError("matrix has non-finite entries")
+    diag = np.concatenate((half.conj(), half[(N + 1) // 2 - 1:0:-1]))
+    return max_off, diag
+
+
+def _dense_blocks(M):
+    # F* M F of a dense M by a real FFT along its rows, each block of rows
+    # checked before its transform, and an inverse FFT down the N//2 + 1
+    # columns kept; then its blocks of rows as views
+    N = M.shape[0]
+    T = np.empty((N, N // 2 + 1), dtype=complex)
     for i in range(0, N, _RESIDUAL_ROWS):
         rows = M[i:i + _RESIDUAL_ROWS]
         if not np.isfinite(rows).all():
             raise ValueError("matrix has non-finite entries")
-        # where rows lie in the workspace, numpy copies just this block first
         np.fft.rfft(rows, axis=1, out=T[i:i + _RESIDUAL_ROWS])
     np.fft.ifft(T, axis=0, out=T)
-    q = np.arange(N // 2 + 1)
-    half = T[q, q]
-    T[q, q] = 0.0
-    diag = np.concatenate((half.conj(), half[(N + 1) // 2 - 1:0:-1]))
-    # the maximum of the block maxima is the maximum of |T| exactly
-    block_max = [np.abs(T[i:i + _RESIDUAL_ROWS]).max() for i in range(0, N, _RESIDUAL_ROWS)]
-    return float(np.max(block_max)), diag
+    for i in range(0, N, _RESIDUAL_ROWS):
+        yield i, T[i:i + _RESIDUAL_ROWS]
+
+
+def _lifted_blocks(lb):
+    # F* M F of M = H X + J, block by block from the structure (see
+    # diagonalization_residual). The Toeplitz factor 1 / (1 - w^j) is
+    # 1/2 - (i/2) cot(pi j / N), exact in its real part; the table holds it
+    # for j = q - p from 1 - N to N//2, its angle reduced into [-pi/2, pi/2],
+    # and 0 at j = 0. Row p of the block reads the window that starts at
+    # N - 1 - p, so a block is a reversed slice of windows.
+    N = lb.h.shape[0]
+    cols = N // 2 + 1
+    H_hat = np.fft.ifft(lb.H, axis=0)
+    X_hat = np.fft.rfft(_solve_fixed_point(lb.F, lb.G, "periodic_response_matrix"), axis=1)
+    g = np.fft.ifft(lb.h)
+    # a NaN or inf in H, X or h makes a zero-frequency sum non-finite
+    if not (np.isfinite(H_hat).all() and np.isfinite(X_hat).all() and np.isfinite(g).all()):
+        raise ValueError("matrix has non-finite entries")
+    ramp = np.fft.ifft(lb.h * (N - np.arange(N)))
+    j = np.arange(1 - N, cols)
+    j[2 * j < -N] += N
+    table = np.empty(j.shape[0], dtype=complex)
+    table.real = 0.5
+    with np.errstate(divide="ignore"):
+        table.imag = -0.5 / np.tan(np.pi * j / N)
+    table[N - 1] = 0.0
+    windows = sliding_window_view(table, cols)
+    # every block is written into the same two buffers
+    T = np.empty((min(N, _RESIDUAL_ROWS), cols), dtype=complex)
+    toeplitz = np.empty_like(T)
+    for i in range(0, N, _RESIDUAL_ROWS):
+        stop = min(i + _RESIDUAL_ROWS, N)
+        block = np.matmul(H_hat[i:stop], X_hat, out=T[:stop - i])
+        term = np.subtract.outer(g[i:stop], g[:cols], out=toeplitz[:stop - i])
+        term *= windows[N - stop:N - i][::-1]
+        block += term
+        p = np.arange(i, min(stop, cols))
+        block[p - i, p] += ramp[p]
+        yield i, block
 
 
 def reversed_spectrum(lam):

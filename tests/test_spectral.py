@@ -153,38 +153,87 @@ class TestDiagonalization:
             with pytest.raises(ValueError, match="non-finite"):
                 diagonalization_residual(M)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
-    def test_lifted_system_matches_its_dense_matrix_bit_for_bit(self, N):
-        # from lb, M is built inside the FFT workspace and transformed in
-        # place; the result is that of the dense M, and the dense call
-        # leaves M as it was (the static gain has no state, so H X is empty)
+    @staticmethod
+    def _lifted_systems(N):
+        # the demo, the slow pole, a static gain (no state, so H X is empty)
+        # and three random systems, lifted over N samples
         rng = np.random.default_rng(N)
         static_gain = tf_to_ss(RationalTransferFunction((1.8,), (1.0,)))
         systems = [tf_to_ss(delayed_resonator()), slow_pole(), static_gain]
         systems += [random_stable_statespace(rng) for _ in range(3)]
-        for ss in systems:
-            lb = lift(ss, N)
-            M = periodic_response_matrix(lb)
+        return rng, [lift(ss, N) for ss in systems]
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
+    def test_lifted_off_circulant_matches_dense(self, N):
+        # G and h perturbed by 1e-3 of their largest entry give an M that is
+        # no circulant: from lb, each block of F* M F comes from the rank-n
+        # term and the Toeplitz J, and must match the FFT of the dense M,
+        # which is left as it was
+        rng, lifted = self._lifted_systems(N)
+        for lb in lifted:
+            G = lb.G + 1e-3 * np.abs(lb.G).max(initial=0.0) * rng.standard_normal(lb.G.shape)
+            h = lb.h + 1e-3 * np.abs(lb.h).max() * rng.standard_normal(N)
+            perturbed = type(lb)(F=lb.F, G=G, H=lb.H, h=h)
+            M = periodic_response_matrix(perturbed)
             before = M.tobytes()
             max_off, diag = diagonalization_residual(M)
             assert M.tobytes() == before
-            lifted_max_off, lifted_diag = diagonalization_residual(lb)
-            assert np.float64(lifted_max_off).tobytes() == np.float64(max_off).tobytes()
+            lifted_max_off, lifted_diag = diagonalization_residual(perturbed)
+            assert abs(lifted_max_off - max_off) <= 1e-12 * max_off
             assert lifted_diag.dtype == diag.dtype
-            assert lifted_diag.tobytes() == diag.tobytes()
+            assert np.abs(lifted_diag - diag).max() <= 1e-12 * np.abs(diag).max()
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
+    def test_lifted_residual_stays_at_rounding(self, N):
+        # lift's own (F, G, H, h) make M circulant: the two terms cancel off
+        # the diagonal to rounding, and the diagonal is the dense route's
+        _, lifted = self._lifted_systems(N)
+        for lb in lifted:
+            max_off, diag = diagonalization_residual(lb)
+            scale = 1.0 + np.abs(diag).max()
+            assert max_off <= 1e-13 * scale
+            _, dense_diag = diagonalization_residual(periodic_response_matrix(lb))
+            assert np.abs(diag - dense_diag).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("N", [2048, 4096])
+    @pytest.mark.parametrize("ss", [tf_to_ss(delayed_resonator()), slow_pole()],
+                             ids=["demo", "slow"])
+    def test_lifted_residual_at_large_n(self, ss, N):
+        # no dense M at these sizes: the diagonal is checked against fft(c)
+        max_off, diag = diagonalization_residual(lift(ss, N))
+        scale = 1.0 + np.abs(diag).max()
+        assert max_off <= 1e-13 * scale
+        lam = circulant_eigenvalues(circulant_coefficients(ss, N))
+        assert np.abs(diag - lam).max() <= 1e-13 * scale
+
+    def test_lifted_residual_uses_no_circulant_machinery(self, monkeypatch):
+        # the residual checks lift's (F, G, H, h), so it must not lean on the
+        # closed-form c or the spectrum it is there to confirm
+        lifted = [lift(ss, N) for ss in (tf_to_ss(delayed_resonator()), slow_pole())
+                  for N in (7, 256, 600)]
+        expected = [diagonalization_residual(lb) for lb in lifted]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the residual called the circulant machinery")
+
+        monkeypatch.setattr("peakgain.lifting.circulant_coefficients", forbidden)
+        monkeypatch.setattr("peakgain.spectral.circulant_eigenvalues", forbidden)
+        for lb, (max_off, diag) in zip(lifted, expected):
+            again_max_off, again_diag = diagonalization_residual(lb)
+            assert again_max_off == max_off
+            assert again_diag.tobytes() == diag.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("row", [0, -1])
-    @pytest.mark.parametrize("field", ["H", "h"])
+    @pytest.mark.parametrize("field", ["G", "H", "h"])
     def test_non_finite_lifted_system_rejected(self, bad, row, field):
-        # the entry puts a non-finite value into the first or last row of M;
-        # at N = 600 the last block of rows is a partial one
+        # H[row] enters only that row of H X, and G[row] every entry of X
+        # through the solve; h[0] is on the whole diagonal of J, h[-1] only
+        # in its last row. At N = 600 the last block of rows is a partial one
         lb = lift(random_stable_statespace(np.random.default_rng(6)), 600)
-        entries = {"H": lb.H.copy(), "h": lb.h.copy()}
-        # H[row] enters only that row of H X; h[0] is on the whole diagonal
-        # of J, h[-1] only in its last row
+        entries = {"G": lb.G.copy(), "H": lb.H.copy(), "h": lb.h.copy()}
         entries[field][row] = bad
-        broken = type(lb)(F=lb.F, G=lb.G, **entries)
+        broken = type(lb)(F=lb.F, **entries)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
