@@ -61,7 +61,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lti import _count, _tolerance
-from .spectral import time_reverse
 
 __all__ = [
     "PowerIterationConfig",
@@ -283,7 +282,7 @@ def iterate_reset_free(plant, config):
             trace.converged = True
             break
         beta_prev = beta
-        z = time_reverse(y) + shift * u
+        z = y[::-1] + shift * u
         z_norm = math.sqrt(float(z.dot(z)))
         if z_norm == 0.0:
             raise EstimationError(

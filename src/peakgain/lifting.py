@@ -10,10 +10,10 @@ N-point grid: that is all the FFT paths (the spectrum, the steady-state
 plant, the state-space grid scan) need; ``impulse_response`` returns the
 first column h of J from the same Markov-parameter recursion.
 h fixes J, so ``lift`` keeps h and J is only an O(N) view. The residual of
-``analyze`` checks the dense ``periodic_response_matrix`` M without forming
-it: ``spectral.diagonalization_residual`` of the lifted system transforms
-the rank-n term H X and the Toeplitz J separately, so it reads lift's
-(F, G, H, h) and not the closed-form c it confirms.
+``analyze``, ``spectral.diagonalization_residual``, takes the lifted system
+and never forms M: it transforms the rank-n term H X and the Toeplitz J
+separately, so it reads lift's (F, G, H, h) and not the closed-form c it
+confirms.
 
 All of these walk one Krylov sequence v, A v, A^2 v, ... (v = B, w or, for
 H, C with A transposed) through one helper. Its first 512 steps are one

@@ -154,7 +154,9 @@ class RationalTransferFunction:
 
     Coefficients are finite, in powers of z^-1 from the constant term. The
     denominator needs a nonzero leading coefficient and all its roots (poles)
-    strictly inside the unit circle; ``delay`` is a nonnegative integer
+    of magnitude below 1 - 1e-12, the bound below which a ``StateSpace`` is
+    accepted as stable at once: computed roots of a pole pair on the unit
+    circle can round to just inside it. ``delay`` is a nonnegative integer
     sample count (numpy integers included, bool not).
     """
 
@@ -170,7 +172,7 @@ class RationalTransferFunction:
         delay = _count(delay, "delay", 0)
         if len(den) > 1:
             mags = np.abs(np.roots(den))
-            bad = np.sort(mags[mags >= 1.0])[::-1]
+            bad = np.sort(mags[mags >= _STABLE_BELOW])[::-1]
             if bad.size:
                 listing = ", ".join(f"{m:.8g}" for m in bad)
                 raise ValueError(

@@ -8,7 +8,7 @@ index 0 keeps its value, interior conjugate pairs become a plus/minus
 magnitude pair, and (for even N) the half-rate index flips sign.
 
 The diagonalization residual checks that the DFT diagonalizes the periodic
-batch response M. For a lifted system it never forms M: M is a rank-n term
+batch response M of a lifted system. It never forms M: M is a rank-n term
 plus a lower-triangular Toeplitz matrix, and the DFT of each has a closed
 form, so F* M F is built 64 rows at a time from lift's (F, G, H, h), with
 no N x N array and nothing from the closed-form coefficients it confirms.
@@ -64,9 +64,11 @@ def circulant_eigenvalues(c):
 
     lambda_m = sum_k c_k exp(-2j*pi*m*k/N); for coefficients coming from
     ``circulant_coefficients`` it equals the system's frequency response
-    G(exp(2j*pi*m/N)). ``c`` must be finite, else ValueError.
+    G(exp(2j*pi*m/N)). ``c`` must be 1-D and finite, else ValueError.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"expected a 1-D coefficient vector, got shape {c.shape}")
     if c.shape[0] == 0:
         raise ValueError("empty coefficient vector: a circulant needs N >= 1")
     if not np.isfinite(c).all():
@@ -74,30 +76,25 @@ def circulant_eigenvalues(c):
     return np.fft.fft(c)
 
 
-def diagonalization_residual(M):
+def diagonalization_residual(lb):
     """How diagonal F M F* is: (largest off-diagonal magnitude, diagonal).
 
-    F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N).
-    For a circulant M with first column c the diagonal is fft(c), the
-    frequency response at 2*pi*m/N for ``circulant_coefficients``. M is
-    either a dense square matrix or a ``LiftedBatchSystem`` lb, which stands
-    for M = ``periodic_response_matrix(lb)``. M must be real, else
-    ValueError: then F M F* is the conjugate of F* M F, with the same
-    magnitudes. Column N-q of F* M F is the conjugate of column q with its
-    rows taken in the order (-p) mod N, which maps diagonal entries onto
-    diagonal entries, so only the N//2 + 1 columns q <= N/2 are formed and
-    the rest of the diagonal follows by conjugate symmetry. Zero residual (to
-    rounding) is specific to circulant M; a generic symmetric matrix leaves a
-    nonzero residual. M must also be finite, else ValueError. The maximum is
-    taken over blocks of 64 rows, and the maximum of the block maxima is the
-    maximum of |F* M F| exactly.
+    F is the unitary DFT matrix with entries exp(-2j*pi*p*q/N) / sqrt(N), and
+    M = ``periodic_response_matrix(lb)`` for a ``LiftedBatchSystem`` lb; any
+    other input raises TypeError. For a circulant M with first column c the
+    diagonal is fft(c), the frequency response at 2*pi*m/N for
+    ``circulant_coefficients``. M is real, so F M F* is the conjugate of
+    F* M F, with the same magnitudes. Column N-q of F* M F is the conjugate
+    of column q with its rows taken in the order (-p) mod N, which maps
+    diagonal entries onto diagonal entries, so only the N//2 + 1 columns
+    q <= N/2 are formed and the rest of the diagonal follows by conjugate
+    symmetry. Zero residual (to rounding) is specific to circulant M; a
+    generic M leaves a nonzero residual. The maximum is taken over blocks of
+    64 rows, and the maximum of the block maxima is the maximum of
+    |F* M F| exactly.
 
-    A dense M is read and left unchanged: an FFT along its rows and an
-    inverse FFT along the columns kept, O(N^2 log N), in one workspace of
-    N (N + 2) doubles.
-
-    From lb, M is never formed. It is the rank-n term H X, X = (I - F)^-1 G,
-    plus the lower-triangular Toeplitz J of the impulse response h, and each
+    M is never formed. It is the rank-n term H X, X = (I - F)^-1 G, plus
+    the lower-triangular Toeplitz J of the impulse response h, and each
     block of 64 rows of T = F* M F comes from that structure (Gray, Toeplitz
     and Circulant Matrices: A Review, 2006): with w = exp(-2j*pi/N),
     T[p, q] = (ifft(H, axis=0) rfft(X, axis=1))[p, q] + (g_p - g_q) /
@@ -105,64 +102,14 @@ def diagonalization_residual(M):
     on the diagonal is ifft(h * (N - m))[p]. That is O(N^2 n) for the
     product and O(N n) memory beside two blocks, with no N x N array. On an
     lb from ``lift`` the two terms cancel off the diagonal to rounding, a
-    few eps (1 + max |diag|) as for the dense FFT of M, but in other last
-    digits. H, X, h and every block must be finite, else ValueError; an lb
-    whose I - F is nearly singular raises RuntimeError.
+    few eps (1 + max |diag|). H, X, h and every block must be finite, else
+    ValueError; an lb whose I - F is nearly singular raises RuntimeError.
     """
-    if isinstance(M, LiftedBatchSystem):
-        N = M.h.shape[0]
-        blocks = _lifted_blocks(M)
-    else:
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
-        if np.iscomplexobj(M):
-            raise ValueError("expected a real matrix, got a complex one")
-        N = M.shape[0]
-        blocks = _dense_blocks(M)
+    if not isinstance(lb, LiftedBatchSystem):
+        raise TypeError("diagonalization_residual expects a LiftedBatchSystem")
+    N = lb.h.shape[0]
     if N == 0:
         raise ValueError("empty matrix: the residual needs N >= 1")
-    half = np.empty(N // 2 + 1, dtype=complex)
-    max_off = 0.0
-    for i, T in blocks:
-        p = np.arange(i, min(i + T.shape[0], N // 2 + 1))
-        half[p] = T[p - i, p]
-        T[p - i, p] = 0.0
-        # a NaN or inf anywhere in the block makes its maximum NaN or inf
-        block_max = float(np.abs(T).max())
-        if not np.isfinite(block_max):
-            raise ValueError("matrix has non-finite entries")
-        max_off = max(max_off, block_max)
-    if not np.isfinite(half).all():
-        raise ValueError("matrix has non-finite entries")
-    diag = np.concatenate((half.conj(), half[(N + 1) // 2 - 1:0:-1]))
-    return max_off, diag
-
-
-def _dense_blocks(M):
-    # F* M F of a dense M by a real FFT along its rows, each block of rows
-    # checked before its transform, and an inverse FFT down the N//2 + 1
-    # columns kept; then its blocks of rows as views
-    N = M.shape[0]
-    T = np.empty((N, N // 2 + 1), dtype=complex)
-    for i in range(0, N, _RESIDUAL_ROWS):
-        rows = M[i:i + _RESIDUAL_ROWS]
-        if not np.isfinite(rows).all():
-            raise ValueError("matrix has non-finite entries")
-        np.fft.rfft(rows, axis=1, out=T[i:i + _RESIDUAL_ROWS])
-    np.fft.ifft(T, axis=0, out=T)
-    for i in range(0, N, _RESIDUAL_ROWS):
-        yield i, T[i:i + _RESIDUAL_ROWS]
-
-
-def _lifted_blocks(lb):
-    # F* M F of M = H X + J, block by block from the structure (see
-    # diagonalization_residual). The Toeplitz factor 1 / (1 - w^j) is
-    # 1/2 - (i/2) cot(pi j / N), exact in its real part; the table holds it
-    # for j = q - p from 1 - N to N//2, its angle reduced into [-pi/2, pi/2],
-    # and 0 at j = 0. Row p of the block reads the window that starts at
-    # N - 1 - p, so a block is a reversed slice of windows.
-    N = lb.h.shape[0]
     cols = N // 2 + 1
     H_hat = np.fft.ifft(lb.H, axis=0)
     X_hat = np.fft.rfft(_solve_fixed_point(lb.F, lb.G, "periodic_response_matrix"), axis=1)
@@ -171,6 +118,11 @@ def _lifted_blocks(lb):
     if not (np.isfinite(H_hat).all() and np.isfinite(X_hat).all() and np.isfinite(g).all()):
         raise ValueError("matrix has non-finite entries")
     ramp = np.fft.ifft(lb.h * (N - np.arange(N)))
+    # The Toeplitz factor 1 / (1 - w^j) is 1/2 - (i/2) cot(pi j / N), exact in
+    # its real part; the table holds it for j = q - p from 1 - N to N//2, its
+    # angle reduced into [-pi/2, pi/2], and 0 at j = 0. Row p of a block reads
+    # the window that starts at N - 1 - p, so a block is a reversed slice of
+    # windows.
     j = np.arange(1 - N, cols)
     j[2 * j < -N] += N
     table = np.empty(j.shape[0], dtype=complex)
@@ -182,6 +134,8 @@ def _lifted_blocks(lb):
     # every block is written into the same two buffers
     T = np.empty((min(N, _RESIDUAL_ROWS), cols), dtype=complex)
     toeplitz = np.empty_like(T)
+    half = np.empty(cols, dtype=complex)
+    max_off = 0.0
     for i in range(0, N, _RESIDUAL_ROWS):
         stop = min(i + _RESIDUAL_ROWS, N)
         block = np.matmul(H_hat[i:stop], X_hat, out=T[:stop - i])
@@ -189,8 +143,17 @@ def _lifted_blocks(lb):
         term *= windows[N - stop:N - i][::-1]
         block += term
         p = np.arange(i, min(stop, cols))
-        block[p - i, p] += ramp[p]
-        yield i, block
+        half[p] = block[p - i, p] + ramp[p]
+        block[p - i, p] = 0.0
+        # a NaN or inf anywhere in the block makes its maximum NaN or inf
+        block_max = float(np.abs(block).max())
+        if not np.isfinite(block_max):
+            raise ValueError("matrix has non-finite entries")
+        max_off = max(max_off, block_max)
+    if not np.isfinite(half).all():
+        raise ValueError("matrix has non-finite entries")
+    diag = np.concatenate((half.conj(), half[(N + 1) // 2 - 1:0:-1]))
+    return max_off, diag
 
 
 def reversed_spectrum(lam):
@@ -199,10 +162,12 @@ def reversed_spectrum(lam):
     Entry 0 keeps lambda_0; for 0 < m < N/2 entry m is |lambda_m| and entry
     N-m is -|lambda_m|; for even N entry N/2 is -lambda_{N/2}. Requires the
     conjugate symmetry of a real coefficient vector, so lambda_0 (and
-    lambda_{N/2} for even N) must be real up to 1e-10 relative, and every
-    entry finite, else ValueError.
+    lambda_{N/2} for even N) must be real up to 1e-10 relative, and ``lam``
+    1-D with every entry finite, else ValueError.
     """
-    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    lam = np.asarray(lam, dtype=complex)
+    if lam.ndim != 1:
+        raise ValueError(f"expected a 1-D spectrum, got shape {lam.shape}")
     N = lam.shape[0]
     if N == 0:
         raise ValueError("empty spectrum")

@@ -16,7 +16,6 @@ from peakgain import (
     relative_batch_change,
     select_shift,
     tf_to_ss,
-    time_reverse,
 )
 from peakgain import estimator
 from peakgain.estimator import UpdateRecord, init_input
@@ -230,7 +229,7 @@ def iterate_reading_every_batch(plant, config, reset_based=False):
             trace.converged = True
             break
         beta_prev = beta
-        z = time_reverse(y) + shift * u
+        z = y[::-1] + shift * u
         z_norm = float(np.linalg.norm(z))
         if z_norm == 0.0:
             if shift != 0.0:
@@ -249,7 +248,7 @@ def readouts(u, y):
     bit for bit, so this checks ``.dot`` against ``@`` on every batch.
     """
     n = y.shape[0]
-    return math.sqrt(float(y @ y)) / math.sqrt(n), float(u @ time_reverse(y)) / n
+    return math.sqrt(float(y @ y)) / math.sqrt(n), float(u @ y[::-1].copy()) / n
 
 
 def hold_blocks(trace, per_batch):
@@ -355,6 +354,21 @@ def dft_matrix(N):
     N = int(N)
     p = np.arange(N)
     return np.exp((-2j * np.pi / N) * np.outer(p, p)) / np.sqrt(N)
+
+
+def dense_residual(M):
+    """(largest off-diagonal magnitude, diagonal) of F M F* for a dense real M.
+
+    F is the unitary DFT matrix of ``dft_matrix``. The full N x N F* M F is
+    an FFT along M's rows and an inverse FFT down its columns, with plain
+    ``numpy.fft``; F M F* is its conjugate, with the same magnitudes. The
+    reference for ``diagonalization_residual``, which builds the array from a
+    lifted system's structure, 64 rows at a time, without forming M.
+    """
+    T = np.fft.ifft(np.fft.fft(M, axis=1), axis=0)
+    diag = np.diag(T).conj()
+    np.fill_diagonal(T, 0.0)
+    return float(np.abs(T).max()), diag
 
 
 def circulant(c):

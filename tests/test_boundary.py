@@ -1,5 +1,7 @@
 """Every count argument and every sample vector is checked where it enters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,20 @@ def test_non_finite_values_are_rejected(entry):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^{name}"):
             call(bad)
+
+
+# the spectra that read an array as one vector, which a 0-d or 2-D array (a
+# dense circulant included) must not pass for by being flattened
+ONE_D = {
+    "circulant_eigenvalues": circulant_eigenvalues,
+    "reversed_spectrum": reversed_spectrum,
+}
+
+
+@pytest.mark.parametrize("entry", list(ONE_D))
+@pytest.mark.parametrize("shape", [(), (8, 8), (1, 4)])
+def test_vectors_must_be_one_dimensional(entry, shape):
+    call = ONE_D[entry]
+    call(np.ones(5))
+    with pytest.raises(ValueError, match="1-D .*" + re.escape(f"got shape {shape}")):
+        call(np.ones(shape))

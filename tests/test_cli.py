@@ -400,6 +400,16 @@ class TestOracle:
         data = summary_dict(out / "oracle.csv")
         assert float(data["hinfNorm"]) == pytest.approx(DEMO_PEAK_GAIN, rel=1e-12)
 
+    def test_poles_on_the_unit_circle_exit_1_before_out(self, tmp_path, capsys):
+        # an undamped pair whose computed poles round to just inside the unit
+        # circle: the file is rejected, not scanned for a huge gain
+        path = tmp_path / "unit_circle.txt"
+        path.write_text("num = 1\nden = 1, -1.910672978251212, 1\n")
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--system", str(path), "--out", str(out)]) == 1
+        assert "pole magnitudes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unit_delay_flat(self, tmp_path):
         path = tmp_path / "delay.txt"
         path.write_text("num = 0, 1\nden = 1\n")

@@ -69,6 +69,14 @@ class TestRealization:
         with pytest.raises(ValueError, match=r"pole magnitudes.*2"):
             RationalTransferFunction((1.0,), (1.0, -2.0))
 
+    def test_poles_on_the_unit_circle_rejected(self):
+        # a pair at angle 0.3 on the unit circle: 2 cos 0.3 = 1.910672978251212,
+        # and the computed roots round to just below magnitude 1
+        den = (1.0, -1.910672978251212, 1.0)
+        assert np.abs(np.roots(den)).max() < 1.0
+        with pytest.raises(ValueError, match=r"pole magnitudes not < 1: 1, 1$"):
+            RationalTransferFunction((1.0,), den)
+
     def test_delay_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             RationalTransferFunction((1.0,), (1.0,), delay=-1)

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     circulant,
     delayed_resonator,
+    dense_residual,
     dft_matrix,
     dominant_bin,
     flat_peak_plant,
@@ -30,7 +31,7 @@ from peakgain import (
     time_reverse,
 )
 from peakgain import spectral
-from peakgain.lifting import impulse_response
+from peakgain.lifting import LiftedBatchSystem, impulse_response
 
 SQRT8 = 2.0 * np.sqrt(2.0)
 
@@ -104,54 +105,62 @@ class TestCirculant:
 
 class TestDiagonalization:
     def test_scaled_identity(self):
-        max_off, diag = diagonalization_residual(3.0 * np.eye(5))
+        # a static gain of 3 makes M = 3 I
+        static_gain = tf_to_ss(RationalTransferFunction((3.0,), (1.0,)))
+        max_off, diag = diagonalization_residual(lift(static_gain, 5))
         assert max_off < 1e-12
         assert np.abs(diag - 3.0).max() < 1e-12
 
     def test_cyclic_shift(self):
-        max_off, diag = diagonalization_residual(circulant([0.0, 0.0, 0.0, 1.0]))
+        # a pure 3-sample delay at N = 4 makes M the circulant of [0, 0, 0, 1]
+        delay = tf_to_ss(RationalTransferFunction((1.0,), (1.0,), delay=3))
+        max_off, diag = diagonalization_residual(lift(delay, 4))
         assert max_off < 1e-12
         assert np.abs(diag - np.array([1.0, 1.0j, -1.0, -1.0j])).max() < 1e-12
 
     def test_non_circulant_leaves_residual(self):
+        # G moved off lift's makes M = H (I - F)^-1 G + J no circulant
         rng = np.random.default_rng(3)
-        S = rng.standard_normal((6, 6))
-        S = S + S.T + np.diag(np.arange(6.0))
-        max_off, _ = diagonalization_residual(S)
+        lb = lift(random_stable_statespace(rng), 6)
+        G = lb.G + rng.standard_normal(lb.G.shape)
+        max_off, _ = diagonalization_residual(type(lb)(F=lb.F, G=G, H=lb.H, h=lb.h))
         assert max_off > 1e-3
+
+    @staticmethod
+    def _generic_lifted(rng, N, n=3):
+        # random (F, G, H, h) with ||F||_2 = 1/2: M is rank n plus a
+        # lower-triangular Toeplitz matrix, and no circulant
+        F = rng.standard_normal((n, n))
+        F *= 0.5 / np.linalg.norm(F, 2)
+        return LiftedBatchSystem(F=F, G=rng.standard_normal((n, N)),
+                                 H=rng.standard_normal((N, n)), h=rng.standard_normal(N))
 
     @pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64, 255, 256])
     @pytest.mark.parametrize("kind", ["circulant", "generic"])
     def test_fft_matches_dense_conjugation(self, N, kind):
+        # against the O(N^2) product F M F* with the dense DFT matrix
         rng = np.random.default_rng(N)
-        M = circulant(rng.standard_normal(N)) if kind == "circulant" else rng.standard_normal((N, N))
+        if kind == "circulant":
+            lb = lift(random_stable_statespace(rng), N)
+        else:
+            lb = self._generic_lifted(rng, N)
         F = dft_matrix(N)
-        T = F @ M @ F.conj().T
-        max_off, diag = diagonalization_residual(M)
+        T = F @ periodic_response_matrix(lb) @ F.conj().T
+        max_off, diag = diagonalization_residual(lb)
         scale = np.abs(T).max()
         assert np.abs(diag - np.diag(T)).max() <= 1e-12 * scale
         assert abs(max_off - np.abs(T - np.diag(np.diag(T))).max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("N", [1, 2, 255, 256, 257, 600, 1024])
-    def test_blocked_maximum_equals_the_unblocked_one(self, N):
-        rng = np.random.default_rng(N)
-        M = rng.standard_normal((N, N))
-        T = np.fft.ifft(np.fft.rfft(M, axis=1), axis=0)
-        q = np.arange(N // 2 + 1)
-        T[q, q] = 0.0
-        max_off, _ = diagonalization_residual(M)
-        assert max_off == float(np.abs(T).max())
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row", [0, -1])
-    def test_non_finite_matrix_rejected(self, bad, row):
-        # at N = 600 the last block of rows is a partial one
-        M = circulant(np.random.default_rng(0).standard_normal(600))
-        M[row, 3] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                diagonalization_residual(M)
+    def test_blocked_maximum_equals_the_unblocked_one(self, N, monkeypatch):
+        # blocks of 64 rows, the last a partial one at 255, 257 and 600, give
+        # bit for bit what F* M F formed as one block gives
+        lb = self._generic_lifted(np.random.default_rng(N), N)
+        blocked_max_off, blocked_diag = diagonalization_residual(lb)
+        monkeypatch.setattr(spectral, "_RESIDUAL_ROWS", N)
+        max_off, diag = diagonalization_residual(lb)
+        assert blocked_max_off == max_off
+        assert blocked_diag.tobytes() == diag.tobytes()
 
     @staticmethod
     def _lifted_systems(N):
@@ -166,18 +175,14 @@ class TestDiagonalization:
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
     def test_lifted_off_circulant_matches_dense(self, N):
         # G and h perturbed by 1e-3 of their largest entry give an M that is
-        # no circulant: from lb, each block of F* M F comes from the rank-n
-        # term and the Toeplitz J, and must match the FFT of the dense M,
-        # which is left as it was
+        # no circulant: each block of F* M F comes from the rank-n term and
+        # the Toeplitz J, and must match the full transform of the dense M
         rng, lifted = self._lifted_systems(N)
         for lb in lifted:
             G = lb.G + 1e-3 * np.abs(lb.G).max(initial=0.0) * rng.standard_normal(lb.G.shape)
             h = lb.h + 1e-3 * np.abs(lb.h).max() * rng.standard_normal(N)
             perturbed = type(lb)(F=lb.F, G=G, H=lb.H, h=h)
-            M = periodic_response_matrix(perturbed)
-            before = M.tobytes()
-            max_off, diag = diagonalization_residual(M)
-            assert M.tobytes() == before
+            max_off, diag = dense_residual(periodic_response_matrix(perturbed))
             lifted_max_off, lifted_diag = diagonalization_residual(perturbed)
             assert abs(lifted_max_off - max_off) <= 1e-12 * max_off
             assert lifted_diag.dtype == diag.dtype
@@ -186,13 +191,13 @@ class TestDiagonalization:
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 50, 51, 255, 256, 257, 513, 1024])
     def test_lifted_residual_stays_at_rounding(self, N):
         # lift's own (F, G, H, h) make M circulant: the two terms cancel off
-        # the diagonal to rounding, and the diagonal is the dense route's
+        # the diagonal to rounding, and the diagonal is the dense M's
         _, lifted = self._lifted_systems(N)
         for lb in lifted:
             max_off, diag = diagonalization_residual(lb)
             scale = 1.0 + np.abs(diag).max()
             assert max_off <= 1e-13 * scale
-            _, dense_diag = diagonalization_residual(periodic_response_matrix(lb))
+            _, dense_diag = dense_residual(periodic_response_matrix(lb))
             assert np.abs(diag - dense_diag).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("N", [2048, 4096])
@@ -240,25 +245,25 @@ class TestDiagonalization:
                 diagonalization_residual(broken)
 
     def test_empty_matrix_rejected(self):
+        empty = LiftedBatchSystem(F=np.zeros((0, 0)), G=np.zeros((0, 0)),
+                                  H=np.zeros((0, 0)), h=np.zeros(0))
         with pytest.raises(ValueError, match="empty matrix"):
-            diagonalization_residual(np.zeros((0, 0)))
+            diagonalization_residual(empty)
 
-    def test_complex_matrix_rejected(self):
-        with pytest.raises(ValueError, match="real matrix"):
-            diagonalization_residual(np.eye(3, dtype=complex))
-
-    @pytest.mark.parametrize("M", [np.float64(1.0), np.zeros(3), np.zeros((2, 3))])
-    def test_non_square_rejected(self, M):
-        with pytest.raises(ValueError, match="square matrix"):
-            diagonalization_residual(M)
+    def test_dense_matrix_rejected(self):
+        # the residual reads a lifted system; a dense M, even its own, is
+        # the test side's reference
+        lb = lift(slow_pole(), 8)
+        for M in (periodic_response_matrix(lb), np.eye(3), [[1.0]]):
+            with pytest.raises(TypeError, match="LiftedBatchSystem"):
+                diagonalization_residual(M)
 
     def test_periodic_response_diagonalizes(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             ss = random_stable_statespace(rng)
             N = int(rng.integers(2, 24))
-            M = periodic_response_matrix(lift(ss, N))
-            max_off, diag = diagonalization_residual(M)
+            max_off, diag = diagonalization_residual(lift(ss, N))
             assert max_off < 1e-8 * (1 + np.abs(diag).max())
             omegas = 2.0 * np.pi * np.arange(N) / N
             expected = freq_response(ss, omegas)
@@ -274,12 +279,13 @@ def test_first_column_its_fft_and_the_diagonal_are_the_response_grid():
     for ss in systems:
         for N in (1, 2, 7, 8, 50, 257):
             c = circulant_coefficients(ss, N)
-            M = periodic_response_matrix(lift(ss, N))
+            lb = lift(ss, N)
+            M = periodic_response_matrix(lb)
             assert np.abs(M[:, 0] - c).max() <= 1e-12 * np.abs(c).max()
             response = freq_response(ss, 2.0 * np.pi * np.arange(N) / N)
             tol = 1e-12 * (1.0 + np.abs(response).max())
             assert np.abs(np.fft.rfft(c) - response[: N // 2 + 1]).max() <= tol
-            _, diag = diagonalization_residual(M)
+            _, diag = diagonalization_residual(lb)
             assert np.abs(diag - response).max() <= tol
 
 
