@@ -42,7 +42,6 @@ from .spectral import (
     diagonalization_residual,
     max_gain_reset_based,
     reversed_spectrum,
-    time_reverse,
 )
 
 __version__ = "0.1.0"
@@ -71,5 +70,4 @@ __all__ = [
     "reversed_spectrum",
     "select_shift",
     "tf_to_ss",
-    "time_reverse",
 ]

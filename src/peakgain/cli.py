@@ -30,7 +30,6 @@ from .lifting import (
 )
 from .lti import (
     RationalTransferFunction,
-    SystemSpecError,
     _count,
     hinf_peak,
     parse_system_file,
@@ -331,7 +330,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SystemSpecError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # a SystemSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

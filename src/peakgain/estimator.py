@@ -245,8 +245,8 @@ def iterate_reset_free(plant, config):
     ``prev``; every batch gives a trace row of its own readouts. The hold's
     readout y (the settled or extrapolated output, else its last batch)
     gives its ``UpdateRecord``, an extrapolated one also the readouts of the
-    hold's last row. Then z = reverse(y) + shift * u
-    is renormalized to input power one; a vanishing z raises
+    hold's last row. Then z = reverse(y) + shift * u is renormalized to input
+    power one; a z that vanishes, or whose norm overflows, raises
     ``EstimationError``. With a positive shift of roughly the plant's peak
     gain the iterate settles on the positive dominant eigendirection instead
     of flipping sign every step; ``config.shift`` None probes the plant for
@@ -282,13 +282,17 @@ def iterate_reset_free(plant, config):
             trace.converged = True
             break
         beta_prev = beta
-        z = y[::-1] + shift * u
-        z_norm = math.sqrt(float(z.dot(z)))
+        # an overflow is reported below as an EstimationError, not warned of
+        with np.errstate(over="ignore"):
+            z = y[::-1] + shift * u
+            z_norm = math.sqrt(float(z.dot(z)))
         if z_norm == 0.0:
             raise EstimationError(
                 "update vector vanished: the reversed response exactly cancels "
                 "the shifted input; retry with a different shift or seed"
             )
+        if not math.isfinite(z_norm):
+            raise EstimationError(f"update vector overflowed; retry with a shift below {shift!r}")
         u = z * (sqrt_n / z_norm)
     return trace
 

@@ -157,16 +157,19 @@ def impulse_response(ss, N):
     return _markov(ss.A, ss.B, ss.C, ss.D, N)
 
 
-def _solve_fixed_point(F, rhs, what):
+def _solve_fixed_point(F, rhs):
+    # (I - F)^-1 rhs. A NaN or inf in F raises ValueError before any
+    # arithmetic on it. sigma_min(I - F) >= 1 - ||F||_2 >= 1 - ||F||_F, so a
+    # Frobenius norm below 1/2 (as for an empty F) clears the guard without
+    # an SVD
+    if not np.isfinite(F).all():
+        raise ValueError("F has non-finite entries")
     resolvent = np.eye(F.shape[0]) - F
-    # sigma_min(I - F) >= 1 - ||F||_2 >= 1 - ||F||_F, so a Frobenius norm
-    # below 1/2 (as for an empty F) clears the guard without an SVD; a NaN
-    # norm does not
     if not np.linalg.norm(F) < 0.5:
         smallest_sv = float(np.linalg.svd(resolvent, compute_uv=False)[-1])
         if smallest_sv < _MIN_RESOLVENT_SV:
             raise RuntimeError(
-                f"{what}: I - F is nearly singular; the state matrix is too "
+                "I - F is nearly singular; the state matrix is too "
                 "close to marginal stability for a meaningful steady state"
             )
     return np.linalg.solve(resolvent, rhs)
@@ -178,11 +181,12 @@ def periodic_response_matrix(lb):
     Returns M = H (I - F)^-1 G + J, a C-contiguous N x N array, via a
     factorized solve; the inverse is never formed explicitly. The view lb.J
     is added to the product H X in place, so the only N x N array allocated
-    is M itself, plus the n x N solution X.
+    is M itself, plus the n x N solution X. A NaN or inf in F raises
+    ValueError; an I - F that is nearly singular raises RuntimeError.
     """
     if not isinstance(lb, LiftedBatchSystem):
         raise TypeError("periodic_response_matrix expects a LiftedBatchSystem")
-    X = _solve_fixed_point(lb.F, lb.G, "periodic_response_matrix")
+    X = _solve_fixed_point(lb.F, lb.G)
     M = lb.H @ X
     M += lb.J
     return M
@@ -205,7 +209,7 @@ def circulant_coefficients(ss, N):
         raise TypeError("circulant_coefficients expects a StateSpace")
     N = _count(N, "batch length", 1)
     AN = np.linalg.matrix_power(ss.A, N)
-    w = _solve_fixed_point(AN, ss.B, "circulant_coefficients")
+    w = _solve_fixed_point(AN, ss.B)
     g = _markov(ss.A, w, ss.C, ss.D, N + 1)
     c = g[:N].copy()
     c[0] += g[N]

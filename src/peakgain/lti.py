@@ -78,17 +78,15 @@ def _gelfand(A, accept_below):
     P = np.array(A, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {P.shape}")
-    if P.shape[0] == 0:
-        return 0.0
     acc = 0.0
     weight = 1.0
     est_prev = None
     for _ in range(_MAX_SQUARINGS):
         t = float(np.linalg.norm(P))
-        if t == 0.0 or not math.isfinite(t):
-            # an exact zero power means a nilpotent matrix
-            if t == 0.0:
-                return 0.0
+        if t == 0.0:
+            # an exact zero power means a nilpotent (or 0 x 0) matrix
+            return 0.0
+        if not math.isfinite(t):
             raise RuntimeError("spectral radius iteration produced a non-finite norm")
         acc += weight * math.log(t)
         est = math.exp(acc)
@@ -130,15 +128,14 @@ class StateSpace:
         for name in "ABCD":
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has non-finite entries")
-        if n > 0:
-            # stops at the first upper bound on the spectral radius that is
-            # below one by more than rounding can move it; an unstable A runs
-            # to the converged spectral radius
-            rho = _gelfand(A, _STABLE_BELOW)
-            if rho >= 1.0:
-                raise ValueError(
-                    f"unstable state matrix: spectral radius {rho:.8g} is not < 1"
-                )
+        # stops at the first upper bound on the spectral radius that is
+        # below one by more than rounding can move it; an unstable A runs to
+        # the converged spectral radius
+        rho = _gelfand(A, _STABLE_BELOW)
+        if rho >= 1.0:
+            raise ValueError(
+                f"unstable state matrix: spectral radius {rho:.8g} is not < 1"
+            )
 
     @property
     def n(self):
@@ -378,8 +375,9 @@ class SystemSpecError(ValueError):
     """Raised when a system file cannot be parsed or validated."""
 
 
-_TF_KEYS = {"num", "den", "delay"}
-_SS_KEYS = {"A", "B", "C", "D"}
+# each form's keys; a missing required key is named in this order
+_TF_KEYS = ("num", "den", "delay")
+_SS_KEYS = ("A", "B", "C", "D")
 
 
 def _parse_reals(text, where):
@@ -438,22 +436,24 @@ def parse_system_text(text, name="<system>"):
         if "=" not in line:
             raise SystemSpecError(f"{name}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _TF_KEYS | _SS_KEYS:
+        if key not in _TF_KEYS + _SS_KEYS:
             raise SystemSpecError(f"{name}:{lineno}: unknown key {key!r}")
         if key in entries:
             raise SystemSpecError(f"{name}:{lineno}: duplicate key {key!r}")
         entries[key] = (lineno, value)
 
-    keys = set(entries)
-    if keys & _TF_KEYS and keys & _SS_KEYS:
+    rational = sorted(entries.keys() & _TF_KEYS)
+    state_space = sorted(entries.keys() & _SS_KEYS)
+    if rational and state_space:
         raise SystemSpecError(
-            f"{name}: mixes rational keys {sorted(keys & _TF_KEYS)} with "
-            f"state-space keys {sorted(keys & _SS_KEYS)}"
+            f"{name}: mixes rational keys {rational} with state-space keys {state_space}"
         )
-    if keys & _TF_KEYS:
-        for required in ("num", "den"):
-            if required not in keys:
-                raise SystemSpecError(f"{name}: missing required key {required!r}")
+    if not entries:
+        raise SystemSpecError(f"{name}: no system definition found")
+    for required in ("num", "den") if rational else _SS_KEYS:
+        if required not in entries:
+            raise SystemSpecError(f"{name}: missing required key {required!r}")
+    if rational:
         num = _parse_reals(entries["num"][1], f"{name}:{entries['num'][0]}")
         den = _parse_reals(entries["den"][1], f"{name}:{entries['den'][0]}")
         delay = 0
@@ -469,26 +469,21 @@ def parse_system_text(text, name="<system>"):
             return RationalTransferFunction(num, den, delay)
         except ValueError as exc:
             raise SystemSpecError(f"{name}: {exc}") from None
-    if keys & _SS_KEYS:
-        for required in _SS_KEYS:
-            if required not in keys:
-                raise SystemSpecError(f"{name}: missing required key {required!r}")
-        A = _parse_rows(entries["A"][1], f"{name}:{entries['A'][0]}")
-        widths = {len(row) for row in A}
-        if len(widths) != 1:
-            raise SystemSpecError(
-                f"{name}:{entries['A'][0]}: rows of A have inconsistent lengths"
-            )
-        B = _parse_reals(entries["B"][1], f"{name}:{entries['B'][0]}")
-        C = _parse_reals(entries["C"][1], f"{name}:{entries['C'][0]}")
-        D = _parse_reals(entries["D"][1], f"{name}:{entries['D'][0]}")
-        if len(D) != 1:
-            raise SystemSpecError(f"{name}:{entries['D'][0]}: D must be a single scalar")
-        try:
-            return StateSpace(A, B, C, D[0])
-        except ValueError as exc:
-            raise SystemSpecError(f"{name}: {exc}") from None
-    raise SystemSpecError(f"{name}: no system definition found")
+    A = _parse_rows(entries["A"][1], f"{name}:{entries['A'][0]}")
+    widths = {len(row) for row in A}
+    if len(widths) != 1:
+        raise SystemSpecError(
+            f"{name}:{entries['A'][0]}: rows of A have inconsistent lengths"
+        )
+    B = _parse_reals(entries["B"][1], f"{name}:{entries['B'][0]}")
+    C = _parse_reals(entries["C"][1], f"{name}:{entries['C'][0]}")
+    D = _parse_reals(entries["D"][1], f"{name}:{entries['D'][0]}")
+    if len(D) != 1:
+        raise SystemSpecError(f"{name}:{entries['D'][0]}: D must be a single scalar")
+    try:
+        return StateSpace(A, B, C, D[0])
+    except ValueError as exc:
+        raise SystemSpecError(f"{name}: {exc}") from None
 
 
 def parse_system_file(path):

@@ -31,7 +31,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lifting import LiftedBatchSystem, _solve_fixed_point
 
 __all__ = [
-    "time_reverse",
     "circulant_eigenvalues",
     "diagonalization_residual",
     "reversed_spectrum",
@@ -52,11 +51,6 @@ _EPS = np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)
 # rows of F* M F whose magnitudes diagonalization_residual takes at once
 _RESIDUAL_ROWS = 64
-
-
-def time_reverse(v):
-    """Reverse a signal in time: output l is input N+1-l. Involutory."""
-    return np.asarray(v)[::-1].copy()
 
 
 def circulant_eigenvalues(c):
@@ -102,8 +96,9 @@ def diagonalization_residual(lb):
     on the diagonal is ifft(h * (N - m))[p]. That is O(N^2 n) for the
     product and O(N n) memory beside two blocks, with no N x N array. On an
     lb from ``lift`` the two terms cancel off the diagonal to rounding, a
-    few eps (1 + max |diag|). H, X, h and every block must be finite, else
-    ValueError; an lb whose I - F is nearly singular raises RuntimeError.
+    few eps (1 + max |diag|). A NaN or inf in F raises ValueError before
+    the solve; H, X, h and every block must be finite, else ValueError; an
+    lb whose I - F is nearly singular raises RuntimeError.
     """
     if not isinstance(lb, LiftedBatchSystem):
         raise TypeError("diagonalization_residual expects a LiftedBatchSystem")
@@ -112,7 +107,7 @@ def diagonalization_residual(lb):
         raise ValueError("empty matrix: the residual needs N >= 1")
     cols = N // 2 + 1
     H_hat = np.fft.ifft(lb.H, axis=0)
-    X_hat = np.fft.rfft(_solve_fixed_point(lb.F, lb.G, "periodic_response_matrix"), axis=1)
+    X_hat = np.fft.rfft(_solve_fixed_point(lb.F, lb.G), axis=1)
     g = np.fft.ifft(lb.h)
     # a NaN or inf in H, X or h makes a zero-frequency sum non-finite
     if not (np.isfinite(H_hat).all() and np.isfinite(X_hat).all() and np.isfinite(g).all()):

@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "reversed_spectrum",
     "select_shift",
     "tf_to_ss",
-    "time_reverse",
 }
 
 
@@ -38,4 +37,4 @@ def test_every_export_resolves():
 def test_exports_are_the_frozen_public_names():
     assert len(peakgain.__all__) == len(set(peakgain.__all__))
     assert set(peakgain.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 24
+    assert len(PUBLIC_NAMES) == 23

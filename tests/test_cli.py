@@ -215,6 +215,18 @@ class TestEstimate:
         last = int(rows[-1][0])
         assert (out / f"u_update_{last:05d}.csv").exists()
 
+    def test_overflowing_shift_exits_1(self, demo_file, tmp_path, capsys):
+        # at --shift 1e308 the update vector's norm overflows; the run used
+        # to read out beta = 0 as converged and exit 0
+        code = main([
+            "estimate", "--system", demo_file, "--n", "3", "--shift", "1e308",
+            "--out", str(tmp_path / "est"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: update vector overflowed")
+        assert captured.err.count("\n") == 1
+
     def test_non_finite_tolerance_exits_1(self, low_pass_file, tmp_path, capsys):
         out = tmp_path / "est"
         code = main([
@@ -363,6 +375,10 @@ class TestCsvWriters:
             vec = u if name.startswith("u") else y
             expected = per_row_lines("k,value", [(k, repr(float(v))) for k, v in enumerate(vec)])
             assert (tmp_path / name).read_bytes() == expected.encode()
+
+    def test_snapshots_of_an_empty_trace(self, tmp_path):
+        assert cli.write_update_snapshots(EstimateTrace(), tmp_path) == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [5, 0, 2.5])
     def test_snapshots_check_every_update_before_writing(self, bad, tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import collections
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
 )
 from peakgain import (
     RESET_FREE,
+    EstimateTrace,
     EstimationError,
     PowerIterationConfig,
     RationalTransferFunction,
@@ -31,7 +33,6 @@ from peakgain import (
     reversed_spectrum,
     select_shift,
     tf_to_ss,
-    time_reverse,
 )
 from peakgain import cli, estimator
 from peakgain.estimator import init_input
@@ -275,9 +276,28 @@ class TestResetFreeIteration:
         for record in trace.updates:
             assert abs(record.u @ record.u - 6) < 1e-8
 
+    @pytest.mark.parametrize(
+        "ss",
+        [tf_to_ss(delayed_resonator()), tf_to_ss(RationalTransferFunction((2.0,), (1.0,)))],
+        ids=["demo", "static-gain"],
+    )
+    def test_overflowing_update_vector_diagnosed(self, ss):
+        # shift * u is finite, but ||z||^2 overflows: z would be scaled to
+        # zero, and the demo read out beta = 0 as converged
+        plant = new_session(ss, 3, RESET_FREE)
+        config = PowerIterationConfig(shift=1e308, rng_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="overflowed"):
+                iterate_reset_free(plant, config)
+
+    def test_empty_trace_has_no_estimate(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            EstimateTrace().estimate
+
     def test_vanishing_update_vector_diagnosed(self):
         shift = 0.7
-        plant = RecordingPlant(lambda u: time_reverse(-shift * u), 4)
+        plant = RecordingPlant(lambda u: (-shift * u)[::-1].copy(), 4)
         config = PowerIterationConfig(shift=shift, max_updates=10, rng_seed=0)
         with pytest.raises(EstimationError, match="shift or seed"):
             iterate_reset_free(plant, config)

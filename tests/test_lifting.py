@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from peakgain import (
     RationalTransferFunction,
     StateSpace,
     circulant_coefficients,
+    diagonalization_residual,
     lift,
     periodic_response_matrix,
     tf_to_ss,
@@ -326,6 +328,25 @@ def test_near_marginal_stability_diagnosed():
         circulant_coefficients(ss, 1)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda ss: periodic_response_matrix(lift(ss, 1)),
+        lambda ss: circulant_coefficients(ss, 1),
+        lambda ss: diagonalization_residual(lift(ss, 1)),
+    ],
+    ids=["periodic_response_matrix", "circulant_coefficients", "diagonalization_residual"],
+)
+def test_near_singular_message_is_the_same_for_every_caller(solve):
+    ss = StateSpace([[1.0 - 1e-14]], [1.0], [1.0], 0.0)
+    with pytest.raises(RuntimeError) as raised:
+        solve(ss)
+    assert str(raised.value) == (
+        "I - F is nearly singular; the state matrix is too close to marginal "
+        "stability for a meaningful steady state"
+    )
+
+
 def test_a_small_power_needs_no_singular_values(monkeypatch):
     # ||A^256||_F of the demo is far below 1/2, which puts every singular
     # value of I - A^256 above 1/2: the guard is cleared without an SVD, and
@@ -363,16 +384,30 @@ def test_a_large_power_keeps_the_singular_value_guard(monkeypatch, N):
     assert len(calls) == 2
 
 
-def test_a_nan_power_still_takes_the_singular_values(monkeypatch):
-    # a NaN norm is not below 1/2, so it clears nothing
-    calls = []
-
+def test_a_nan_power_is_rejected_before_the_singular_values(monkeypatch):
+    # a NaN norm would not be below 1/2 and would reach the SVD; F is
+    # checked first, and named
     def no_svd(*args, **kwargs):
-        calls.append(1)
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise AssertionError("the fixed-point guard took an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     F = np.array([[np.nan, 0.0], [0.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        lifting._solve_fixed_point(F, np.ones(2), "test")
-    assert calls == [1]
+    with pytest.raises(ValueError, match="^F has non-finite entries$"):
+        lifting._solve_fixed_point(F, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("solve", [periodic_response_matrix, diagonalization_residual])
+def test_non_finite_F_is_rejected(capfd, solve, row, bad):
+    # an inf in F used to pass the singular-value guard and give a
+    # non-finite M; every entry is checked before any arithmetic on F, so
+    # there is no warning and nothing on stderr either
+    lb = lift(random_stable_statespace(np.random.default_rng(6)), 600)
+    F = lb.F.copy()
+    F[row] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^F has non-finite entries$"):
+            solve(dataclasses.replace(lb, F=F))
+    assert capfd.readouterr().err == ""

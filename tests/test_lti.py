@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -340,6 +345,10 @@ class TestSpectralRadius:
     def test_nilpotent(self):
         assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
 
+    def test_empty(self):
+        # a 0 x 0 matrix has Frobenius norm 0, the nilpotent return
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
     def test_resonator_companion(self):
         # poles of 10 z^2 - 5 z + 6: conjugate pair with |z|^2 = 6/10
         companion = np.array([[0.5, -0.6], [1.0, 0.0]])
@@ -436,6 +445,11 @@ class TestStateSpaceValidation:
         with pytest.raises(ValueError, match=f"{name} has non-finite"):
             StateSpace(coeffs["A"], coeffs["B"], coeffs["C"], coeffs["D"])
 
+    def test_zero_states_accepted(self):
+        # the stability check runs for every n, a static gain's n = 0 too
+        # (TestRealization::test_static_gain builds one through tf_to_ss)
+        assert StateSpace(np.zeros((0, 0)), [], [], -1.5).n == 0
+
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             StateSpace([[0.5, 0.1]], [1.0], [1.0], 0.0)
@@ -486,6 +500,39 @@ class TestSystemFileFormat:
     def test_missing_required_key(self):
         with pytest.raises(SystemSpecError, match="den"):
             parse_system_text("num = 1\n")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("delay = 2\n", "num"),
+            ("den = 1\n", "num"),
+            ("A = 0.5\nD = 0\n", "B"),
+            ("D = 0\nC = 1\n", "A"),
+            ("A = 0.5\nB = 1\nC = 1\n", "D"),
+        ],
+    )
+    def test_first_missing_key_is_named(self, text, key):
+        # the required keys are checked in the order num, den or A, B, C, D
+        with pytest.raises(SystemSpecError) as raised:
+            parse_system_text(text, name="p")
+        assert str(raised.value) == f"p: missing required key {key!r}"
+
+    def test_missing_key_does_not_depend_on_the_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED, so each seed runs in a
+        # child process of its own
+        code = (
+            "from peakgain import parse_system_text\n"
+            "try:\n"
+            "    parse_system_text('A = 0.5\\nD = 0\\n', name='p')\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lti.__file__).resolve().parent.parent)
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout) == (0, "p: missing required key 'B'\n"), seed
 
     def test_duplicate_key_reports_line(self):
         with pytest.raises(SystemSpecError, match=r":2:.*duplicate"):

@@ -28,29 +28,11 @@ from peakgain import (
     periodic_response_matrix,
     reversed_spectrum,
     tf_to_ss,
-    time_reverse,
 )
 from peakgain import spectral
 from peakgain.lifting import LiftedBatchSystem, impulse_response
 
 SQRT8 = 2.0 * np.sqrt(2.0)
-
-
-class TestTimeReversal:
-    def test_reverses(self):
-        assert np.array_equal(time_reverse([1.0, 2.0, 3.0]), [3.0, 2.0, 1.0])
-
-    def test_palindrome_is_fixed(self):
-        v = np.array([1.0, 4.0, 4.0, 1.0])
-        assert np.array_equal(time_reverse(v), v)
-
-    def test_involution_is_exact(self):
-        v = np.random.default_rng(0).standard_normal(17)
-        assert np.array_equal(time_reverse(time_reverse(v)), v)
-
-    def test_matrix_matches_operator(self):
-        v = np.random.default_rng(1).standard_normal(6)
-        assert np.allclose(np.eye(6)[::-1] @ v, time_reverse(v))
 
 
 class TestDftMatrix:
@@ -243,6 +225,20 @@ class TestDiagonalization:
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
                 diagonalization_residual(broken)
+
+    @pytest.mark.parametrize("N", [8, 1], ids=["block", "diagonal"])
+    def test_overflowing_product_rejected(self, N):
+        # a finite lifted system whose H X overflows. At N = 8 the varying H
+        # puts an inf off the diagonal, which the block's check finds; at
+        # N = 1 the one entry is on the diagonal, which is checked after
+        # the blocks
+        H = 1e200 * np.arange(1.0, N + 1.0).reshape(N, 1)
+        lb = LiftedBatchSystem(F=np.zeros((1, 1)), G=np.full((1, N), 1e200), H=H,
+                               h=np.zeros(N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                diagonalization_residual(lb)
 
     def test_empty_matrix_rejected(self):
         empty = LiftedBatchSystem(F=np.zeros((0, 0)), G=np.zeros((0, 0)),
@@ -746,7 +742,7 @@ class TestEigenvectorReversalSymmetry:
             w, V = symmetric_eig_oracle(R, return_vectors=True)
             assert w[0] > 0 and w[0] - w[1] > 1e-9 * (1 + abs(w[0]))
             v = V[:, 0]
-            assert np.linalg.norm(time_reverse(v) - v) < 1e-8
+            assert np.linalg.norm(v[::-1] - v) < 1e-8
 
     def test_interior_peak_breaks_the_symmetry(self):
         # symmetry of the top eigenvector holds exactly when the dominant
@@ -759,7 +755,7 @@ class TestEigenvectorReversalSymmetry:
         v = V[:, 0]
         assert w[0] - w[1] > 1e-6
         mismatch = min(
-            np.linalg.norm(time_reverse(v) - v), np.linalg.norm(time_reverse(v) + v)
+            np.linalg.norm(v[::-1] - v), np.linalg.norm(v[::-1] + v)
         )
         assert mismatch > 1e-3
 
