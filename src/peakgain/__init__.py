@@ -8,66 +8,60 @@ and a power iteration on its time-reversed (symmetric) counterpart converges
 to the peak gain over the batch frequency grid. The spectral machinery to
 verify it is included, and so is the model value of the classical
 reset-based baseline, ``max_gain_reset_based``, for comparison.
+
+``import peakgain`` loads none of its modules. A public name loads the module
+that defines it when it is first used (PEP 562), so parsing and realizing a
+system file loads ``peakgain.lti`` alone, while the command line front end,
+``peakgain.cli``, loads all six.
 """
 
-from .estimator import (
-    EstimateTrace,
-    EstimationError,
-    PowerIterationConfig,
-    iterate_reset_free,
-    relative_batch_change,
-    select_shift,
-)
-from .lifting import (
-    circulant_coefficients,
-    lift,
-    periodic_response_matrix,
-)
-from .lti import (
-    RationalTransferFunction,
-    StateSpace,
-    SystemSpecError,
-    freq_response,
-    hinf_peak,
-    parse_system_file,
-    parse_system_text,
-    tf_to_ss,
-)
-from .plant import (
-    RESET_FREE,
-    new_session,
-)
-from .spectral import (
-    circulant_eigenvalues,
-    diagonalization_residual,
-    max_gain_reset_based,
-    reversed_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EstimateTrace",
-    "EstimationError",
-    "PowerIterationConfig",
-    "RESET_FREE",
-    "RationalTransferFunction",
-    "StateSpace",
-    "SystemSpecError",
-    "circulant_coefficients",
-    "circulant_eigenvalues",
-    "diagonalization_residual",
-    "freq_response",
-    "hinf_peak",
-    "iterate_reset_free",
-    "lift",
-    "max_gain_reset_based",
-    "new_session",
-    "parse_system_file",
-    "parse_system_text",
-    "periodic_response_matrix",
-    "relative_batch_change",
-    "reversed_spectrum",
-    "select_shift",
-    "tf_to_ss",
-]
+# each public name and the module that defines it
+_EXPORTS = {
+    "EstimateTrace": "estimator",
+    "EstimationError": "estimator",
+    "PowerIterationConfig": "estimator",
+    "iterate_reset_free": "estimator",
+    "relative_batch_change": "estimator",
+    "select_shift": "estimator",
+    "circulant_coefficients": "lifting",
+    "lift": "lifting",
+    "periodic_response_matrix": "lifting",
+    "RationalTransferFunction": "lti",
+    "StateSpace": "lti",
+    "SystemSpecError": "lti",
+    "freq_response": "lti",
+    "hinf_peak": "lti",
+    "parse_system_file": "lti",
+    "parse_system_text": "lti",
+    "tf_to_ss": "lti",
+    "RESET_FREE": "plant",
+    "new_session": "plant",
+    "circulant_eigenvalues": "spectral",
+    "diagonalization_residual": "spectral",
+    "max_gain_reset_based": "spectral",
+    "reversed_spectrum": "spectral",
+}
+_MODULES = {*_EXPORTS.values(), "cli"}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    # called only for a name not yet bound here: import its module, then
+    # bind the name so later lookups skip this function
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

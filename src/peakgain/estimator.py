@@ -129,7 +129,10 @@ class EstimateTrace:
 
     ``rows`` has one entry per applied batch: (update_index, batch_index, mu,
     beta), where mu = ||y|| / sqrt(N) and beta = u . reverse(y) / N.
-    ``updates`` has one ``UpdateRecord`` per update step.
+    ``updates`` has one ``UpdateRecord`` per update step. ``converged`` is
+    true when beta moved less than the tolerance between the last two
+    updates and the final beta is not negative; a run that stops on the
+    tolerance at a negative beta is not converged.
     """
 
     rows: list = field(default_factory=list)
@@ -251,8 +254,11 @@ def iterate_reset_free(plant, config):
     gain the iterate settles on the positive dominant eigendirection instead
     of flipping sign every step; ``config.shift`` None probes the plant for
     one. Stops when beta moves less than the tolerance between updates, or
-    flags the trace as non-converged at max_updates. The plant must meet
-    the module's plant contract, start state included.
+    flags the trace as non-converged at max_updates. A run that stops on
+    the tolerance with a negative final beta is not converged either: that
+    readout is an eigenvalue at the bottom of the reversed spectrum, not a
+    gain. The plant must meet the module's plant contract, start state
+    included.
     """
     n = plant.N
     shift = config.shift
@@ -279,7 +285,8 @@ def iterate_reset_free(plant, config):
         mu, beta = trace.rows[-1][2:]
         trace.updates.append(UpdateRecord(u, y, mu, beta))
         if beta_prev is not None and abs(beta - beta_prev) < config.convergence_tol:
-            trace.converged = True
+            # a negative readout is the reversed spectrum's bottom end, not a gain
+            trace.converged = beta >= 0.0
             break
         beta_prev = beta
         # an overflow is reported below as an EstimationError, not warned of

@@ -34,6 +34,12 @@ walk. Reusing the rounded power makes the error grow like the number of
 within 1e-11 of max |h| for the test suite's slow poles, against about
 1e-14 for the sequential loop, and is larger on realizations whose powers
 are ill-conditioned.
+
+A stable A can still have powers that overflow float64, as a chain with
+couplings of 1e150 does. ``lift`` and ``circulant_coefficients`` form the
+powers with numpy's overflow and invalid-value warnings off, and raise a
+ValueError that names the power, "the powers of A up to A^N overflow
+float64", when the power or any array formed from it is not finite.
 """
 
 from dataclasses import dataclass
@@ -93,17 +99,31 @@ def lower_toeplitz(column):
 
 
 def lift(ss, N):
-    """Build the batch representation of a StateSpace over blocks of N samples."""
+    """Build the batch representation of a StateSpace over blocks of N samples.
+
+    Raises ValueError naming A^N when F, G, H or h is not finite, that is
+    when the powers of A up to A^N overflow float64, without a warning.
+    """
     if not isinstance(ss, StateSpace):
         raise TypeError("lift expects a StateSpace")
     N = _count(N, "batch length", 1)
     A, B, C = ss.A, ss.B, ss.C
-    F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
-    blocks = list(_krylov(A, B, N))
-    h = _markov(A, B, C, ss.D, N, first=blocks[0])
-    G = np.concatenate(blocks)[::-1].T.copy()
-    H = np.concatenate(list(_krylov(A.T, C, N)))
+    # an overflow is reported below as a ValueError, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = np.linalg.matrix_power(A, N)  # binary exponentiation, O(log N) products
+        blocks = list(_krylov(A, B, N))
+        h = _markov(A, B, C, ss.D, N, first=blocks[0])
+        G = np.concatenate(blocks)[::-1].T.copy()
+        H = np.concatenate(list(_krylov(A.T, C, N)))
+    _check_power(N, F, G, H, h)
     return LiftedBatchSystem(F=F, G=G, H=H, h=h)
+
+
+def _check_power(N, *arrays):
+    # every array here is formed from the powers of A up to A^N, and a
+    # StateSpace is finite, so a non-finite entry means one of those overflowed
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"the powers of A up to A^{N} overflow float64")
 
 
 def _krylov(A, v, count):
@@ -204,13 +224,19 @@ def circulant_coefficients(ss, N):
     response, exactly what a single from-rest batch J cannot see. The
     circulant built from c equals periodic_response_matrix(lift(ss, N))
     entry for entry, which the test suite checks across random systems.
+    As in ``lift``, a non-finite A^N or c raises ValueError naming A^N,
+    before the fixed point is solved if A^N itself overflows.
     """
     if not isinstance(ss, StateSpace):
         raise TypeError("circulant_coefficients expects a StateSpace")
     N = _count(N, "batch length", 1)
-    AN = np.linalg.matrix_power(ss.A, N)
-    w = _solve_fixed_point(AN, ss.B)
-    g = _markov(ss.A, w, ss.C, ss.D, N + 1)
+    # an overflow is reported below as a ValueError, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        AN = np.linalg.matrix_power(ss.A, N)
+        _check_power(N, AN)
+        w = _solve_fixed_point(AN, ss.B)
+        g = _markov(ss.A, w, ss.C, ss.D, N + 1)
+    _check_power(N, g)
     c = g[:N].copy()
     c[0] += g[N]
     return c

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ from peakgain.estimator import UpdateRecord
 DEMO_SYSTEM = "num = 0, 5, 4\nden = 10, -5, 6\ndelay = 50\n"
 LOW_PASS = "num = 1\nden = 1, -0.5\n"
 SLOW_POLE = "num = 1e-4\nden = 1, -0.9999\n"
+# peaks at a negative DC gain, and at a positive Nyquist gain: both at the
+# bottom of the reversed spectrum at even N
+NEGATIVE_DC = "num = -0.1\nden = 1, -0.9\n"
+POSITIVE_NYQUIST = "num = 0.1\nden = 1, 0.9\n"
+# stable, but its powers overflow float64 from A^3 on
+OVERFLOWING_CHAIN = (
+    "A = 0.5, 1e150, 0, 0; 0, 0.5, 1e150, 0; 0, 0, 0.5, 1e150; 0, 0, 0, 0.5\n"
+    "B = 0, 0, 0, 1\nC = 1, 0, 0, 0\nD = 0\n"
+)
 
 
 @pytest.fixture
@@ -304,6 +314,37 @@ class TestEstimate:
         assert code == 2
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("text, argv", [
+        *((NEGATIVE_DC, ["--seed", str(seed)]) for seed in (1, 2, 3, 4)),
+        *((NEGATIVE_DC, ["--ideal-plant", "--seed", str(seed)]) for seed in (1, 2, 3)),
+        (POSITIVE_NYQUIST, ["--seed", "1"]),
+    ], ids=[*(f"negative-dc-{seed}" for seed in (1, 2, 3, 4)),
+            *(f"negative-dc-ideal-{seed}" for seed in (1, 2, 3)), "positive-nyquist-1"])
+    def test_a_negative_beta_exits_2(self, text, argv, tmp_path, capsys):
+        # these runs stop on the tolerance at the bottom of the reversed
+        # spectrum; a negative beta used to print converged = true, exit 0
+        path = tmp_path / "plant.txt"
+        path.write_text(text)
+        out = tmp_path / "est"
+        assert main(["estimate", "--system", str(path), "--n", "50", *argv,
+                     "--out", str(out)]) == 2
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                       if " = " in line)
+        assert printed["converged"] == "false"
+        assert float(printed["beta"]) < -0.99
+        assert (out / "trace.csv").exists()
+
+    def test_a_zero_gain_plant_still_converges(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("num = 0\nden = 1, -0.9\n")
+        with pytest.warns(UserWarning, match="zero output"):
+            code = main(["estimate", "--system", str(path), "--n", "50", "--seed", "1",
+                         "--out", str(tmp_path / "est")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "beta = 0.0\n" in printed
+        assert "converged = true\n" in printed
+
     def test_byte_identical_reruns(self, demo_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["estimate", "--system", demo_file, "--n", "50", "--seed", "7",
@@ -516,6 +557,29 @@ def test_non_finite_system_exits_1(argv, text, tmp_path, capsys):
     assert err.startswith("error: ") and "non-finite" in err and str(path) in err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv, power", [
+    (["analyze", "--n", "8"], "A^8"),
+    (["oracle", "--grid", "101"], "A^101"),
+    (["sweep", "--n-start", "8", "--n-doublings", "0", "--grid", "101"], "A^101"),
+    (["estimate", "--n", "8"], "A^8"),
+], ids=["analyze", "oracle", "sweep", "estimate"])
+def test_an_overflowing_power_exits_1_naming_it(argv, power, tmp_path, capfd):
+    # numpy used to warn of an invalid value in matmul, and estimate ran
+    # 10,001 probe batches of NaN before it failed on the shift
+    path = tmp_path / "chain.txt"
+    path.write_text(OVERFLOWING_CHAIN)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--system", str(path), "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == f"error: the powers of A up to {power} overflow float64\n"
+    if argv[0] == "estimate":
+        # the plant fails to open: no batch, no output
+        assert captured.out == ""
+        assert not out.exists()
 
 def test_cached_parser_shares_no_state_between_calls(demo_file, tmp_path, capsys):
     calls = [

@@ -399,6 +399,41 @@ def test_estimator_imports_nothing_from_plant():
         assert not any(name.split(".")[-1] == "plant" for name in names), ast.dump(node)
 
 
+
+def negative_dc():
+    """-0.1 / (1 - 0.9 z^-1): the peak is a negative DC gain, at the bottom of
+    the reversed spectrum."""
+    return tf_to_ss(RationalTransferFunction((-0.1,), (1.0, -0.9)))
+
+
+class TestNegativeReadout:
+    """A negative beta is the reversed spectrum's bottom end, never a converged gain."""
+
+    @pytest.mark.parametrize("settled, tol, seeds", [
+        (False, 1e-4, (1, 2, 3, 4)), (True, 1e-8, (1, 2, 3)),
+    ], ids=["session", "settled"])
+    def test_a_negative_final_beta_is_not_converged(self, settled, tol, seeds):
+        # the CLI's defaults: the probed shift and the run share the seed
+        for seed in seeds:
+            session = new_session(negative_dc(), 50, RESET_FREE, settled=settled)
+            shift = select_shift(session, 50, seed)
+            config = PowerIterationConfig(shift=shift, rng_seed=seed, convergence_tol=tol)
+            trace = iterate_reset_free(session, config)
+            # it stopped on the tolerance, at the bottom end
+            assert len(trace.updates) < config.max_updates, seed
+            assert abs(trace.estimate - trace.updates[-2].beta) < tol, seed
+            assert trace.estimate < -0.99, seed
+            assert not trace.converged, seed
+
+    @pytest.mark.parametrize("settled", [False, True], ids=["session", "settled"])
+    def test_a_zero_gain_plant_still_converges(self, settled):
+        ss = tf_to_ss(RationalTransferFunction((0.0,), (1.0, -0.9)))
+        session = new_session(ss, 50, RESET_FREE, settled=settled)
+        trace = iterate_reset_free(session, PowerIterationConfig(shift=1.0, rng_seed=1))
+        assert trace.estimate == 0.0
+        assert trace.converged
+
+
 class TestStartContract:
     """A run may start on a plant at rest or settled on the run's start input.
 

@@ -17,11 +17,13 @@ from conftest import (
     slow_pole,
 )
 from peakgain import (
+    RESET_FREE,
     RationalTransferFunction,
     StateSpace,
     circulant_coefficients,
     diagonalization_residual,
     lift,
+    new_session,
     periodic_response_matrix,
     tf_to_ss,
 )
@@ -410,4 +412,27 @@ def test_non_finite_F_is_rejected(capfd, solve, row, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^F has non-finite entries$"):
             solve(dataclasses.replace(lb, F=F))
+    assert capfd.readouterr().err == ""
+
+
+def overflowing_chain():
+    # stable (every eigenvalue is 0.5), but A^3 holds 1e450 in its corner
+    A = np.diag([0.5] * 4) + np.diag([1e150] * 3, 1)
+    return StateSpace(A, [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("N", [8, 101])
+@pytest.mark.parametrize("build", [
+    lift,
+    circulant_coefficients,
+    lambda ss, N: new_session(ss, N, RESET_FREE),
+    lambda ss, N: new_session(ss, N, RESET_FREE, settled=True),
+], ids=["lift", "circulant_coefficients", "session", "settled"])
+def test_an_overflowing_power_is_named_without_a_warning(capfd, build, N):
+    # the chain's powers overflow float64; numpy used to warn of an invalid
+    # value in matmul, and the error named an F the caller never gave
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^the powers of A up to A\^{N} overflow float64$"):
+            build(overflowing_chain(), N)
     assert capfd.readouterr().err == ""
