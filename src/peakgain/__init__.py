@@ -4,8 +4,12 @@ The package estimates the peak frequency-response magnitude (the H-infinity
 norm) of a stable SISO plant purely from input/output batch experiments. The
 algorithm operates the plant continuously, without resets: holding a
 periodic input makes the plant act as a circulant matrix on one input period,
-and a power iteration on its time-reversed (symmetric) counterpart converges
-to the peak gain over the batch frequency grid. The spectral machinery to
+and a shifted power iteration runs on its time-reversed (symmetric)
+counterpart. The grid target is max_m |lambda_m| over the circulant's
+eigenvalues, the peak gain over the batch frequency grid. It is the top
+eigenvalue of the reversed circulant, except for a negative DC gain peak or,
+at even N, a positive Nyquist one, which is the bottom eigenvalue; the
+shifted iteration can then stop on the wrong end. The spectral machinery to
 verify it is included, and so is the model value of the classical
 reset-based baseline, ``max_gain_reset_based``, for comparison.
 

@@ -50,24 +50,25 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_lines(path, header, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *lines]) + "\n")
-
-
-def _write_csv(path, header, rows):
-    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
-
-
-def _trace_lines(rows):
-    # mu and beta are floats, so !r is the shortest round-trip form of _fmt
-    for update, batch, mu, beta in rows:
-        yield f"{update},{batch},{mu!r},{beta!r}"
+def _write_csv(path, header, *columns):
+    # each column is an iterable of formatted strings, joined row by row; the
+    # file's directory is made only when it is missing, so a run that fails
+    # before its first write leaves no --out behind
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    with fh:
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def write_trace_csv(trace, path):
     """Write the per-batch trace as CSV with header updateIndex,batchIndex,mu,beta."""
-    _write_lines(path, "updateIndex,batchIndex,mu,beta", _trace_lines(trace.rows))
+    # mu and beta are floats, so repr is the shortest round-trip form of _fmt
+    columns = zip(*trace.rows)
+    _write_csv(path, "updateIndex,batchIndex,mu,beta",
+               *(map(fmt, column) for fmt, column in zip((str, str, repr, repr), columns)))
 
 
 def write_update_snapshots(trace, outdir, updates=None):
@@ -92,10 +93,10 @@ def write_update_snapshots(trace, outdir, updates=None):
         record = trace.updates[upd - 1]
         for tag, vec in (("u", record.u), ("y", record.y)):
             name = f"{tag}_update_{upd:05d}.csv"
-            # tolist() gives Python floats, whose !r is _fmt of each sample
+            # tolist() gives Python floats, whose repr is _fmt of each sample
             values = np.asarray(vec, dtype=float).tolist()
-            _write_lines(os.path.join(outdir, name), "k,value",
-                         (f"{k},{v!r}" for k, v in enumerate(values)))
+            _write_csv(os.path.join(outdir, name), "k,value",
+                       map(str, range(len(values))), map(repr, values))
             written.append(name)
     return written
 
@@ -107,17 +108,10 @@ def _load(args):
     return sys_obj, sys_obj
 
 
-def _outdir(args):
-    # each command checks its sizes first, so a rejected size leaves no directory behind
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def cmd_analyze(args):
     _, ss = _load(args)
     N = args.n
     _count(N, "--n", 1)
-    out = _outdir(args)
     c = circulant_coefficients(ss, N)
     lam = circulant_eigenvalues(c)
     # |lambda_m| as reversed_spectrum takes it, so the reported peaks agree to the bit
@@ -133,31 +127,27 @@ def cmd_analyze(args):
     rev_top = float(rev.max())
     gain_reset_based = max_gain_reset_based(h)
 
-    # tolist() gives Python floats, whose !r is _fmt of each entry
-    _write_lines(
-        os.path.join(out, "coefficients.csv"),
-        "k,c",
-        (f"{k},{v!r}" for k, v in enumerate(c.tolist())),
-    )
-    columns = zip(lam.real.tolist(), lam.imag.tolist(), mag.tolist(), rev.tolist())
-    _write_lines(
-        os.path.join(out, "spectrum.csv"),
+    # tolist() gives Python floats, whose repr is _fmt of each entry
+    _write_csv(os.path.join(args.out, "coefficients.csv"), "k,c",
+               map(str, range(N)), map(repr, c.tolist()))
+    # the IEEE operations of 2.0 * pi * m / N per row, so the same bits
+    omega = 2.0 * np.pi * np.arange(N) / N
+    _write_csv(
+        os.path.join(args.out, "spectrum.csv"),
         "m,omega,lambdaRe,lambdaIm,lambdaAbs,lambdaReversed",
-        (
-            f"{m},{2.0 * np.pi * m / N!r},{re!r},{im!r},{a!r},{r!r}"
-            for m, (re, im, a, r) in enumerate(columns)
-        ),
+        map(str, range(N)),
+        *(map(repr, x.tolist()) for x in (omega, lam.real, lam.imag, mag, rev)),
     )
-    summary = [
-        ("N", N),
-        ("jIsZero", "true" if j_is_zero else "false"),
-        ("diagResidualMax", _fmt(residual)),
-        ("lambdaMaxResetFree", _fmt(gain_reset_free)),
-        ("lambdaReversedTop", _fmt(rev_top)),
-        ("lambdaMaxResetBased", _fmt(gain_reset_based)),
-    ]
-    _write_csv(os.path.join(out, "summary.csv"), "key,value", summary)
-    for key, value in summary:
+    summary = {
+        "N": str(N),
+        "jIsZero": "true" if j_is_zero else "false",
+        "diagResidualMax": _fmt(residual),
+        "lambdaMaxResetFree": _fmt(gain_reset_free),
+        "lambdaReversedTop": _fmt(rev_top),
+        "lambdaMaxResetBased": _fmt(gain_reset_based),
+    }
+    _write_csv(os.path.join(args.out, "summary.csv"), "key,value", summary, summary.values())
+    for key, value in summary.items():
         print(f"{key} = {value}")
     if j_is_zero:
         print("note: the single-batch response is identically zero at this N; "
@@ -173,24 +163,21 @@ def cmd_sweep(args):
     oracle, _ = hinf_peak(sys_obj, args.grid)
     if oracle == 0.0:
         raise ValueError("the worst-case gain is zero, so the relative errors are undefined")
-    out = _outdir(args)
     schedule = [args.n_start * 2**k for k in range(args.n_doublings + 1)]
-    rows = []
-    free_errors = []
-    based_errors = []
-    for N in schedule:
+    gains = np.empty((2, len(schedule)))
+    for i, N in enumerate(schedule):
         lam = circulant_eigenvalues(circulant_coefficients(ss, N))
-        gain_free = float(np.hypot(lam.real, lam.imag).max())
-        gain_based = max_gain_reset_based(impulse_response(ss, N))
-        err_free = abs(gain_free - oracle) / oracle
-        err_based = abs(gain_based - oracle) / oracle
-        free_errors.append(err_free)
-        based_errors.append(err_based)
-        rows.append((N, *map(_fmt, (gain_free, gain_based, oracle, err_free, err_based))))
+        gains[0, i] = np.hypot(lam.real, lam.imag).max()
+        gains[1, i] = max_gain_reset_based(impulse_response(ss, N))
+    free_errors, based_errors = (np.abs(gains - oracle) / oracle).tolist()
     _write_csv(
-        os.path.join(out, "sweep.csv"),
+        os.path.join(args.out, "sweep.csv"),
         "N,resetFree,resetBased,oracle,resetFreeRelError,resetBasedRelError",
-        rows,
+        map(str, schedule),
+        *(map(repr, x.tolist()) for x in gains),
+        [_fmt(oracle)] * len(schedule),
+        map(repr, free_errors),
+        map(repr, based_errors),
     )
     print(f"oracle gain: {_fmt(oracle)}")
     print("N, reset-free rel. error, reset-based rel. error, error ratio to previous N")
@@ -212,12 +199,11 @@ def cmd_estimate(args):
         rng_seed=args.seed,
     )
     plant = new_session(ss, args.n, RESET_FREE, settled=args.ideal_plant)
-    out = _outdir(args)
     if config.shift is None:
         config = dataclasses.replace(config, shift=select_shift(plant, args.n, args.seed))
     trace = iterate_reset_free(plant, config)
-    write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    snapshots = write_update_snapshots(trace, out)
+    write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
+    snapshots = write_update_snapshots(trace, args.out)
     updates = len(trace.updates)
     print(f"shift = {_fmt(config.shift)}")
     print(f"updates = {updates}")
@@ -233,25 +219,21 @@ def cmd_oracle(args):
     # realized, so its oracle shares no code with the state space
     sys_obj = parse_system_file(args.system)
     _count(args.grid, "--grid", 2)
-    out = _outdir(args)
     gain, omega = hinf_peak(sys_obj, args.grid)
-    rows = [
-        ("hinfNorm", _fmt(gain)),
-        ("peakOmega", _fmt(omega)),
-        ("gridSize", args.grid),
-    ]
-    print(f"worst-case gain = {_fmt(gain)}")
-    print(f"peak frequency = {_fmt(omega)} rad/sample")
+    report = {"hinfNorm": _fmt(gain), "peakOmega": _fmt(omega), "gridSize": str(args.grid)}
     if isinstance(sys_obj, RationalTransferFunction) and len(sys_obj.den) > 1:
         poles = np.roots(sys_obj.den)
         dominant = poles[int(np.argmax(np.abs(poles)))]
-        rows.append(("dominantPoleMagnitude", _fmt(abs(dominant))))
-        rows.append(("dominantPoleAngle", _fmt(abs(np.angle(dominant)))))
+        report["dominantPoleMagnitude"] = _fmt(abs(dominant))
+        report["dominantPoleAngle"] = _fmt(abs(np.angle(dominant)))
+    _write_csv(os.path.join(args.out, "oracle.csv"), "key,value", report, report.values())
+    print(f"worst-case gain = {report['hinfNorm']}")
+    print(f"peak frequency = {report['peakOmega']} rad/sample")
+    if "dominantPoleMagnitude" in report:
         print(
-            f"dominant pole: magnitude {_fmt(abs(dominant))}, "
-            f"resonance near {_fmt(abs(np.angle(dominant)))} rad/sample"
+            f"dominant pole: magnitude {report['dominantPoleMagnitude']}, "
+            f"resonance near {report['dominantPoleAngle']} rad/sample"
         )
-    _write_csv(os.path.join(out, "oracle.csv"), "key,value", rows)
     return 0
 
 
@@ -329,6 +311,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if not args.out:
+            # the files would land in the working directory
+            raise ValueError("--out names no directory")
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         # a SystemSpecError is a ValueError

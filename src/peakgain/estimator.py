@@ -4,10 +4,14 @@ The reset-free iteration drives a continuously operated plant with a periodic
 input, holds each input long enough for the response to settle, then reverses
 the measured output in time, adds a shifted copy of the input and renormalizes
 to input power one. That realizes a shifted power iteration on the symmetric
-row-reversed periodic response matrix, whose dominant eigenvalue is the peak
-gain over the batch frequency grid. The plant is never reset: the
-classical reset-based iteration it improves on is not run here, and
-``spectral.max_gain_reset_based`` gives that baseline's model value.
+row-reversed periodic response matrix. The grid target is max_m |lambda_m|
+over the circulant's eigenvalues, the peak gain over the batch frequency
+grid. It is the top eigenvalue of the reversed matrix, except for a negative
+DC gain peak or, at even N, a positive Nyquist one, which is the bottom
+eigenvalue; the shifted iteration can then stop on the wrong end. The plant
+is never reset: the classical reset-based iteration it improves on is not
+run here, and ``spectral.max_gain_reset_based`` gives that baseline's model
+value.
 
 Each update holds its input until the output settles, for at most
 ``_MAX_HOLD_BATCHES`` (10) batches: from the hold's second batch on, it
@@ -35,7 +39,7 @@ on a negatively strided view.
 
 The gain readout ``beta`` is the Rayleigh quotient of the time-reversed
 response, u . reverse(y) / N, with the input normalized to power one. At the
-converged input this equals the dominant eigenvalue exactly; the shift steers
+converged input this equals the top eigenvalue exactly; the shift steers
 the iteration but never enters the readout, since the measured output contains
 no shift contribution.
 
@@ -251,9 +255,12 @@ def iterate_reset_free(plant, config):
     hold's last row. Then z = reverse(y) + shift * u is renormalized to input
     power one; a z that vanishes, or whose norm overflows, raises
     ``EstimationError``. With a positive shift of roughly the plant's peak
-    gain the iterate settles on the positive dominant eigendirection instead
-    of flipping sign every step; ``config.shift`` None probes the plant for
-    one. Stops when beta moves less than the tolerance between updates, or
+    gain the iterate settles on the top eigendirection of the reversed
+    circulant instead of flipping sign every step; ``config.shift`` None
+    probes the plant for one. The grid target max_m |lambda_m| is that top
+    eigenvalue except for a negative DC gain peak or, at even N, a positive
+    Nyquist one, which is the bottom eigenvalue; the run can then stop on
+    the wrong end. Stops when beta moves less than the tolerance between updates, or
     flags the trace as non-converged at max_updates. A run that stops on
     the tolerance with a negative final beta is not converged either: that
     readout is an eigenvalue at the bottom of the reversed spectrum, not a

@@ -47,7 +47,7 @@ _RQI_STEPS = 12
 # largest imaginary part of lambda_0 (and of lambda_{N/2} for even N) that a
 # real circulant's spectrum may show, relative to 1 + max |lambda|
 _IMAG_TOL = 1e-10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # rows of F* M F whose magnitudes diagonalization_residual takes at once
 _RESIDUAL_ROWS = 64

@@ -228,14 +228,16 @@ class TestEstimate:
     def test_overflowing_shift_exits_1(self, demo_file, tmp_path, capsys):
         # at --shift 1e308 the update vector's norm overflows; the run used
         # to read out beta = 0 as converged and exit 0
+        out = tmp_path / "est"
         code = main([
             "estimate", "--system", demo_file, "--n", "3", "--shift", "1e308",
-            "--out", str(tmp_path / "est"),
+            "--out", str(out),
         ])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: update vector overflowed")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_non_finite_tolerance_exits_1(self, low_pass_file, tmp_path, capsys):
         out = tmp_path / "est"
@@ -313,6 +315,8 @@ class TestEstimate:
         ])
         assert code == 2
         assert (out / "trace.csv").exists()
+        assert sorted(p.name for p in out.glob("*_update_*.csv")) == [
+            "u_update_00001.csv", "u_update_00002.csv", "y_update_00001.csv", "y_update_00002.csv"]
 
     @pytest.mark.parametrize("text, argv", [
         *((NEGATIVE_DC, ["--seed", str(seed)]) for seed in (1, 2, 3, 4)),
@@ -527,10 +531,12 @@ def test_near_marginal_system_exits_1_without_traceback(argv, tmp_path, capsys):
     # I - A^N is numerically singular, so the fixed-point solve raises RuntimeError
     path = tmp_path / "marginal.txt"
     path.write_text("A = 0.999999999999999\nB = 1\nC = 1\nD = 0\n")
-    assert main([*argv, "--system", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main([*argv, "--system", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "marginal" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -576,10 +582,38 @@ def test_an_overflowing_power_exits_1_naming_it(argv, power, tmp_path, capfd):
         assert main([*argv, "--system", str(path), "--out", str(out)]) == 1
     captured = capfd.readouterr()
     assert captured.err == f"error: the powers of A up to {power} overflow float64\n"
-    if argv[0] == "estimate":
-        # the plant fails to open: no batch, no output
-        assert captured.out == ""
-        assert not out.exists()
+    # the run fails before its first write: no report, no output directory
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "8"],
+    ["oracle", "--grid", "101"],
+    ["sweep", "--n-start", "8", "--n-doublings", "0", "--grid", "101"],
+    ["estimate", "--n", "8", "--max-updates", "2"],
+], ids=["analyze", "oracle", "sweep", "estimate"])
+def test_an_out_naming_a_file_exits_1(argv, low_pass_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main([*argv, "--system", low_pass_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--n", "8"], ["oracle", "--grid", "101"]],
+                         ids=["analyze", "oracle"])
+def test_an_empty_out_exits_1(argv, low_pass_file, tmp_path, monkeypatch, capsys):
+    # an empty --out names no directory; the run must not write into the
+    # working directory instead
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--system", low_pass_file, "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out names no directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lowpass.txt"]
+
 
 def test_cached_parser_shares_no_state_between_calls(demo_file, tmp_path, capsys):
     calls = [

@@ -210,6 +210,19 @@ def test_lift_rejects_empty_blocks():
         lift(ss, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lift(delayed_resonator(), 8), "lift expects a StateSpace"),
+    (lambda: circulant_coefficients(delayed_resonator(), 8),
+     "circulant_coefficients expects a StateSpace"),
+    (lambda: periodic_response_matrix(slow_pole()),
+     "periodic_response_matrix expects a LiftedBatchSystem"),
+], ids=["lift", "circulant_coefficients", "periodic_response_matrix"])
+def test_a_wrong_system_type_is_named(call, message):
+    with pytest.raises(TypeError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_delayed_resonator_has_zero_single_batch_response():
     # dead time exceeds the batch, so one from-rest batch sees nothing
     lb = lift(tf_to_ss(delayed_resonator()), 50)

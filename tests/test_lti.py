@@ -534,6 +534,22 @@ class TestSystemFileFormat:
                                   capture_output=True, text=True, timeout=60)
             assert (done.returncode, done.stdout) == (0, "p: missing required key 'B'\n"), seed
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: tf_to_ss(StateSpace([[0.5]], [1.0], [1.0], 0.0)), TypeError,
+         "tf_to_ss expects a RationalTransferFunction"),
+        (lambda: freq_response([0.5], 0.1), TypeError, "unsupported system type list"),
+        (lambda: parse_system_text("# a comment\n\n# and another\n", name="p"),
+         SystemSpecError, "p: no system definition found"),
+        (lambda: parse_system_text("A = 0.5, 0.1; 0.2\nB = 1\nC = 1\nD = 0\n", name="p"),
+         SystemSpecError, "p:1: rows of A have inconsistent lengths"),
+        (lambda: parse_system_text("A = ;\nB = 1\nC = 1\nD = 0\n", name="p"),
+         SystemSpecError, "p:1: empty value"),
+    ], ids=["tf_to_ss-type", "freq_response-type", "comments-only", "ragged-A", "empty-A"])
+    def test_boundary_rejections_are_named(self, call, error, message):
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
     def test_duplicate_key_reports_line(self):
         with pytest.raises(SystemSpecError, match=r":2:.*duplicate"):
             parse_system_text("num = 1\nnum = 2\nden = 1\n")

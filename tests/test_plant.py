@@ -31,6 +31,14 @@ def test_non_finite_initial_state_rejected(bad):
         new_session(ss, 4, RESET_FREE, x0=[bad])
 
 
+@pytest.mark.parametrize("settled", [False, True], ids=["transient", "settled"])
+def test_a_wrong_system_type_is_named(settled):
+    with pytest.raises(TypeError) as raised:
+        PlantSession(RationalTransferFunction((1.0,), (1.0, -0.5)), 4, RESET_FREE,
+                     settled=settled)
+    assert str(raised.value) == "PlantSession expects a StateSpace"
+
+
 def test_unknown_mode_rejected():
     # the plant is never reset: the reference sessions' reset-per-batch mode
     # is unknown to the package

@@ -328,6 +328,16 @@ class TestReversedSpectrum:
             rev = reversed_spectrum(lam)
             assert np.allclose(np.sort(np.abs(rev)), np.sort(np.abs(lam)), atol=1e-9)
 
+    @pytest.mark.parametrize("lam, message", [
+        ([], "empty spectrum"),
+        (np.empty(0, dtype=complex), "empty spectrum"),
+        (np.ones((2, 2)), "expected a 1-D spectrum, got shape (2, 2)"),
+    ], ids=["empty-list", "empty-array", "2-d"])
+    def test_rejections_are_named(self, lam, message):
+        with pytest.raises(ValueError) as raised:
+            reversed_spectrum(lam)
+        assert str(raised.value) == message
+
     def test_complex_dc_entry_diagnosed(self):
         with pytest.raises(ValueError, match="lambda_0"):
             reversed_spectrum(np.array([1.0 + 0.5j, 0.0j]))
@@ -385,6 +395,13 @@ class TestResetBasedGain:
     def test_zero_matrix(self):
         assert max_gain_reset_based(np.zeros(6)) == 0.0
         assert max_gain_reset_based(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("h", [np.zeros(6), np.arange(1.0, 9.0), lift(slow_pole(), 50).h],
+                             ids=["zero", "ramp", "slow-pole"])
+    def test_the_gain_is_a_python_float(self, h):
+        # a numpy scalar in the bisection would make the gain np.float64,
+        # which prints as np.float64(...) under numpy 2
+        assert type(max_gain_reset_based(h)) is float
 
     def test_scaled_identity(self):
         h = np.zeros(8)
